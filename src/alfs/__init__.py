@@ -1,8 +1,9 @@
 """Joint one-shot active sample selection and unsupervised feature selection.
 
 The public surface re-exports the pieces most users need: the dataset
-container, the solver with its configuration types, ranking/selection, the
-baselines, and the benchmark harness.
+container, the matrix kernels, the solver with its configuration types,
+ranking/selection, the baselines, and the benchmark harness. The ADMM
+state and its block updates stay in :mod:`alfs.solver`.
 """
 
 __version__ = "0.1.0"
@@ -40,19 +41,11 @@ from .data import (
 from .kernels import (
     AngularWeights,
     angular_weights,
+    group_shrink,
     l21_norm,
     nuclear_norm,
     soft_threshold,
     svt,
-)
-from .lbfgs import (
-    CurvaturePair,
-    LbfgsConfig,
-    LbfgsTrace,
-    LineSearchError,
-    minimize,
-    two_loop_direction,
-    wolfe_search,
 )
 from .selection import (
     SelectionResult,
@@ -65,19 +58,56 @@ from .solver import (
     RegularizationParams,
     SolverAbortError,
     SolverConfig,
-    SolverState,
-    augmented_lagrangian,
-    check_convergence,
-    h_seminorm_sq,
     objective,
     solve,
-    solve_w_subproblem,
-    state_difference,
-    update_duals_and_rho,
-    update_w_tilde,
-    update_z,
-    w_subproblem_gradient,
-    w_subproblem_objective,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # data
+    "Dataset",
+    "SelectionRequest",
+    "SplitSpec",
+    "ValidationReport",
+    "load_csv",
+    "split",
+    "standardize_features",
+    "validate",
+    "write_csv",
+    # kernels
+    "AngularWeights",
+    "angular_weights",
+    "group_shrink",
+    "l21_norm",
+    "nuclear_norm",
+    "soft_threshold",
+    "svt",
+    # solver
+    "ConvergenceReport",
+    "RegularizationParams",
+    "SolverAbortError",
+    "SolverConfig",
+    "objective",
+    "solve",
+    # selection
+    "SelectionResult",
+    "oracle_best_subsets",
+    "rank_and_select",
+    "reconstruction_error",
+    # baselines
+    "RcurConfig",
+    "RcurResult",
+    "cur_from_indices",
+    "leverage_scores",
+    "random_sampling",
+    "rcur",
+    "variance_feature_select",
+    # bench
+    "AccuracyCurve",
+    "BenchSpec",
+    "GridProtocol",
+    "GridSearchResult",
+    "grid_search",
+    "knn_classify",
+    "run_curve",
+    "write_curves_csv",
+]

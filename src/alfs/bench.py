@@ -12,6 +12,7 @@ budgets with a fixed sample budget (classifying in the selected subspace).
 from __future__ import annotations
 
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -245,9 +246,17 @@ class _MethodRunner:
 def _thread_count() -> int:
     raw = os.environ.get(THREADS_ENV_VAR, "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
+        count = 0
+    if count < 1:
+        warnings.warn(
+            f"{THREADS_ENV_VAR}={raw!r} is not a positive integer; using 1 thread",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         return 1
+    return count
 
 
 def _map_cells(fn: Callable, cells: list) -> list:

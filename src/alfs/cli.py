@@ -34,8 +34,8 @@ from .data import (
     SelectionRequest,
     load_csv,
     standardize_features,
+    validate,
 )
-from .lbfgs import LbfgsConfig
 from .selection import (
     LOW_SCORE_THRESHOLD,
     oracle_best_subsets,
@@ -71,7 +71,6 @@ _CONFIG_DEFAULTS: dict[str, dict[str, Any]] = {
         "gamma": 1.0,
         "eta": 1.0,
         "varsigma": 1e-8,
-        "smoothing_eps": 1e-8,
     },
     "solver": {
         "rho1_init": 1e-6,
@@ -82,14 +81,6 @@ _CONFIG_DEFAULTS: dict[str, dict[str, Any]] = {
         "max_outer_iters": 1000,
         "adaptive_rho": True,
         "seed": 0,
-        "inner": {
-            "history_size": 10,
-            "c1": 1e-4,
-            "c2": 0.9,
-            "max_iters": 100,
-            "grad_tol": 1e-6,
-            "initial_scaling": 1.0,
-        },
     },
     "selection": {
         "m": None,  # defaults to min(10, n) at run time
@@ -148,10 +139,8 @@ def _build_params(cfg: dict) -> RegularizationParams:
 
 
 def _build_solver_config(cfg: dict) -> SolverConfig:
-    solver = dict(cfg["solver"])
-    inner = solver.pop("inner")
     try:
-        return SolverConfig(inner=LbfgsConfig(**inner), **solver)
+        return SolverConfig(**cfg["solver"])
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid solver section: {exc}") from None
 
@@ -171,7 +160,9 @@ def _apply_data_flags(cfg: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _load_dataset(path: str, data_cfg: dict) -> Dataset:
+def _load_dataset(path: str, data_cfg: dict, for_solver: bool = False) -> Dataset:
+    """Load (and optionally standardize) the CSV; with ``for_solver`` also
+    reject all-zero samples, which have no direction for the angular weights."""
     try:
         ds = load_csv(
             path,
@@ -183,6 +174,13 @@ def _load_dataset(path: str, data_cfg: dict) -> Dataset:
         raise CliError(str(exc)) from None
     if data_cfg["standardize"]:
         ds = standardize_features(ds)
+    if for_solver:
+        zero = validate(ds).zero_columns
+        if zero:
+            raise CliError(
+                f"all-zero sample(s) at 0-based index {list(zero)}: the solver's "
+                "angular weights need a nonzero direction for every sample"
+            )
     return ds
 
 
@@ -214,7 +212,6 @@ def _report_traces(report: ConvergenceReport) -> dict:
         "h_seminorm_trace": [rec.h_seminorm_sq for rec in report.records],
         "stop_reason": report.stop_reason,
         "iterations": report.iterations,
-        "inner_failures": [list(f) for f in report.inner_failures],
     }
 
 
@@ -223,7 +220,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     out_path = _check_writable(args.out)
     params = _build_params(cfg)
     solver_cfg = _build_solver_config(cfg)
-    ds = _load_dataset(args.data, cfg["data"])
+    ds = _load_dataset(args.data, cfg["data"], for_solver=True)
 
     sel_cfg = dict(cfg["selection"])
     if args.m is not None:
@@ -333,7 +330,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.seed is not None:
         bench_cfg["seed"] = args.seed
 
-    ds = _load_dataset(args.data, cfg["data"])
+    uses_solver = any("alfs" in str(method) for method in bench_cfg["methods"])
+    ds = _load_dataset(args.data, cfg["data"], for_solver=uses_solver)
     if ds.labels is None:
         raise CliError("bench needs a labeled dataset (use --label-column)")
     if not bench_cfg["sample_budgets"]:

@@ -12,6 +12,9 @@ import numpy as np
 from .data import Dataset
 
 DEFAULT_VARSIGMA = 1e-8
+# Finite group norms at or above this are exact to rounding when computed
+# from squares; smaller ones may have lost entries to underflow.
+_TINY_GROUP_NORM = 1e-150
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,28 @@ def soft_threshold(k: np.ndarray, mu) -> np.ndarray:
             f"threshold shape {mu.shape} does not match input shape {k.shape}"
         )
     return np.sign(k) * np.maximum(np.abs(k) - mu, 0.0)
+
+
+def group_shrink(k: np.ndarray, mu: float, axis: int) -> np.ndarray:
+    """Group shrinkage: scale each group of ``k`` by ``max(1 - mu/||g||, 0)``.
+
+    A group is a row for ``axis=1`` (the norm runs along the row) and a
+    column for ``axis=0``. This is the proximal map of ``mu * ||.||_2,1``
+    over rows (``axis=1``) or of ``mu * ||.^T||_2,1`` (``axis=0``): groups
+    with norm at most ``mu`` become exactly zero.
+    """
+    k = _require_finite(k, "group_shrink input")
+    if mu < 0:
+        raise ValueError("group_shrink requires a nonnegative threshold")
+    if axis not in (0, 1):
+        raise ValueError(f"axis must be 0 (columns) or 1 (rows), got {axis}")
+    norms = np.sqrt((k * k).sum(axis=axis, keepdims=True))
+    if not _TINY_GROUP_NORM <= norms.min() <= norms.max() < np.inf:
+        # squares of entries below ~1e-154 underflow and above ~1e154
+        # overflow; hypot does neither
+        norms = np.hypot.reduce(k, axis=axis, keepdims=True)
+    shrunk = np.maximum(norms - mu, 0.0)
+    return k * np.divide(shrunk, norms, out=np.zeros_like(norms), where=shrunk > 0)
 
 
 def svt(k: np.ndarray, mu: float) -> np.ndarray:

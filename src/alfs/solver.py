@@ -10,17 +10,20 @@ angular-weighted l1 term confines reconstruction to similar samples:
 
 The splitting W X = Z, W = W~ makes the nonsmooth terms separable: Z and W~
 have closed-form proximal updates (entrywise shrinkage, singular value
-thresholding) and the remaining W block is smooth except for the two l2,1
-terms, which are smoothed and minimized with L-BFGS. Multipliers take a
-single dual ascent step per sweep and the penalties grow geometrically up
-to a cap.
+thresholding). The remaining W block - a quadratic plus the two l2,1
+terms - is solved exactly, without smoothing, by an inner split W = P
+(rows) and W = Q (columns). In the basis of the thin SVD X = U S V^T the
+quadratic is diagonal, so the W update is a diagonal solve, and P and Q
+are row and column group shrinkage. The inner split is warm-started from
+the previous sweep. Multipliers take a single dual ascent step per sweep
+and the penalties grow geometrically up to a cap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -28,12 +31,18 @@ from .data import Dataset
 from .kernels import (
     AngularWeights,
     angular_weights,
+    group_shrink,
     l21_norm,
     nuclear_norm,
     soft_threshold,
     svt,
 )
-from .lbfgs import LbfgsConfig, LbfgsTrace, minimize
+
+# The inner split of the W step stops after this many passes, or earlier
+# once its residuals fall below INNER_TOL_FACTOR * epsilon; it is warm-started
+# every sweep, so unfinished work carries over to the next one.
+INNER_MAX_PASSES = 10
+INNER_TOL_FACTOR = 1e-2
 
 
 class SolverAbortError(RuntimeError):
@@ -46,9 +55,7 @@ class RegularizationParams:
 
     ``alpha`` drives row (sample) sparsity, ``beta`` column (feature)
     sparsity, ``gamma`` low rank, ``eta`` the angular locality penalty.
-    ``varsigma`` floors the angular weights; ``smoothing_eps`` smooths the
-    l2,1 terms inside the W subproblem only - reported objective values are
-    always exact.
+    ``varsigma`` floors the angular weights.
     """
 
     alpha: float = 1.0
@@ -56,7 +63,6 @@ class RegularizationParams:
     gamma: float = 1.0
     eta: float = 1.0
     varsigma: float = 1e-8
-    smoothing_eps: float = 1e-8
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma", "eta"):
@@ -64,8 +70,6 @@ class RegularizationParams:
                 raise ValueError(f"{name} must be >= 0")
         if self.varsigma <= 0:
             raise ValueError("varsigma must be positive")
-        if self.smoothing_eps <= 0:
-            raise ValueError("smoothing_eps must be positive")
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,6 @@ class SolverConfig:
     epsilon: float = 1e-3
     max_outer_iters: int = 1000
     adaptive_rho: bool = True
-    inner: LbfgsConfig = field(default_factory=LbfgsConfig)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -103,9 +106,19 @@ class SolverConfig:
             raise ValueError("max_outer_iters must be >= 1")
 
 
+_ARRAY_FIELDS = ("w", "z", "w_tilde", "lambda1", "lambda2",
+                 "p", "q", "lambda3", "lambda4")
+
+
 @dataclass
 class SolverState:
-    """All ADMM iterates: primal W, Z, W~, multipliers, penalties."""
+    """All ADMM iterates: primal W, Z, W~, multipliers, penalties.
+
+    ``p`` and ``q`` are the row and column copies of W in the inner split of
+    the W step, ``lambda3`` and ``lambda4`` their multipliers; they carry
+    over from one sweep to the next. Left out, they start at ``p = q = w``
+    with zero multipliers.
+    """
 
     w: np.ndarray        # n x d
     z: np.ndarray        # n x n
@@ -115,6 +128,20 @@ class SolverState:
     rho1: float
     rho2: float
     iter: int = 0
+    p: Optional[np.ndarray] = None        # n x d
+    q: Optional[np.ndarray] = None        # n x d
+    lambda3: Optional[np.ndarray] = None  # n x d
+    lambda4: Optional[np.ndarray] = None  # n x d
+
+    def __post_init__(self) -> None:
+        if self.p is None:
+            self.p = self.w.copy()
+        if self.q is None:
+            self.q = self.w.copy()
+        if self.lambda3 is None:
+            self.lambda3 = np.zeros_like(self.w)
+        if self.lambda4 is None:
+            self.lambda4 = np.zeros_like(self.w)
 
     @classmethod
     def initial(cls, d: int, n: int, cfg: SolverConfig) -> "SolverState":
@@ -131,22 +158,10 @@ class SolverState:
         )
 
     def copy(self) -> "SolverState":
-        return SolverState(
-            w=self.w.copy(),
-            z=self.z.copy(),
-            w_tilde=self.w_tilde.copy(),
-            lambda1=self.lambda1.copy(),
-            lambda2=self.lambda2.copy(),
-            rho1=self.rho1,
-            rho2=self.rho2,
-            iter=self.iter,
-        )
+        return replace(self, **{f: getattr(self, f).copy() for f in _ARRAY_FIELDS})
 
     def all_finite(self) -> bool:
-        return all(
-            np.all(np.isfinite(m))
-            for m in (self.w, self.z, self.w_tilde, self.lambda1, self.lambda2)
-        )
+        return all(np.all(np.isfinite(getattr(self, f))) for f in _ARRAY_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -162,16 +177,10 @@ class IterationRecord:
 
 @dataclass
 class ConvergenceReport:
-    """Per-iteration records plus why the loop stopped.
-
-    ``inner_failures`` lists (iteration, reason) for sweeps whose W
-    subproblem ended on a line-search failure; the loop continues from the
-    last good inner iterate in that case.
-    """
+    """Per-iteration records plus why the loop stopped."""
 
     records: list[IterationRecord] = field(default_factory=list)
     stop_reason: str = "max_iters"
-    inner_failures: list[tuple[int, str]] = field(default_factory=list)
 
     @property
     def converged(self) -> bool:
@@ -196,7 +205,7 @@ def objective(
     params: RegularizationParams,
     t: AngularWeights,
 ) -> float:
-    """Exact (unsmoothed) value of the five-term objective at W."""
+    """Exact value of the five-term objective at W."""
     x = ds.matrix
     d, n = x.shape
     w = np.asarray(w, dtype=float)
@@ -243,88 +252,124 @@ def augmented_lagrangian(
     )
 
 
-def _w_anchors(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
-    # Completing the square turns the multiplier terms into shifted targets.
-    a1 = state.z - state.lambda1 / state.rho1
-    a2 = state.w_tilde - state.lambda2 / state.rho2
-    return a1, a2
+@dataclass(frozen=True)
+class SpectralBasis:
+    """What the exact W step needs of X = U diag(s) V^T, computed once.
 
-
-def w_subproblem_objective(
-    ds: Dataset,
-    state: SolverState,
-    params: RegularizationParams,
-    w: Optional[np.ndarray] = None,
-) -> float:
-    """Smoothed W-subproblem objective (what the inner L-BFGS minimizes).
-
-    The l2,1 terms use sqrt(||.||^2 + smoothing_eps) so the subproblem is
-    differentiable everywhere. Evaluated at ``state.w`` unless ``w`` given.
+    ``u`` (d x k) and ``v`` (n x k) hold the singular vectors of the thin
+    SVD, k = min(d, n), ``s2`` the squared singular values, and ``g`` the
+    constant ``2 X^T X X^T`` of the W subproblem's linear term.
     """
-    x = ds.matrix
-    w = state.w if w is None else np.asarray(w, dtype=float)
-    eps = params.smoothing_eps
-    a1, a2 = _w_anchors(state)
-    resid = (x @ w) @ x - x
-    p1 = w @ x - a1
-    p2 = w - a2
-    rows = np.sqrt((w * w).sum(axis=1) + eps)
-    cols = np.sqrt((w * w).sum(axis=0) + eps)
-    return (
-        float((resid * resid).sum())
-        + params.alpha * float(rows.sum())
-        + params.beta * float(cols.sum())
-        + 0.5 * state.rho1 * float((p1 * p1).sum())
-        + 0.5 * state.rho2 * float((p2 * p2).sum())
-    )
+
+    u: np.ndarray
+    s2: np.ndarray
+    v: np.ndarray
+    g: np.ndarray
 
 
-def w_subproblem_gradient(
-    ds: Dataset,
-    state: SolverState,
-    params: RegularizationParams,
-    w: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Gradient of :func:`w_subproblem_objective` with respect to W."""
+def spectral_basis(ds: Dataset) -> SpectralBasis:
+    """Thin SVD of the data and the constant term of the W step."""
     x = ds.matrix
-    w = state.w if w is None else np.asarray(w, dtype=float)
-    eps = params.smoothing_eps
-    a1, a2 = _w_anchors(state)
-    resid = (x @ w) @ x - x
-    g = 2.0 * (x.T @ (resid @ x.T))
-    g += state.rho1 * ((w @ x - a1) @ x.T)
-    g += state.rho2 * (w - a2)
-    rows = np.sqrt((w * w).sum(axis=1) + eps)
-    cols = np.sqrt((w * w).sum(axis=0) + eps)
-    g += params.alpha * (w / rows[:, None])
-    g += params.beta * (w / cols[None, :])
-    return g
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    xtx = x.T @ x
+    return SpectralBasis(u=u, s2=s * s, v=vt.T, g=2.0 * (xtx @ x.T))
+
+
+def inner_penalty(basis: SpectralBasis, rho1: float, rho2: float) -> float:
+    """Penalty of the inner W = P, W = Q split: ``sqrt(min h * max h)``.
+
+    ``h_ab = 2 s_a^2 s_b^2 + rho1 s_b^2 + rho2`` are the eigenvalues of the
+    W subproblem's quadratic (see :func:`_shifted_inverse`). ``min h`` is
+    taken at its floor ``rho2`` (reached when X has fewer independent
+    samples than features) rather than at the data's smallest eigenvalue:
+    on full-rank data with more samples than features the latter gives a
+    penalty about ``sqrt(1 + s_min^2)`` times larger, with which the inner
+    split met its stopping test less often and the solves ended on higher
+    objectives.
+    """
+    high = float(basis.s2.max())
+    return math.sqrt(rho2 * (2.0 * high * high + rho1 * high + rho2))
+
+
+def _shifted_inverse(
+    basis: SpectralBasis, rho1: float, rho2: float, shift: float
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The map ``rhs -> (H + shift)^-1 rhs``, H the W subproblem's Hessian.
+
+    In the full bases of ``X = U diag(s) V^T`` H is diagonal: it scales the
+    coefficient ``(V^T W U)_ab`` by ``h_ab = 2 s_a^2 s_b^2 + rho1 s_b^2 +
+    rho2``, with s padded by zeros to length n (rows a) and d (columns b).
+    The right-hand side splits into three orthogonal parts: inside both the
+    row space V and the column space U of the thin SVD (a k x k block of
+    weights), outside V but inside U (s_a = 0: one weight per column), and
+    outside U (s_b = 0: the weight rho2). The complement of V is reached by
+    projection, so no n x n basis is formed.
+    """
+    u, v, s2 = basis.u, basis.v, basis.s2
+    inv_inside = 1.0 / (2.0 * np.outer(s2, s2) + rho1 * s2[None, :] + rho2 + shift)
+    inv_outside_v = 1.0 / (rho1 * s2 + rho2 + shift)
+    inv_outside_u = 1.0 / (rho2 + shift)
+    thin_u = u.shape[0] > u.shape[1]  # more features than samples
+
+    def apply(rhs: np.ndarray) -> np.ndarray:
+        ru = rhs @ u
+        y = v.T @ ru
+        w = (v @ (y * inv_inside) + (ru - v @ y) * inv_outside_v) @ u.T
+        if thin_u:
+            w += (rhs - ru @ u.T) * inv_outside_u
+        return w
+
+    return apply
 
 
 def solve_w_subproblem(
     ds: Dataset,
     state: SolverState,
     params: RegularizationParams,
-    inner: LbfgsConfig,
-) -> tuple[np.ndarray, LbfgsTrace]:
-    """Minimize the smoothed W subproblem, warm-started at ``state.w``.
+    epsilon: float = SolverConfig.epsilon,
+    basis: Optional[SpectralBasis] = None,
+) -> tuple[SolverState, bool]:
+    """Exact W step by the warm-started inner split W = P, W = Q.
 
-    The returned inner objective never exceeds its value at the warm start;
-    on a line-search failure the last accepted iterate comes back with the
-    reason in the trace.
+    The W subproblem is ``q(W) + alpha ||W||_2,1 + beta ||W^T||_2,1`` with
+    the smooth part ``q(W) = ||X - XWX||^2 + rho1/2 ||WX - Z + L1/rho1||^2
+    + rho2/2 ||W - W~ + L2/rho2||^2``. Each pass solves for W in closed form
+    (a diagonal solve in the spectral basis), shrinks the rows of P and the
+    columns of Q, and steps the multipliers ``lambda3``, ``lambda4``. The
+    passes stop when ``max|W - P|``, ``max|W - Q|`` and the scaled change of
+    P and Q fall below ``INNER_TOL_FACTOR * epsilon``, or after
+    ``INNER_MAX_PASSES``.
+
+    Returns the state with the new W, P, Q and inner multipliers, and
+    whether the inner stopping test was met. ``basis`` is the data's
+    :func:`spectral_basis`, computed here when not given.
     """
+    if basis is None:
+        basis = spectral_basis(ds)
     x = ds.matrix
-    d, n = x.shape
-    shape = (n, d)
-
-    def f(wflat: np.ndarray) -> float:
-        return w_subproblem_objective(ds, state, params, wflat.reshape(shape))
-
-    def g(wflat: np.ndarray) -> np.ndarray:
-        return w_subproblem_gradient(ds, state, params, wflat.reshape(shape)).ravel()
-
-    w_new, trace = minimize(f, g, state.w.ravel(), inner)
-    return w_new.reshape(shape), trace
+    rho1, rho2 = state.rho1, state.rho2
+    sigma = inner_penalty(basis, rho1, rho2)
+    tol = INNER_TOL_FACTOR * epsilon
+    # minus the linear term of q: grad q(W) = H(W) - b
+    b = basis.g + (rho1 * state.z - state.lambda1) @ x.T + rho2 * state.w_tilde - state.lambda2
+    solve_shifted = _shifted_inverse(basis, rho1, rho2, 2.0 * sigma)
+    p, q, lambda3, lambda4 = state.p, state.q, state.lambda3, state.lambda4
+    converged = False
+    for _ in range(INNER_MAX_PASSES):
+        w = solve_shifted(b + sigma * (p + q) - lambda3 - lambda4)
+        p_new = group_shrink(w + lambda3 / sigma, params.alpha / sigma, axis=1)
+        q_new = group_shrink(w + lambda4 / sigma, params.beta / sigma, axis=0)
+        r3 = w - p_new
+        r4 = w - q_new
+        lambda3 = lambda3 + sigma * r3
+        lambda4 = lambda4 + sigma * r4
+        primal = max(float(np.abs(r3).max()), float(np.abs(r4).max()))
+        dual = sigma * max(float(np.abs(p_new - p).max()), float(np.abs(q_new - q).max()))
+        p, q = p_new, q_new
+        if primal < tol and dual < max(1.0, sigma) * tol:
+            converged = True
+            break
+    return replace(state, w=w, p=p, q=q, lambda3=lambda3, lambda4=lambda4), converged
 
 
 def update_z(
@@ -362,10 +407,8 @@ def update_duals_and_rho(
     if cfg.adaptive_rho:
         rho1 = min(cfg.tau * rho1, cfg.rho_max)
         rho2 = min(cfg.tau * rho2, cfg.rho_max)
-    return SolverState(
-        w=state.w,
-        z=state.z,
-        w_tilde=state.w_tilde,
+    return replace(
+        state,
         lambda1=lambda1,
         lambda2=lambda2,
         rho1=rho1,
@@ -408,16 +451,7 @@ def check_convergence(
 
 def state_difference(a: SolverState, b: SolverState) -> SolverState:
     """Componentwise difference a - b (penalties and counter taken from a)."""
-    return SolverState(
-        w=a.w - b.w,
-        z=a.z - b.z,
-        w_tilde=a.w_tilde - b.w_tilde,
-        lambda1=a.lambda1 - b.lambda1,
-        lambda2=a.lambda2 - b.lambda2,
-        rho1=a.rho1,
-        rho2=a.rho2,
-        iter=a.iter,
-    )
+    return replace(a, **{f: getattr(a, f) - getattr(b, f) for f in _ARRAY_FIELDS})
 
 
 def h_seminorm_sq(
@@ -458,7 +492,7 @@ def solve(
 ) -> tuple[np.ndarray, ConvergenceReport]:
     """Run the full ADMM loop from the all-zero start.
 
-    Each sweep updates W (inner L-BFGS), then Z and W~ (closed forms), then
+    Each sweep updates W (exact inner split), then Z and W~ (closed forms), then
     the multipliers and penalties, then tests convergence on the exact
     objective. Deterministic: identical inputs give identical reports.
 
@@ -474,6 +508,7 @@ def solve(
     x = ds.matrix
     d, n = x.shape
     t = angular_weights(ds, params.varsigma)
+    basis = spectral_basis(ds)
     state = SolverState.initial(d, n, cfg)
     report = ConvergenceReport()
     prev_objective: Optional[float] = objective(ds, state.w, params, t)
@@ -481,10 +516,7 @@ def solve(
     for _ in range(cfg.max_outer_iters):
         prev_state = state.copy()
 
-        w_new, inner_trace = solve_w_subproblem(ds, state, params, cfg.inner)
-        if inner_trace.stop_reason == "line_search_failure":
-            report.inner_failures.append((state.iter, inner_trace.stop_reason))
-        state.w = w_new
+        state, _ = solve_w_subproblem(ds, state, params, cfg.epsilon, basis)
         state.z = update_z(state, ds, t, params.eta)
         state.w_tilde = update_w_tilde(state, params.gamma)
         state = update_duals_and_rho(state, ds, cfg)

@@ -4,8 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from alfs import Dataset
+
+# property tests draw the same examples on every run, like the rest of the suite
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TINY_CSV = REPO_ROOT / "data" / "tiny.csv"
@@ -68,3 +73,81 @@ def random_dataset(seed: int, d: int, n: int) -> Dataset:
 def tiny_csv() -> Path:
     assert TINY_CSV.exists(), "bundled data/tiny.csv is missing"
     return TINY_CSV
+
+
+def w_smooth_objective(ds: Dataset, state, w: np.ndarray) -> float:
+    """Smooth part q(W) of the W subproblem, recomputed from its definition:
+    ||X - XWX||^2 + rho1/2 ||WX - Z + L1/rho1||^2 + rho2/2 ||W - W~ + L2/rho2||^2.
+    """
+    x = ds.matrix
+    resid = x - x @ w @ x
+    r1 = w @ x - state.z + state.lambda1 / state.rho1
+    r2 = w - state.w_tilde + state.lambda2 / state.rho2
+    return (
+        float((resid**2).sum())
+        + 0.5 * state.rho1 * float((r1**2).sum())
+        + 0.5 * state.rho2 * float((r2**2).sum())
+    )
+
+
+def w_smooth_gradient(ds: Dataset, state, w: np.ndarray) -> np.ndarray:
+    """Gradient of :func:`w_smooth_objective` with respect to W."""
+    x = ds.matrix
+    r1 = w @ x - state.z + state.lambda1 / state.rho1
+    r2 = w - state.w_tilde + state.lambda2 / state.rho2
+    return 2.0 * x.T @ (x @ w @ x - x) @ x.T + state.rho1 * r1 @ x.T + state.rho2 * r2
+
+
+def w_split_objective(ds: Dataset, state, sigma: float, w: np.ndarray) -> float:
+    """The inner split's W subproblem at fixed P, Q and multipliers:
+    q(W) + <L3, W - P> + sigma/2 ||W - P||^2 + <L4, W - Q> + sigma/2 ||W - Q||^2.
+    """
+    rp = w - state.p
+    rq = w - state.q
+    return (
+        w_smooth_objective(ds, state, w)
+        + float((state.lambda3 * rp).sum()) + 0.5 * sigma * float((rp**2).sum())
+        + float((state.lambda4 * rq).sum()) + 0.5 * sigma * float((rq**2).sum())
+    )
+
+
+def central_differences(f, w: np.ndarray, h: float) -> np.ndarray:
+    """Entrywise central-difference gradient of a scalar function of W."""
+    g = np.zeros_like(w)
+    for idx in np.ndindex(*w.shape):
+        wp = w.copy()
+        wp[idx] += h
+        wm = w.copy()
+        wm[idx] -= h
+        g[idx] = (f(wp) - f(wm)) / (2 * h)
+    return g
+
+
+def one_pass_gradient_ratio(ds: Dataset, state, params) -> float:
+    """Central-difference gradient of the split W subproblem at the W of one
+    inner pass, relative to its gradient at the warm start. The subproblem
+    is quadratic in W, so central differences are exact up to rounding."""
+    from alfs.solver import inner_penalty, solve_w_subproblem, spectral_basis
+
+    sigma = inner_penalty(spectral_basis(ds), state.rho1, state.rho2)
+    # an infinite tolerance stops the inner split after its first pass
+    new, _ = solve_w_subproblem(ds, state, params, epsilon=np.inf)
+
+    def f(w):
+        return w_split_objective(ds, state, sigma, w)
+
+    at_update = central_differences(f, new.w, 1e-3)
+    at_start = central_differences(f, state.w, 1e-3)
+    return float(np.linalg.norm(at_update) / np.linalg.norm(at_start))
+
+
+def solve_w_exactly(ds, state, params, epsilon: float = 1e-3, max_calls: int = 10_000):
+    """Call the W step until its inner stopping test is met; returns the
+    state and the number of calls."""
+    from alfs.solver import solve_w_subproblem
+
+    for calls in range(1, max_calls + 1):
+        state, converged = solve_w_subproblem(ds, state, params, epsilon)
+        if converged:
+            return state, calls
+    raise AssertionError(f"inner split did not converge in {max_calls} calls")

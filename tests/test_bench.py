@@ -6,7 +6,6 @@ from alfs import (
     BenchSpec,
     Dataset,
     GridProtocol,
-    LbfgsConfig,
     RegularizationParams,
     SolverConfig,
     SplitSpec,
@@ -20,7 +19,7 @@ from alfs.bench import GRID_DEFAULT
 
 from conftest import make_clusters, random_dataset
 
-FAST_SOLVER = SolverConfig(tau=1.5, inner=LbfgsConfig(max_iters=25, grad_tol=1e-5))
+FAST_SOLVER = SolverConfig(tau=1.5)
 
 
 class TestKnnClassify:
@@ -244,6 +243,17 @@ class TestRunCurve:
         monkeypatch.setenv("ALFS_THREADS", "2")
         threaded = run_curve(train, test, spec)
         assert serial == threaded
+
+    @pytest.mark.parametrize("raw", ["two", "0", "-3", ""])
+    def test_bad_thread_count_warns_and_uses_one(self, monkeypatch, raw):
+        monkeypatch.setenv("ALFS_THREADS", raw)
+        with pytest.warns(RuntimeWarning, match=f"ALFS_THREADS={raw!r}"):
+            assert bench_mod._thread_count() == 1
+
+    def test_valid_thread_count_is_silent(self, monkeypatch, recwarn):
+        monkeypatch.setenv("ALFS_THREADS", "3")
+        assert bench_mod._thread_count() == 3
+        assert not recwarn.list
 
     def test_invalid_method_for_axis(self):
         with pytest.raises(ValueError, match="not valid"):

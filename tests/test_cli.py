@@ -17,7 +17,7 @@ def run_cli(*argv):
 
 @pytest.fixture
 def fast_config(tmp_path):
-    cfg = {"solver": {"tau": 1.5, "inner": {"max_iters": 25, "grad_tol": 1e-5}}}
+    cfg = {"solver": {"tau": 1.5}}
     p = tmp_path / "fast.json"
     p.write_text(json.dumps(cfg))
     return p
@@ -37,7 +37,8 @@ class TestSolveCommand:
         assert len(doc["sample_ranking"]) == 8
         assert len(doc["feature_ranking"]) == 4
         assert doc["config_echo"]["params"]["alpha"] == 1.0
-        assert doc["config_echo"]["solver"]["inner"]["history_size"] == 10
+        assert doc["config_echo"]["solver"]["tau"] == 1.1
+        assert "inner_failures" not in doc
 
     def test_malformed_config_exits_2_without_output(self, tiny_csv, tmp_path):
         bad = tmp_path / "bad.json"
@@ -58,6 +59,31 @@ class TestSolveCommand:
             "--out", str(tmp_path / "never.json"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("removed", [
+        {"params": {"smoothing_eps": 1e-8}},
+        {"solver": {"inner": {"max_iters": 25, "grad_tol": 1e-5}}},
+    ])
+    def test_removed_solver_keys_exit_2(self, tiny_csv, tmp_path, capsys, removed):
+        bad = tmp_path / "old.json"
+        bad.write_text(json.dumps(removed))
+        code = run_cli(
+            "solve", "--data", str(tiny_csv), "--config", str(bad),
+            "--out", str(tmp_path / "never.json"),
+        )
+        assert code == 2
+        assert "unknown config key" in capsys.readouterr().err
+
+    def test_all_zero_sample_exits_2_naming_it(self, tmp_path, capsys):
+        data = tmp_path / "zero.csv"
+        data.write_text("a,b,c\n0,0,0\n1,3,1\n2,2,5\n")
+        out = tmp_path / "never.json"
+        code = run_cli("solve", "--data", str(data), "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "all-zero sample(s) at 0-based index [0]" in err
+        assert "Traceback" not in err
 
     def test_unwritable_out_exits_2(self, tiny_csv, tmp_path):
         code = run_cli(
@@ -116,7 +142,6 @@ class TestSolveCommand:
 
     def test_matches_direct_library_invocation(self, tiny_csv, tmp_path, fast_config):
         from alfs import (
-            LbfgsConfig,
             RegularizationParams,
             SolverConfig,
             rank_and_select,
@@ -131,7 +156,7 @@ class TestSolveCommand:
         doc = json.loads(out.read_text())
 
         ds = load_csv(tiny_csv, label_column="label")
-        cfg = SolverConfig(tau=1.5, inner=LbfgsConfig(max_iters=25, grad_tol=1e-5))
+        cfg = SolverConfig(tau=1.5)
         w, report = solve(ds, RegularizationParams(), cfg)
         sel = rank_and_select(w, SelectionRequest(8, 4))
         assert doc["selected_samples"] == list(sel.selected_samples)
@@ -205,6 +230,16 @@ class TestBenchCommand:
         assert run_cli(*argv, "--out", str(out1)) == 0
         assert run_cli(*argv, "--out", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_all_zero_sample_rejected_only_for_the_solver(self, tmp_path):
+        x = make_clusters(n=12, d=3, n_classes=2, seed=5).matrix.copy()
+        x[:, 4] = 0.0
+        p = tmp_path / "zero.csv"
+        write_csv(Dataset(x, labels=(0, 1) * 6), p, label_column="label")
+        argv = ["bench", "--data", str(p), "--label-column", "label",
+                "--budgets", "2", "--repeats", "1", "--out", str(tmp_path / "c.csv")]
+        assert run_cli(*argv, "--methods", "alfs") == 2
+        assert run_cli(*argv, "--methods", "random") == 0
 
     def test_unlabeled_dataset_exits_2(self, tmp_path):
         ds = random_dataset(3, d=4, n=12)

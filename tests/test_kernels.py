@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from alfs import (
     Dataset,
     angular_weights,
+    group_shrink,
     l21_norm,
     nuclear_norm,
     soft_threshold,
@@ -101,6 +105,91 @@ class TestSoftThreshold:
             assert np.all(
                 np.abs(resid[nz] - mu[nz] * np.sign(out[nz])) <= slack[nz]
             )
+
+
+def matrices(max_side=6):
+    shapes = st.tuples(st.integers(1, max_side), st.integers(1, max_side))
+    entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=entries))
+
+
+thresholds = st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False)
+axes = st.sampled_from([0, 1])
+
+
+class TestGroupShrink:
+    def test_rows_and_columns_by_hand(self):
+        k = np.array([[3.0, 4.0], [0.3, 0.4]])
+        assert np.allclose(group_shrink(k, 1.0, axis=1), [[2.4, 3.2], [0.0, 0.0]])
+        cols = group_shrink(k, 1.0, axis=0)
+        assert np.allclose(cols[:, 1], k[:, 1] * (1 - 1 / np.hypot(4.0, 0.4)))
+
+    def test_extreme_magnitudes_neither_underflow_nor_overflow(self):
+        k = np.array([[1e-170, 0.0], [1e200, 1e200]])
+        assert np.array_equal(group_shrink(k, 0.0, axis=1), k)
+        out = group_shrink(k, 1e200, axis=1)
+        assert np.array_equal(out[0], [0.0, 0.0])
+        assert np.allclose(out[1], k[1] * (1 - 1 / np.sqrt(2.0)), rtol=1e-12)
+
+    def test_invalid_arguments_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            group_shrink(np.ones((2, 2)), -1.0, axis=1)
+        with pytest.raises(ValueError, match="axis"):
+            group_shrink(np.ones((2, 2)), 1.0, axis=2)
+        with pytest.raises(ValueError, match="non-finite"):
+            group_shrink(np.array([[np.nan]]), 1.0, axis=0)
+
+    @settings(max_examples=200)
+    @given(k=matrices(), mu=thresholds, axis=axes)
+    def test_group_norms_shrink_by_mu_and_directions_are_kept(self, k, mu, axis):
+        out = group_shrink(k, mu, axis)
+        before = np.linalg.norm(k, axis=axis)
+        after = np.linalg.norm(out, axis=axis)
+        tol = 1e-12 * (1.0 + before)
+        assert np.all(np.abs(after - np.maximum(before - mu, 0.0)) <= tol)
+        # each group is a nonnegative multiple (at most 1) of its input
+        scale = np.divide(after, before, out=np.zeros_like(before), where=before > 0)
+        expand = scale[None, :] if axis == 0 else scale[:, None]
+        assert np.allclose(out, k * expand, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=200)
+    @given(k=matrices(), mu=thresholds, axis=axes)
+    def test_prox_optimality_certificate(self, k, mu, axis):
+        # k - out is a subgradient of mu * (sum of group norms) at out
+        out = group_shrink(k, mu, axis)
+        resid = k - out
+        slack = 1e-12 * (1.0 + np.abs(k).max())
+        assert np.all(np.linalg.norm(resid, axis=axis) <= mu + slack)
+        norms = np.linalg.norm(out, axis=axis, keepdims=True)
+        live = np.broadcast_to(norms > 0, out.shape)
+        unit = np.divide(out, norms, out=np.zeros_like(out), where=norms > 0)
+        assert np.all(np.abs(resid - mu * unit)[live] <= slack)
+
+    @settings(max_examples=100)
+    @given(k=matrices(), mu=thresholds)
+    def test_columns_are_rows_of_the_transpose(self, k, mu):
+        assert np.array_equal(group_shrink(k, mu, 0), group_shrink(k.T, mu, 1).T)
+
+    @settings(max_examples=100)
+    @given(k=matrices(), axis=axes)
+    def test_zero_threshold_is_identity(self, k, axis):
+        assert np.allclose(group_shrink(k, 0.0, axis), k, rtol=1e-15, atol=0.0)
+
+    @settings(max_examples=100)
+    @given(
+        pair=st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+            lambda shape: st.tuples(
+                arrays(np.float64, shape, elements=st.floats(-100, 100)),
+                arrays(np.float64, shape, elements=st.floats(-100, 100)),
+            )
+        ),
+        mu=thresholds,
+        axis=axes,
+    )
+    def test_non_expansive(self, pair, mu, axis):
+        a, b = pair
+        gap = np.linalg.norm(group_shrink(a, mu, axis) - group_shrink(b, mu, axis))
+        assert gap <= np.linalg.norm(a - b) * (1 + 1e-12) + 1e-12
 
 
 class TestSvt:

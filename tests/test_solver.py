@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,29 +7,38 @@ import alfs.solver as solver_mod
 from alfs import (
     AngularWeights,
     Dataset,
-    LbfgsConfig,
     RegularizationParams,
     SelectionRequest,
     SolverAbortError,
     SolverConfig,
-    SolverState,
     angular_weights,
-    augmented_lagrangian,
-    check_convergence,
-    h_seminorm_sq,
+    l21_norm,
     objective,
     rank_and_select,
     solve,
+)
+from alfs.solver import (
+    SolverState,
+    augmented_lagrangian,
+    check_convergence,
+    h_seminorm_sq,
+    inner_penalty,
     solve_w_subproblem,
+    spectral_basis,
     state_difference,
     update_duals_and_rho,
     update_w_tilde,
     update_z,
-    w_subproblem_gradient,
-    w_subproblem_objective,
 )
 
-from conftest import make_planted_anchors, random_dataset
+from conftest import (
+    make_planted_anchors,
+    one_pass_gradient_ratio,
+    random_dataset,
+    solve_w_exactly,
+    w_smooth_gradient,
+    w_smooth_objective,
+)
 
 
 def random_state(rng, d, n, rho1=0.7, rho2=1.3):
@@ -140,48 +151,79 @@ class TestAugmentedLagrangian:
         )
 
 
-def finite_difference_gradient(ds, state, params, h=1e-6):
-    w0 = state.w
-    fd = np.zeros_like(w0)
-    for i in range(w0.shape[0]):
-        for j in range(w0.shape[1]):
-            wp = w0.copy()
-            wp[i, j] += h
-            wm = w0.copy()
-            wm[i, j] -= h
-            fd[i, j] = (
-                w_subproblem_objective(ds, state, params, wp)
-                - w_subproblem_objective(ds, state, params, wm)
-            ) / (2 * h)
-    return fd
+def w_subproblem_value(ds, state, params, w):
+    """Exact (unsmoothed) W subproblem: q(W) plus both l2,1 terms."""
+    return (
+        w_smooth_objective(ds, state, w)
+        + params.alpha * l21_norm(w)
+        + params.beta * l21_norm(w.T)
+    )
 
 
 class TestWSubproblemGradient:
     def test_zero_state_closed_form(self):
+        # alpha = beta = 0 leaves the quadratic alone: its minimizer solves
+        # 2 X^T X W X X^T + rho1 W X X^T + rho2 W = 2 X^T X X^T
         ds = random_dataset(7, d=4, n=6)
         x = ds.matrix
         state = SolverState.initial(4, 6, SolverConfig(rho1_init=1.0, rho2_init=1.0))
-        p = RegularizationParams(alpha=0.5, beta=0.5)
-        g = w_subproblem_gradient(ds, state, p)
-        assert np.allclose(g, -2.0 * x.T @ x @ x.T, atol=1e-12)
+        p = RegularizationParams(alpha=0.0, beta=0.0)
+        state, _ = solve_w_exactly(ds, state, p, epsilon=1e-12)
+        w = state.w
+        lhs = 2.0 * x.T @ x @ w @ x @ x.T + w @ x @ x.T + w
+        rhs = 2.0 * x.T @ x @ x.T
+        assert np.abs(lhs - rhs).max() < 1e-9 * np.abs(rhs).max()
 
     def test_matches_finite_differences_smooth_only(self):
         rng = np.random.default_rng(8)
         ds = random_dataset(8, d=4, n=6)
         state = random_state(rng, 4, 6)
-        p = RegularizationParams(alpha=0.0, beta=0.0, eta=0.7, smoothing_eps=1e-6)
-        g = w_subproblem_gradient(ds, state, p)
-        fd = finite_difference_gradient(ds, state, p)
-        assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-5
+        p = RegularizationParams(alpha=0.0, beta=0.0, eta=0.7)
+        assert one_pass_gradient_ratio(ds, state, p) < 1e-8
 
     def test_matches_finite_differences_full(self):
         rng = np.random.default_rng(9)
         ds = random_dataset(9, d=4, n=6)
         state = random_state(rng, 4, 6)
-        p = RegularizationParams(alpha=0.8, beta=1.2, eta=0.3, smoothing_eps=1e-6)
-        g = w_subproblem_gradient(ds, state, p)
-        fd = finite_difference_gradient(ds, state, p)
-        assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-5
+        p = RegularizationParams(alpha=0.8, beta=1.2, eta=0.3)
+        assert one_pass_gradient_ratio(ds, state, p) < 1e-8
+
+    @pytest.mark.parametrize("d, n", [(4, 6), (6, 4), (5, 5)])
+    def test_spectral_solve_in_every_shape(self, d, n):
+        # more samples than features, more features than samples, square
+        rng = np.random.default_rng(30 + d)
+        ds = random_dataset(30 + d, d=d, n=n)
+        state = SolverState(
+            w=rng.normal(size=(n, d)),
+            z=rng.normal(size=(n, n)),
+            w_tilde=rng.normal(size=(n, d)),
+            lambda1=rng.normal(size=(n, n)),
+            lambda2=rng.normal(size=(n, d)),
+            rho1=0.7,
+            rho2=1.3,
+            p=rng.normal(size=(n, d)),
+            q=rng.normal(size=(n, d)),
+            lambda3=rng.normal(size=(n, d)),
+            lambda4=rng.normal(size=(n, d)),
+        )
+        p = RegularizationParams(alpha=0.4, beta=0.6)
+        assert one_pass_gradient_ratio(ds, state, p) < 1e-8
+
+
+class TestInnerPenalty:
+    @pytest.mark.parametrize("d, n", [(3, 5), (5, 3), (4, 4)])
+    def test_geometric_mean_of_floor_and_top_eigenvalue(self, d, n):
+        ds = random_dataset(40 + d, d=d, n=n)
+        x = ds.matrix
+        rho1, rho2 = 0.3, 2.0
+        # every eigenvalue of the quadratic, from the Gram matrices
+        sa = np.linalg.eigvalsh(x.T @ x)  # n values, zeros beyond rank
+        sb = np.linalg.eigvalsh(x @ x.T)  # d values
+        h = 2.0 * np.outer(sa, sb) + rho1 * sb[None, :] + rho2
+        assert h.min() >= rho2 * (1 - 1e-12)
+        expected = np.sqrt(rho2 * h.max())
+        got = inner_penalty(spectral_basis(ds), rho1, rho2)
+        assert got == pytest.approx(expected, rel=1e-9)
 
 
 class TestSolveWSubproblem:
@@ -199,8 +241,8 @@ class TestSolveWSubproblem:
             rho2=1e8,
         )
         p = RegularizationParams(alpha=0.5, beta=0.5)
-        w, _ = solve_w_subproblem(ds, state, p, LbfgsConfig(max_iters=300))
-        assert np.abs(w - w0).max() < 1e-3
+        state, _ = solve_w_exactly(ds, state, p)
+        assert np.abs(state.w - w0).max() < 1e-3
 
     def test_matches_multistart_gd_oracle(self):
         # alpha = beta = 0: smooth problem; oracle is plain gradient descent
@@ -211,7 +253,7 @@ class TestSolveWSubproblem:
         p = RegularizationParams(alpha=0.0, beta=0.0, eta=0.4)
 
         def grad(w):
-            return w_subproblem_gradient(ds, state, p, w)
+            return w_smooth_gradient(ds, state, w)
 
         # Lipschitz estimate via power iteration on the (constant) Hessian map
         v = rng.normal(size=(3, 2))
@@ -227,12 +269,10 @@ class TestSolveWSubproblem:
             w = rng.normal(size=(3, 2)) if start else np.zeros((3, 2))
             for _ in range(4000):
                 w = w - step * grad(w)
-            best = min(best, w_subproblem_objective(ds, state, p, w))
+            best = min(best, w_smooth_objective(ds, state, w))
 
-        w_opt, _ = solve_w_subproblem(
-            ds, state, p, LbfgsConfig(grad_tol=1e-9, max_iters=500)
-        )
-        ours = w_subproblem_objective(ds, state, p, w_opt)
+        exact, _ = solve_w_exactly(ds, state, p, epsilon=1e-9)
+        ours = w_smooth_objective(ds, state, exact.w)
         assert ours <= best + 1e-4
 
     def test_warm_start_never_increases_inner_objective(self):
@@ -240,11 +280,24 @@ class TestSolveWSubproblem:
         ds = random_dataset(12, d=3, n=5)
         state = random_state(rng, 3, 5)
         p = RegularizationParams()
-        before = w_subproblem_objective(ds, state, p)
-        w, trace = solve_w_subproblem(ds, state, p, LbfgsConfig())
-        after = w_subproblem_objective(ds, state, p, w)
+        before = w_subproblem_value(ds, state, p, state.w)
+        exact, _ = solve_w_exactly(ds, state, p)
+        after = w_subproblem_value(ds, state, p, exact.w)
         assert after <= before + 1e-12
-        assert trace.objectives[-1] <= trace.objectives[0] + 1e-12
+
+    def test_inner_state_carries_over(self):
+        # a second call resumes from the P, Q and multipliers of the first
+        rng = np.random.default_rng(13)
+        ds = random_dataset(13, d=3, n=5)
+        state = random_state(rng, 3, 5)
+        p = RegularizationParams()
+        first, _ = solve_w_subproblem(ds, state, p)
+        assert not np.array_equal(first.lambda3, state.lambda3)
+        second, _ = solve_w_subproblem(ds, first, p)
+        restarted, _ = solve_w_subproblem(ds, replace(first, p=None, q=None,
+                                                      lambda3=None, lambda4=None), p)
+        assert not np.array_equal(second.w, restarted.w)
+        assert np.array_equal(first.z, state.z) and first.rho1 == state.rho1
 
 
 class TestUpdateZ:
@@ -532,42 +585,21 @@ class TestSolve:
         with pytest.raises(SolverAbortError):
             solver_mod.solve(ds, RegularizationParams(), SolverConfig())
 
-    def test_inner_failure_recorded_and_loop_continues(self, monkeypatch):
-        ds = random_dataset(25, d=3, n=4)
-        original = solver_mod.solve_w_subproblem
-        flagged = {"done": False}
-
-        def failing_once(ds_, state, params, inner):
-            w, trace = original(ds_, state, params, inner)
-            if not flagged["done"]:
-                flagged["done"] = True
-                trace.stop_reason = "line_search_failure"
-            return w, trace
-
-        monkeypatch.setattr(solver_mod, "solve_w_subproblem", failing_once)
-        _, report = solver_mod.solve(
-            ds, RegularizationParams(), SolverConfig(tau=1.5, max_outer_iters=40)
-        )
-        assert (0, "line_search_failure") in report.inner_failures
-        assert report.iterations > 1
-
 
 class TestBlockDescent:
     def test_each_primal_update_decreases_the_lagrangian(self):
-        # exact for Z and W~; the W block needs a tight smoothing and inner
-        # tolerance for a 1e-8 absolute guarantee on the exact Lagrangian
+        # exact for Z and W~; the W block is called until its inner split
+        # converges, which makes it an exact block minimizer too
         rng = np.random.default_rng(26)
         ds = random_dataset(26, d=3, n=5)
         t = angular_weights(ds)
         p = RegularizationParams(
-            alpha=0.5, beta=0.5, gamma=0.8, eta=0.6, smoothing_eps=1e-14
+            alpha=0.5, beta=0.5, gamma=0.8, eta=0.6
         )
         state = random_state(rng, 3, 5, rho1=1.0, rho2=1.0)
 
         before = augmented_lagrangian(ds, state, p, t)
-        state.w, _ = solve_w_subproblem(
-            ds, state, p, LbfgsConfig(grad_tol=1e-10, max_iters=500)
-        )
+        state, _ = solve_w_exactly(ds, state, p)
         after_w = augmented_lagrangian(ds, state, p, t)
         assert after_w <= before + 1e-8
 
