@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from alfs import (
+from lbfgs_oracle import (
     CurvaturePair,
     LbfgsConfig,
     LineSearchError,
@@ -169,7 +169,7 @@ class TestMinimize:
             calls.append(len(history))
             return orig(grad, history, scale)
 
-        import alfs.lbfgs as mod
+        import lbfgs_oracle as mod
 
         old = mod.two_loop_direction
         mod.two_loop_direction = spy

@@ -31,6 +31,7 @@ from alfs.solver import (
     update_z,
 )
 
+from lbfgs_oracle import LbfgsConfig, minimize
 from conftest import (
     make_planted_anchors,
     one_pass_gradient_ratio,
@@ -274,6 +275,39 @@ class TestSolveWSubproblem:
         exact, _ = solve_w_exactly(ds, state, p, epsilon=1e-9)
         ours = w_smooth_objective(ds, state, exact.w)
         assert ours <= best + 1e-4
+
+    def test_no_worse_than_smoothed_lbfgs_oracle(self):
+        # oracle: L-BFGS on the W subproblem with both l2,1 terms smoothed to
+        # sum sqrt(||.||^2 + eps^2), which overstates them by at most
+        # (alpha n + beta d) eps, so its exact value is within that of ours
+        rng = np.random.default_rng(14)
+        d, n, eps = 3, 5, 1e-6
+        ds = random_dataset(14, d=d, n=n)
+        state = random_state(rng, d, n)
+        p = RegularizationParams(alpha=0.8, beta=1.2)
+
+        def smoothed(v):
+            w = v.reshape(n, d)
+            rows = np.sqrt((w**2).sum(axis=1) + eps**2)
+            cols = np.sqrt((w**2).sum(axis=0) + eps**2)
+            return (w_smooth_objective(ds, state, w)
+                    + p.alpha * float(rows.sum()) + p.beta * float(cols.sum()))
+
+        def smoothed_grad(v):
+            w = v.reshape(n, d)
+            rows = np.sqrt((w**2).sum(axis=1, keepdims=True) + eps**2)
+            cols = np.sqrt((w**2).sum(axis=0, keepdims=True) + eps**2)
+            g = w_smooth_gradient(ds, state, w) + p.alpha * w / rows + p.beta * w / cols
+            return g.ravel()
+
+        v, _ = minimize(smoothed, smoothed_grad, state.w.ravel(),
+                        LbfgsConfig(grad_tol=1e-9, max_iters=5000))
+        oracle = w_subproblem_value(ds, state, p, v.reshape(n, d))
+        exact, _ = solve_w_exactly(ds, state, p, epsilon=1e-9)
+        ours = w_subproblem_value(ds, state, p, exact.w)
+        slack = (p.alpha * n + p.beta * d) * eps
+        assert ours <= oracle + slack + 1e-8
+        assert oracle <= ours + slack + 1e-8
 
     def test_warm_start_never_increases_inner_objective(self):
         rng = np.random.default_rng(12)
