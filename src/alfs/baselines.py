@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset
-from .selection import PINV_RCOND
+from .selection import _cur_core, _index_set
 
 # err must dominate the best rank-q SVD error; slack for float rounding only.
 _LOWER_BOUND_RTOL = 1e-9
@@ -25,8 +25,7 @@ class RcurConfig:
     """Randomized CUR settings.
 
     ``k`` is the target rank whose SVD error anchors the quality bound,
-    ``m``/``r`` the requested column/row counts, ``eps`` the accuracy
-    parameter of the relative-error bound (0 < eps < 1). With-replacement
+    ``m``/``r`` the requested column/row counts. With-replacement
     sampling (the default) may return slightly fewer distinct indices than
     requested; ``exact_counts=True`` samples without replacement instead,
     for harnesses that need fixed budgets.
@@ -35,7 +34,6 @@ class RcurConfig:
     k: int
     m: int
     r: int
-    eps: float = 0.5
     seed: int = 0
     exact_counts: bool = False
 
@@ -44,8 +42,6 @@ class RcurConfig:
             raise ValueError("k must be >= 1")
         if self.m < 1 or self.r < 1:
             raise ValueError("m and r must be >= 1")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError("eps must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -110,17 +106,15 @@ def cur_from_indices(
     row_indices: Sequence[int],
     k: int,
 ) -> RcurResult:
-    """Deterministic CUR at given index sets with the pseudoinverse-optimal core."""
+    """Deterministic CUR at given index sets with the pseudoinverse-optimal core.
+
+    Duplicate indices are dropped; an empty set or an index outside the
+    matrix raises ValueError.
+    """
     x = ds.matrix
-    cols = sorted(set(int(i) for i in column_indices))
-    rows = sorted(set(int(i) for i in row_indices))
-    if not cols or not rows:
-        raise ValueError("column and row index sets must be nonempty")
-    c = x[:, cols]
-    r = x[rows, :]
-    u = np.linalg.pinv(c, rcond=PINV_RCOND) @ x @ np.linalg.pinv(r, rcond=PINV_RCOND)
-    resid = x - c @ u @ r
-    err = float((resid * resid).sum())
+    cols = _index_set(column_indices, ds.n_samples, "column")
+    rows = _index_set(row_indices, ds.n_features, "row")
+    c, u, r, err = _cur_core(x, cols, rows)
     s = np.linalg.svd(x, compute_uv=False)
     svd_err_k = float((s[k:] ** 2).sum())
     q = min(len(cols), len(rows))

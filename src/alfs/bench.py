@@ -11,6 +11,7 @@ budgets with a fixed sample budget (classifying in the selected subspace).
 
 from __future__ import annotations
 
+import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -21,12 +22,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .baselines import RcurConfig, random_sampling, rcur, variance_feature_select
-from .data import Dataset, SelectionRequest
+from .data import Dataset, SelectionRequest, _require_integer
 from .selection import SelectionResult, rank_and_select, reconstruction_error
 from .solver import RegularizationParams, SolverConfig, solve
 
 THREADS_ENV_VAR = "ALFS_THREADS"
 GRID_DEFAULT = (0.1, 1.0, 10.0, 100.0)
+GRID_HOLDOUT_FRACTION = 0.2
+GRID_MIN_LABELED_FOR_HOLDOUT = 10
 
 SAMPLE_AXIS_METHODS = ("alfs", "random", "rcur")
 FEATURE_AXIS_METHODS = (
@@ -56,7 +59,7 @@ class GridSearchError(RuntimeError):
 
 @dataclass(frozen=True)
 class BenchSpec:
-    """One benchmark run: a method, budgets, repeats, and the fixed classifier.
+    """One benchmark run: a method, budgets, repeats, and the k-NN classifier.
 
     Repeat t uses seed ``seed + t``, so extending ``repeats`` never
     reshuffles earlier trials. ``feature_budgets`` empty means a curve over
@@ -69,7 +72,6 @@ class BenchSpec:
     feature_budgets: tuple[int, ...] = ()
     repeats: int = 10
     seed: int = 0
-    classifier: str = "1nn"
     knn_k: int = 1
     alfs_params: RegularizationParams = field(default_factory=RegularizationParams)
     alfs_grid: Optional[tuple[float, ...]] = None
@@ -77,12 +79,18 @@ class BenchSpec:
     rcur_rank: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        if self.classifier != "1nn":
-            raise ValueError(f"unknown classifier {self.classifier!r}")
+        _require_integer("repeats", self.repeats, 1)
+        _require_integer("seed", self.seed, 0)
+        _require_integer("knn_k", self.knn_k, 1)
+        if self.rcur_rank is not None:
+            _require_integer("rcur_rank", self.rcur_rank, 1)
         if not self.sample_budgets:
             raise ValueError("sample_budgets must not be empty")
+        for budget in (*self.sample_budgets, *self.feature_budgets):
+            _require_integer("each budget", budget, 1)
+        for value in self.alfs_grid or ():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value >= 0:
+                raise ValueError(f"alfs_grid values must be numbers >= 0, got {value!r}")
         if self.feature_budgets and len(self.sample_budgets) != 1:
             raise ValueError(
                 "a feature-budget curve needs exactly one sample budget"
@@ -391,16 +399,14 @@ class GridProtocol:
     """How grid candidates are scored.
 
     With labels available and a revealed set of at least
-    ``min_labeled_for_holdout`` samples, a seeded 20% holdout of the revealed
-    labels is classified and accuracy is the score. Otherwise the score is
-    the negated reconstruction error of the selected subsets (fully
-    unsupervised).
+    ``GRID_MIN_LABELED_FOR_HOLDOUT`` samples, a holdout of the share
+    ``GRID_HOLDOUT_FRACTION`` of the revealed labels, drawn with ``seed``, is
+    classified and accuracy is the score. Otherwise the score is the negated
+    reconstruction error of the selected subsets (fully unsupervised).
     """
 
     m: int
     r: Optional[int] = None
-    holdout_fraction: float = 0.2
-    min_labeled_for_holdout: int = 10
     seed: int = 0
     knn_k: int = 1
 
@@ -425,10 +431,10 @@ def _default_grid_score(
         if protocol.r is not None
         else list(range(train.n_features))
     )
-    if train.labels is not None and len(samples) >= protocol.min_labeled_for_holdout:
+    if train.labels is not None and len(samples) >= GRID_MIN_LABELED_FOR_HOLDOUT:
         rng = np.random.default_rng(protocol.seed)
         perm = rng.permutation(len(samples))
-        n_hold = max(1, int(round(protocol.holdout_fraction * len(samples))))
+        n_hold = max(1, int(round(GRID_HOLDOUT_FRACTION * len(samples))))
         hold = [samples[i] for i in perm[:n_hold]]
         fit = [samples[i] for i in perm[n_hold:]]
         fit_ds = train.restrict(samples=fit, features=features)

@@ -1,8 +1,9 @@
 """Command-line front end: solve / select / bench / oracle.
 
 Configuration is JSON with sections {data, params, solver, selection,
-bench}; every key has a baked-in default so an empty config is valid, and
-unknown keys are rejected outright. Results are JSON documents (bulk curve
+bench}; every key has a default so an empty config is valid, and unknown
+keys are rejected outright. The params, solver and bench defaults are those
+of the library dataclasses. Results are JSON documents (bulk curve
 data as CSV) written with sorted keys so reruns with identical flags and
 seeds are byte-identical.
 
@@ -16,8 +17,9 @@ import json
 import os
 import sys
 import time
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from . import __version__
 from .bench import (
@@ -65,23 +67,8 @@ _CONFIG_DEFAULTS: dict[str, dict[str, Any]] = {
         "orientation": ROWS_ARE_SAMPLES,
         "standardize": False,
     },
-    "params": {
-        "alpha": 1.0,
-        "beta": 1.0,
-        "gamma": 1.0,
-        "eta": 1.0,
-        "varsigma": 1e-8,
-    },
-    "solver": {
-        "rho1_init": 1e-6,
-        "rho2_init": 1e-6,
-        "rho_max": 1e10,
-        "tau": 1.1,
-        "epsilon": 1e-3,
-        "max_outer_iters": 1000,
-        "adaptive_rho": True,
-        "seed": 0,
-    },
+    "params": asdict(RegularizationParams()),
+    "solver": asdict(SolverConfig()),
     "selection": {
         "m": None,  # defaults to min(10, n) at run time
         "r": None,  # defaults to min(10, d)
@@ -89,12 +76,8 @@ _CONFIG_DEFAULTS: dict[str, dict[str, Any]] = {
     "bench": {
         "methods": ["alfs", "random"],
         "sample_budgets": [],
-        "feature_budgets": [],
-        "repeats": 10,
-        "seed": 0,
-        "knn_k": 1,
-        "rcur_rank": None,
-        "alfs_grid": None,
+        # every BenchSpec field with a plain default (not a factory) is a key
+        **{f.name: f.default for f in fields(BenchSpec) if f.default is not MISSING},
     },
 }
 
@@ -102,14 +85,13 @@ _CONFIG_DEFAULTS: dict[str, dict[str, Any]] = {
 def _merge_config(defaults: dict, overrides: dict, path: str = "") -> dict:
     merged = {}
     for key, default in defaults.items():
-        if key in overrides and isinstance(default, dict) and default:
-            if not isinstance(overrides[key], dict):
+        if isinstance(default, dict) and default:
+            section = overrides.get(key, {})
+            if not isinstance(section, dict):
                 raise CliError(f"config key {path}{key} must be an object")
-            merged[key] = _merge_config(default, overrides[key], f"{path}{key}.")
-        elif key in overrides:
-            merged[key] = overrides[key]
+            merged[key] = _merge_config(default, section, f"{path}{key}.")
         else:
-            merged[key] = default if not isinstance(default, dict) else _merge_config(default, {}, f"{path}{key}.")
+            merged[key] = overrides.get(key, default)
     unknown = set(overrides) - set(defaults)
     if unknown:
         raise CliError(f"unknown config key(s): {sorted(path + k for k in unknown)}")
@@ -131,18 +113,12 @@ def _load_config(path: Optional[str]) -> dict:
     return _merge_config(_CONFIG_DEFAULTS, raw)
 
 
-def _build_params(cfg: dict) -> RegularizationParams:
+def _build(make: Callable[..., Any], what: str, **values: Any) -> Any:
+    """``make(**values)``; a rejected value exits 2 naming ``what`` was built."""
     try:
-        return RegularizationParams(**cfg["params"])
+        return make(**values)
     except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid params section: {exc}") from None
-
-
-def _build_solver_config(cfg: dict) -> SolverConfig:
-    try:
-        return SolverConfig(**cfg["solver"])
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid solver section: {exc}") from None
+        raise CliError(f"invalid {what}: {exc}") from None
 
 
 def _apply_data_flags(cfg: dict, args: argparse.Namespace) -> dict:
@@ -218,8 +194,8 @@ def _report_traces(report: ConvergenceReport) -> dict:
 def _cmd_solve(args: argparse.Namespace) -> int:
     cfg = _apply_data_flags(_load_config(args.config), args)
     out_path = _check_writable(args.out)
-    params = _build_params(cfg)
-    solver_cfg = _build_solver_config(cfg)
+    params = _build(RegularizationParams, "params section", **cfg["params"])
+    solver_cfg = _build(SolverConfig, "solver section", **cfg["solver"])
     ds = _load_dataset(args.data, cfg["data"], for_solver=True)
 
     sel_cfg = dict(cfg["selection"])
@@ -330,12 +306,32 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.seed is not None:
         bench_cfg["seed"] = args.seed
 
+    if not bench_cfg["sample_budgets"]:
+        raise CliError("bench needs sample budgets (--budgets lo:hi:step)")
+    params = _build(RegularizationParams, "params section", **cfg["params"])
+    solver_cfg = _build(SolverConfig, "solver section", **cfg["solver"])
+
+    def bench_spec(method: str) -> BenchSpec:
+        grid = bench_cfg["alfs_grid"]
+        return BenchSpec(
+            method=method,
+            sample_budgets=tuple(bench_cfg["sample_budgets"]),
+            feature_budgets=tuple(bench_cfg["feature_budgets"]),
+            alfs_grid=tuple(grid) if grid else None,
+            alfs_params=params,
+            solver=solver_cfg,
+            **{key: bench_cfg[key] for key in ("repeats", "seed", "knn_k", "rcur_rank")},
+        )
+
+    specs = [
+        _build(bench_spec, f"bench section for method {method!r}", method=method)
+        for method in bench_cfg["methods"]
+    ]
+
     uses_solver = any("alfs" in str(method) for method in bench_cfg["methods"])
     ds = _load_dataset(args.data, cfg["data"], for_solver=uses_solver)
     if ds.labels is None:
         raise CliError("bench needs a labeled dataset (use --label-column)")
-    if not bench_cfg["sample_budgets"]:
-        raise CliError("bench needs sample budgets (--budgets lo:hi:step)")
 
     n_train = args.train_size if args.train_size else max(1, (2 * ds.n_samples) // 3)
     from .data import SplitSpec, split as split_dataset
@@ -345,27 +341,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
-    params = _build_params(cfg)
-    solver_cfg = _build_solver_config(cfg)
     curves = []
     failures = []
-    for method in bench_cfg["methods"]:
-        try:
-            grid = bench_cfg["alfs_grid"]
-            spec = BenchSpec(
-                method=method,
-                sample_budgets=tuple(bench_cfg["sample_budgets"]),
-                feature_budgets=tuple(bench_cfg["feature_budgets"]),
-                repeats=bench_cfg["repeats"],
-                seed=bench_cfg["seed"],
-                knn_k=bench_cfg["knn_k"],
-                alfs_params=params,
-                alfs_grid=tuple(grid) if grid else None,
-                solver=solver_cfg,
-                rcur_rank=bench_cfg["rcur_rank"],
-            )
-        except ValueError as exc:
-            raise CliError(f"invalid bench spec for {method!r}: {exc}") from None
+    for spec in specs:
         curve = run_curve(train, test, spec)
         curves.append(curve)
         failures.extend(curve.failures)

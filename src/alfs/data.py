@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -19,6 +20,12 @@ import numpy as np
 ROWS_ARE_SAMPLES = "rows-are-samples"
 ROWS_ARE_FEATURES = "rows-are-features"
 _ORIENTATIONS = (ROWS_ARE_SAMPLES, ROWS_ARE_FEATURES)
+
+
+def _require_integer(name: str, value, minimum: int) -> None:
+    """Reject anything but an integer >= ``minimum``; a bool is rejected too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -33,15 +33,26 @@ class AngularWeights:
 
 def _require_finite(m: np.ndarray, what: str) -> np.ndarray:
     m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{what} contains non-finite entries")
     return m
+
+
+def _group_norms(m: np.ndarray, axis: int) -> np.ndarray:
+    """Euclidean norms along ``axis`` (kept, length 1), safe at any finite size."""
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.sqrt((m * m).sum(axis=axis, keepdims=True))
+    if norms.size and not _TINY_GROUP_NORM <= norms.min() <= norms.max() < np.inf:
+        # squares of entries below ~1e-154 underflow and above ~1e154
+        # overflow; hypot does neither
+        norms = np.hypot.reduce(m, axis=axis, keepdims=True)
+    return norms
 
 
 def l21_norm(m: np.ndarray) -> float:
     """Sum of the Euclidean norms of the rows (row-sparsity-inducing norm)."""
     m = _require_finite(m, "l21_norm input")
-    return float(np.sqrt((m * m).sum(axis=1)).sum())
+    return float(_group_norms(m, axis=1).sum())
 
 
 def nuclear_norm(m: np.ndarray) -> float:
@@ -80,11 +91,7 @@ def group_shrink(k: np.ndarray, mu: float, axis: int) -> np.ndarray:
         raise ValueError("group_shrink requires a nonnegative threshold")
     if axis not in (0, 1):
         raise ValueError(f"axis must be 0 (columns) or 1 (rows), got {axis}")
-    norms = np.sqrt((k * k).sum(axis=axis, keepdims=True))
-    if not _TINY_GROUP_NORM <= norms.min() <= norms.max() < np.inf:
-        # squares of entries below ~1e-154 underflow and above ~1e154
-        # overflow; hypot does neither
-        norms = np.hypot.reduce(k, axis=axis, keepdims=True)
+    norms = _group_norms(k, axis)
     shrunk = np.maximum(norms - mu, 0.0)
     return k * np.divide(shrunk, norms, out=np.zeros_like(norms), where=shrunk > 0)
 

@@ -89,6 +89,17 @@ def _index_set(indices: Iterable[int], bound: int, what: str) -> list[int]:
     return out
 
 
+def _cur_core(
+    x: np.ndarray, samples: list[int], features: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """C, the core ``U = C+ X R+``, R and ``||X - C U R||_F^2`` at checked indices."""
+    c = x[:, samples]
+    r = x[features, :]
+    u = np.linalg.pinv(c, rcond=PINV_RCOND) @ x @ np.linalg.pinv(r, rcond=PINV_RCOND)
+    resid = x - c @ u @ r
+    return c, u, r, float((resid * resid).sum())
+
+
 def reconstruction_error(
     ds: Dataset,
     samples: Sequence[int],
@@ -101,14 +112,9 @@ def reconstruction_error(
     singular values below 1e-10 of the largest treated as zero), and the
     error is ``||X - C U R||_F^2``.
     """
-    x = ds.matrix
     s = _index_set(samples, ds.n_samples, "sample")
     f = _index_set(features, ds.n_features, "feature")
-    c = x[:, s]
-    r = x[f, :]
-    u = np.linalg.pinv(c, rcond=PINV_RCOND) @ x @ np.linalg.pinv(r, rcond=PINV_RCOND)
-    resid = x - c @ u @ r
-    return float((resid * resid).sum())
+    return _cur_core(ds.matrix, s, f)[3]
 
 
 def oracle_best_subsets(

@@ -27,8 +27,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _require_integer
 from .kernels import (
+    DEFAULT_VARSIGMA,
     AngularWeights,
     angular_weights,
     group_shrink,
@@ -62,7 +63,7 @@ class RegularizationParams:
     beta: float = 1.0
     gamma: float = 1.0
     eta: float = 1.0
-    varsigma: float = 1e-8
+    varsigma: float = DEFAULT_VARSIGMA
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma", "eta"):
@@ -80,8 +81,7 @@ class SolverConfig:
     start at 1e-6 and grow by a factor tau=1.1 per sweep up to 1e10, with
     stopping tolerance 1e-3. ``adaptive_rho=False`` freezes the penalties,
     the regime in which the monotone-difference diagnostic is meaningful.
-    ``seed`` is echoed into result documents; the solve itself starts from
-    zeros and is fully deterministic.
+    The solve starts from zeros and is fully deterministic.
     """
 
     rho1_init: float = 1e-6
@@ -91,7 +91,6 @@ class SolverConfig:
     epsilon: float = 1e-3
     max_outer_iters: int = 1000
     adaptive_rho: bool = True
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.tau < 1.0:
@@ -102,8 +101,9 @@ class SolverConfig:
             raise ValueError("need 0 < rho2_init <= rho_max")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
+        _require_integer("max_outer_iters", self.max_outer_iters, 1)
+        if not isinstance(self.adaptive_rho, bool):
+            raise ValueError(f"adaptive_rho must be true or false, got {self.adaptive_rho!r}")
 
 
 _ARRAY_FIELDS = ("w", "z", "w_tilde", "lambda1", "lambda2",
@@ -161,7 +161,7 @@ class SolverState:
         return replace(self, **{f: getattr(self, f).copy() for f in _ARRAY_FIELDS})
 
     def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(getattr(self, f))) for f in _ARRAY_FIELDS)
+        return all(np.isfinite(getattr(self, f)).all() for f in _ARRAY_FIELDS)
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,17 @@ class TestCur:
         assert res.err == pytest.approx(5.0, abs=1e-12)  # 2^2 + 1^2
         assert res.c.tolist() == [[3.0], [0.0], [0.0]]
 
+    @pytest.mark.parametrize("columns, rows", [
+        ([-1, 2], [0]),
+        ([0, 5], [0]),
+        ([0], [4]),
+        ([], [0]),
+    ], ids=["negative-column", "column-past-end", "row-past-end", "no-columns"])
+    def test_out_of_range_or_empty_indices_rejected(self, columns, rows):
+        ds = random_dataset(3, d=4, n=5)
+        with pytest.raises(ValueError, match="index"):
+            cur_from_indices(ds, columns, rows, k=1)
+
     def test_indices_are_actual_columns_and_rows(self):
         ds = random_dataset(5, d=5, n=7)
         res = rcur(ds, RcurConfig(k=2, m=4, r=3, seed=1))

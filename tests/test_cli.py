@@ -1,10 +1,22 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import alfs.cli as cli_mod
-from alfs import Dataset, SelectionRequest, load_csv, oracle_best_subsets, write_csv
+from alfs import (
+    BenchSpec,
+    Dataset,
+    RegularizationParams,
+    SelectionRequest,
+    SolverConfig,
+    load_csv,
+    oracle_best_subsets,
+    write_csv,
+)
 from alfs.cli import main
 from alfs.solver import SolverAbortError
 
@@ -21,6 +33,59 @@ def fast_config(tmp_path):
     p = tmp_path / "fast.json"
     p.write_text(json.dumps(cfg))
     return p
+
+
+class TestConfigDefaults:
+    def test_library_defaults_are_the_cli_defaults(self):
+        cfg = cli_mod._load_config(None)
+        assert cfg["params"] == dataclasses.asdict(RegularizationParams())
+        assert cfg["solver"] == dataclasses.asdict(SolverConfig())
+        spec_defaults = {
+            f.name: f.default
+            for f in dataclasses.fields(BenchSpec)
+            if f.default is not dataclasses.MISSING
+        }
+        shared = spec_defaults.keys() & cfg["bench"].keys()
+        assert shared == {
+            "feature_budgets", "repeats", "seed", "knn_k", "rcur_rank", "alfs_grid"
+        }
+        for key in shared:
+            assert cfg["bench"][key] == spec_defaults[key], key
+
+    def test_readme_shows_the_cli_defaults(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration", 1)[1]
+        shown = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+        # a JSON round trip turns the defaults' tuples into lists
+        assert json.loads(shown) == json.loads(json.dumps(cli_mod._load_config(None)))
+
+
+@pytest.mark.parametrize("command, config, section", [
+    ("bench", {"bench": {"repeats": "3"}}, "bench section"),
+    ("bench", {"bench": {"knn_k": "1"}}, "bench section"),
+    ("bench", {"bench": {"alfs_grid": [0.1, "10"]}}, "bench section"),
+    ("bench", {"solver": {"max_outer_iters": 2.5}}, "solver section"),
+    ("solve", {"solver": {"max_outer_iters": 2.5}}, "solver section"),
+    ("solve", {"solver": {"adaptive_rho": "false"}}, "solver section"),
+], ids=[
+    "bench-repeats", "bench-knn_k", "bench-alfs_grid", "bench-max_outer_iters",
+    "solve-max_outer_iters", "solve-adaptive_rho",
+])
+def test_mistyped_config_value_exits_2_naming_the_section(
+    command, config, section, tiny_csv, tmp_path, capsys
+):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "never.out"
+    argv = [command, "--data", str(tiny_csv), "--label-column", "label",
+            "--config", str(cfg), "--out", str(out)]
+    if command == "bench":
+        argv += ["--methods", "alfs", "--budgets", "2"]
+    assert run_cli(*argv) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"invalid {section}" in err
+    assert "Traceback" not in err
 
 
 class TestSolveCommand:
@@ -63,6 +128,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize("removed", [
         {"params": {"smoothing_eps": 1e-8}},
         {"solver": {"inner": {"max_iters": 25, "grad_tol": 1e-5}}},
+        {"solver": {"seed": 0}},
     ])
     def test_removed_solver_keys_exit_2(self, tiny_csv, tmp_path, capsys, removed):
         bad = tmp_path / "old.json"

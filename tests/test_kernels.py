@@ -31,6 +31,13 @@ class TestL21Norm:
         with pytest.raises(ValueError):
             l21_norm(np.array([[np.inf, 0.0]]))
 
+    @pytest.mark.parametrize("m, expected", [
+        ([[1e-170, 0.0]], 1e-170),
+        ([[1e200, 1e200]], 1e200 * np.sqrt(2.0)),
+    ], ids=["squares-underflow", "squares-overflow"])
+    def test_extreme_magnitudes_neither_underflow_nor_overflow(self, m, expected):
+        assert l21_norm(np.array(m)) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
     def test_dominates_frobenius(self):
         # row-wise triangle inequality: ||M||_F <= sum of row norms
         for seed in range(40):

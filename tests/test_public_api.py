@@ -1,5 +1,7 @@
 """The package's public surface: an explicit list, without solver internals."""
 
+import dataclasses
+
 import alfs
 import alfs.solver
 
@@ -42,3 +44,15 @@ def test_removed_l_bfgs_stack_is_gone():
     for name in ("LbfgsConfig", "minimize", "w_subproblem_gradient"):
         assert not hasattr(alfs, name)
         assert not hasattr(alfs.solver, name)
+
+
+def test_options_that_changed_nothing_are_gone():
+    removed = {
+        alfs.SolverConfig: {"seed"},
+        alfs.RcurConfig: {"eps"},
+        alfs.BenchSpec: {"classifier"},
+        alfs.GridProtocol: {"holdout_fraction", "min_labeled_for_holdout"},
+    }
+    for cls, names in removed.items():
+        assert not names & {f.name for f in dataclasses.fields(cls)}, cls.__name__
+
