@@ -59,7 +59,7 @@ class GridSearchError(RuntimeError):
 
 @dataclass(frozen=True)
 class BenchSpec:
-    """One benchmark run: a method, budgets, repeats, and the k-NN classifier.
+    """One benchmark run: a method, budgets and repeats, scored by 1-NN.
 
     Repeat t uses seed ``seed + t``, so extending ``repeats`` never
     reshuffles earlier trials. ``feature_budgets`` empty means a curve over
@@ -72,7 +72,6 @@ class BenchSpec:
     feature_budgets: tuple[int, ...] = ()
     repeats: int = 10
     seed: int = 0
-    knn_k: int = 1
     alfs_params: RegularizationParams = field(default_factory=RegularizationParams)
     alfs_grid: Optional[tuple[float, ...]] = None
     solver: SolverConfig = field(default_factory=SolverConfig)
@@ -81,7 +80,6 @@ class BenchSpec:
     def __post_init__(self) -> None:
         _require_integer("repeats", self.repeats, 1)
         _require_integer("seed", self.seed, 0)
-        _require_integer("knn_k", self.knn_k, 1)
         if self.rcur_rank is not None:
             _require_integer("rcur_rank", self.rcur_rank, 1)
         if not self.sample_budgets:
@@ -104,6 +102,15 @@ class BenchSpec:
                 f"expected one of {axis_methods}"
             )
 
+    def check_against(self, n_samples: int, n_features: int) -> None:
+        """Every budget must fit a training set of this size."""
+        for m in self.sample_budgets:
+            if not 1 <= m <= n_samples:
+                raise ValueError(f"sample budget {m} outside 1..{n_samples}")
+        for r in self.feature_budgets:
+            if not 1 <= r <= n_features:
+                raise ValueError(f"feature budget {r} outside 1..{n_features}")
+
 
 @dataclass(frozen=True)
 class AccuracyCurve:
@@ -121,40 +128,23 @@ class AccuracyCurve:
     failures: tuple[tuple[int, int, str], ...] = ()
 
 
-def knn_classify(
-    train: Dataset,
-    test: Dataset,
-    k: int = 1,
-) -> tuple[tuple, Optional[float]]:
-    """Majority vote among the k nearest training columns (Euclidean).
+def knn_classify(train: Dataset, test: Dataset) -> tuple[tuple, Optional[float]]:
+    """1-NN: each test column takes the label of its nearest training column.
 
-    Distance ties break by ascending training index; vote ties go to the
-    label appearing earliest in the ordered neighbor list. Returns the
-    predictions and the accuracy (None when the test set is unlabeled).
+    Distances are Euclidean and ties break by ascending training index. Test
+    columns are handled one at a time, so memory is O(n_train * d). Returns
+    the predictions and the accuracy (None when the test set is unlabeled).
     """
     if train.labels is None:
         raise ValueError("training set has no labels")
     if train.n_features != test.n_features:
         raise ValueError("train and test feature dimensions differ")
-    n_train = train.n_samples
-    if not 1 <= k <= n_train:
-        raise ValueError(f"k={k} outside 1..{n_train}")
-    # full difference tensor: exact symmetry keeps genuine distance ties exact
-    diff = test.matrix.T[:, None, :] - train.matrix.T[None, :, :]
-    d2 = (diff * diff).sum(axis=2)
+    points = train.matrix.T
     predictions = []
-    for row in d2:
-        order = np.argsort(row, kind="stable")[:k]
-        votes: dict = {}
-        for idx in order:
-            lab = train.labels[int(idx)]
-            votes[lab] = votes.get(lab, 0) + 1
-        best_count = max(votes.values())
-        for idx in order:  # first label (in neighbor order) reaching the max
-            lab = train.labels[int(idx)]
-            if votes[lab] == best_count:
-                predictions.append(lab)
-                break
+    for col in test.matrix.T:
+        diff = col - points
+        # argmin returns the first minimum: the lowest training index
+        predictions.append(train.labels[int(np.argmin((diff * diff).sum(axis=1)))])
     predictions = tuple(predictions)
     if test.labels is None:
         return predictions, None
@@ -183,72 +173,46 @@ class _MethodRunner:
         self.params = params if params is not None else spec.alfs_params
         self._alfs_cache: dict[Optional[tuple[int, ...]], np.ndarray] = {}
 
-    def _alfs_w(self, features: Optional[tuple[int, ...]] = None) -> np.ndarray:
+    def _alfs_w(self, ds: Dataset, features: Optional[tuple[int, ...]]) -> np.ndarray:
         if features not in self._alfs_cache:
-            ds = (
-                self.unlabeled
-                if features is None
-                else self.unlabeled.restrict(features=list(features))
-            )
-            w, _ = solve(ds, self.params, self.spec.solver)
-            self._alfs_cache[features] = w
+            self._alfs_cache[features], _ = solve(ds, self.params, self.spec.solver)
         return self._alfs_cache[features]
 
     def select(
         self, m: int, r: Optional[int], seed: int
     ) -> tuple[tuple[int, ...], Optional[tuple[int, ...]]]:
-        """Sample indices (size m) and feature indices (size r or None)."""
-        ds = self.unlabeled
-        n, d = ds.n_samples, ds.n_features
+        """Sample indices (size m) and feature indices (size r or None).
+
+        ``variance+S`` keeps the r features of largest variance, then runs
+        sampler S on them with no feature budget.
+        """
         method = self.spec.method
-
-        if method == "random":
-            return random_sampling(n, m, seed), None
-
-        if method == "alfs":
-            w = self._alfs_w()
-            sel = rank_and_select(w, SelectionRequest(m, r if r else d))
-            return sel.selected_samples, sel.selected_features if r else None
-
-        if method == "rcur":
-            k = self.spec.rcur_rank or _auto_rcur_rank(ds.matrix)
-            cfg = RcurConfig(
-                k=k, m=m, r=r if r else d, seed=seed, exact_counts=True
-            )
-            result = rcur(ds, cfg)
-            return result.column_indices, result.row_indices if r else None
-
+        ds = self.unlabeled
+        variance_features = None
         if method.startswith("variance+"):
             if r is None:
                 raise ValueError(f"{method!r} needs a feature budget")
-            feats = variance_feature_select(ds, r)
-            reduced = ds.restrict(features=list(feats))
-            sampler = method.split("+", 1)[1]
-            if sampler == "random":
-                samples = random_sampling(n, m, seed)
-            elif sampler == "alfs":
-                w = self._alfs_w(feats)
-                samples = rank_and_select(
-                    w, SelectionRequest(m, reduced.n_features)
-                ).selected_samples
-            elif sampler == "rcur":
-                k = self.spec.rcur_rank or _auto_rcur_rank(reduced.matrix)
-                result = rcur(
-                    reduced,
-                    RcurConfig(
-                        k=k,
-                        m=m,
-                        r=reduced.n_features,
-                        seed=seed,
-                        exact_counts=True,
-                    ),
-                )
-                samples = result.column_indices
-            else:
-                raise ValueError(f"unknown sampler in method {method!r}")
-            return samples, feats
+            variance_features = variance_feature_select(ds, r)
+            ds = ds.restrict(features=list(variance_features))
+            method, r = method.split("+", 1)[1], None
+        n, d = ds.n_samples, ds.n_features
 
-        raise ValueError(f"unknown method {method!r}")
+        if method == "random":
+            samples, features = random_sampling(n, m, seed), None
+        elif method == "alfs":
+            w = self._alfs_w(ds, variance_features)
+            sel = rank_and_select(w, SelectionRequest(m, r or d))
+            samples, features = sel.selected_samples, sel.selected_features
+        elif method == "rcur":
+            k = self.spec.rcur_rank or _auto_rcur_rank(ds.matrix)
+            cfg = RcurConfig(k=k, m=m, r=r or d, seed=seed, exact_counts=True)
+            result = rcur(ds, cfg)
+            samples, features = result.column_indices, result.row_indices
+        else:
+            raise ValueError(f"unknown method {self.spec.method!r}")
+        if variance_features is not None:
+            return samples, variance_features
+        return samples, features if r else None
 
 
 def _thread_count() -> int:
@@ -287,13 +251,7 @@ def run_curve(train: Dataset, test: Dataset, spec: BenchSpec) -> AccuracyCurve:
         raise ValueError("training set has no labels to reveal")
     if test.labels is None:
         raise ValueError("test set has no labels to score against")
-    n, d = train.n_samples, train.n_features
-    for m in spec.sample_budgets:
-        if not 1 <= m <= n:
-            raise ValueError(f"sample budget {m} outside 1..{n}")
-    for r in spec.feature_budgets:
-        if not 1 <= r <= d:
-            raise ValueError(f"feature budget {r} outside 1..{d}")
+    spec.check_against(train.n_samples, train.n_features)
 
     feature_axis = bool(spec.feature_budgets)
     budgets = spec.feature_budgets if feature_axis else spec.sample_budgets
@@ -308,13 +266,11 @@ def run_curve(train: Dataset, test: Dataset, spec: BenchSpec) -> AccuracyCurve:
             m=fixed_m,
             r=max(spec.feature_budgets) if feature_axis else None,
             seed=spec.seed,
-            knn_k=spec.knn_k,
         )
         params = grid_search(
             train,
             protocol,
             grid=spec.alfs_grid,
-            gamma=spec.alfs_params.gamma,
             base_params=spec.alfs_params,
             solver_cfg=spec.solver,
         ).best_params
@@ -331,7 +287,7 @@ def run_curve(train: Dataset, test: Dataset, spec: BenchSpec) -> AccuracyCurve:
         if feature_axis:
             labeled = labeled.restrict(features=list(feats))
             test_view = test.restrict(features=list(feats))
-        _, acc = knn_classify(labeled, test_view, spec.knn_k)
+        _, acc = knn_classify(labeled, test_view)
         return acc
 
     cells = [(budget, t) for budget in budgets for t in range(spec.repeats)]
@@ -352,33 +308,23 @@ def run_curve(train: Dataset, test: Dataset, spec: BenchSpec) -> AccuracyCurve:
         else:
             per_repeat[budget].append(outcome)
 
-    means = []
-    for b in budgets:
-        vals = [v for v in per_repeat[b] if v is not None]
-        if not vals:
-            curve = AccuracyCurve(
-                method=spec.method,
-                budget_axis="features" if feature_axis else "samples",
-                budgets=tuple(budgets),
-                mean_accuracy=(),
-                per_repeat=tuple(tuple(per_repeat[bb]) for bb in budgets),
-                failures=tuple(failures),
-            )
-            raise BenchMethodError(
-                f"method {spec.method!r} failed for every repeat at budget {b}: "
-                f"{failures[:3]}",
-                partial=curve,
-            )
-        means.append(sum(vals) / len(vals))
-
-    return AccuracyCurve(
+    kept = {b: [v for v in per_repeat[b] if v is not None] for b in budgets}
+    empty = [b for b in budgets if not kept[b]]
+    curve = AccuracyCurve(
         method=spec.method,
         budget_axis="features" if feature_axis else "samples",
         budgets=tuple(budgets),
-        mean_accuracy=tuple(means),
+        mean_accuracy=() if empty else tuple(sum(kept[b]) / len(kept[b]) for b in budgets),
         per_repeat=tuple(tuple(per_repeat[b]) for b in budgets),
         failures=tuple(failures),
     )
+    if empty:
+        raise BenchMethodError(
+            f"method {spec.method!r} failed for every repeat at budget {empty[0]}: "
+            f"{failures[:3]}",
+            partial=curve,
+        )
+    return curve
 
 
 def write_curves_csv(curves: Sequence[AccuracyCurve], path: str | Path) -> None:
@@ -401,14 +347,13 @@ class GridProtocol:
     With labels available and a revealed set of at least
     ``GRID_MIN_LABELED_FOR_HOLDOUT`` samples, a holdout of the share
     ``GRID_HOLDOUT_FRACTION`` of the revealed labels, drawn with ``seed``, is
-    classified and accuracy is the score. Otherwise the score is the negated
-    reconstruction error of the selected subsets (fully unsupervised).
+    classified by 1-NN and accuracy is the score. Otherwise the score is the
+    negated reconstruction error of the selected subsets (fully unsupervised).
     """
 
     m: int
     r: Optional[int] = None
     seed: int = 0
-    knn_k: int = 1
 
 
 @dataclass
@@ -439,7 +384,7 @@ def _default_grid_score(
         fit = [samples[i] for i in perm[n_hold:]]
         fit_ds = train.restrict(samples=fit, features=features)
         hold_ds = train.restrict(samples=hold, features=features)
-        _, acc = knn_classify(fit_ds, hold_ds, protocol.knn_k)
+        _, acc = knn_classify(fit_ds, hold_ds)
         assert acc is not None
         return acc
     return -reconstruction_error(train.without_labels(), samples, features)
@@ -449,12 +394,14 @@ def grid_search(
     train: Dataset,
     protocol: GridProtocol,
     grid: Sequence[float] = GRID_DEFAULT,
-    gamma: float = 1.0,
+    gamma: Optional[float] = None,
     base_params: RegularizationParams = RegularizationParams(),
     solver_cfg: SolverConfig = SolverConfig(),
     score_fn: Optional[Callable[[Dataset, RegularizationParams, SelectionResult], float]] = None,
 ) -> GridSearchResult:
     """Best (alpha, beta, eta) over the grid with gamma held fixed.
+
+    ``gamma`` defaults to ``base_params.gamma``.
 
     Iterates alpha-major (alpha outermost, then beta, then eta); ties keep
     the first-encountered combination. One solver invocation per
@@ -463,6 +410,8 @@ def grid_search(
     """
     if not grid:
         raise ValueError("grid must not be empty")
+    if gamma is not None:
+        base_params = replace(base_params, gamma=gamma)
     unlabeled = train.without_labels()
     req_r = protocol.r if protocol.r is not None else unlabeled.n_features
     best: Optional[tuple[RegularizationParams, float]] = None
@@ -472,9 +421,7 @@ def grid_search(
     for alpha in grid:
         for beta in grid:
             for eta in grid:
-                params = replace(
-                    base_params, alpha=alpha, beta=beta, gamma=gamma, eta=eta
-                )
+                params = replace(base_params, alpha=alpha, beta=beta, eta=eta)
                 try:
                     w, _ = solve(unlabeled, params, solver_cfg)
                     n_calls += 1

@@ -320,7 +320,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             alfs_grid=tuple(grid) if grid else None,
             alfs_params=params,
             solver=solver_cfg,
-            **{key: bench_cfg[key] for key in ("repeats", "seed", "knn_k", "rcur_rank")},
+            **{key: bench_cfg[key] for key in ("repeats", "seed", "rcur_rank")},
         )
 
     specs = [
@@ -340,6 +340,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         train, test = split_dataset(ds, SplitSpec(n_train=n_train, seed=bench_cfg["seed"]))
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    for spec in specs:
+        try:
+            spec.check_against(train.n_samples, train.n_features)
+        except ValueError as exc:
+            raise CliError(
+                f"{exc}: the training set has {train.n_samples} samples "
+                f"and {train.n_features} features"
+            ) from None
 
     curves = []
     failures = []

@@ -1,18 +1,29 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import alfs.bench as bench_mod
 from alfs import (
     BenchSpec,
     Dataset,
     GridProtocol,
+    RcurConfig,
     RegularizationParams,
+    SelectionRequest,
     SolverConfig,
     SplitSpec,
     grid_search,
     knn_classify,
+    random_sampling,
+    rank_and_select,
+    rcur,
     run_curve,
+    solve,
     split,
+    variance_feature_select,
     write_curves_csv,
 )
 from alfs.bench import GRID_DEFAULT
@@ -25,7 +36,7 @@ FAST_SOLVER = SolverConfig(tau=1.5)
 class TestKnnClassify:
     def test_memorizes_training_points(self):
         train = Dataset(np.array([[0.0, 5.0], [0.0, 5.0]]), labels=("a", "b"))
-        preds, acc = knn_classify(train, train, k=1)
+        preds, acc = knn_classify(train, train)
         assert preds == ("a", "b")
         assert acc == 1.0
 
@@ -37,7 +48,7 @@ class TestKnnClassify:
         labels = ("L",) * 20 + ("R",) * 20
         ds = Dataset(x, labels=labels)
         train, test = split(ds, SplitSpec(n_train=20, seed=1))
-        _, acc = knn_classify(train, test, k=1)
+        _, acc = knn_classify(train, test)
         assert acc == 1.0
 
     def test_random_labels_hit_chance_level(self):
@@ -48,7 +59,7 @@ class TestKnnClassify:
         test = Dataset(
             rng.normal(size=(5, 400)), labels=tuple(rng.integers(0, 4, size=400))
         )
-        _, acc = knn_classify(train, test, k=1)
+        _, acc = knn_classify(train, test)
         sigma = np.sqrt(0.25 * 0.75 / 400)
         assert abs(acc - 0.25) <= 3 * sigma
 
@@ -56,24 +67,54 @@ class TestKnnClassify:
         # two training points equidistant from the test point
         train = Dataset(np.array([[1.0, -1.0]]), labels=("first", "second"))
         test = Dataset(np.array([[0.0]]))
-        preds, _ = knn_classify(train, test, k=1)
+        preds, _ = knn_classify(train, test)
         assert preds == ("first",)
 
-    def test_vote_ties_break_by_first_appearance(self):
-        train = Dataset(
-            np.array([[1.0, 2.0, 3.0, 4.0]]), labels=("a", "b", "b", "a")
+    @given(st.data())
+    def test_predicts_the_first_nearest_training_column(self, data):
+        d = data.draw(st.integers(1, 3), label="d")
+        coords = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+        # few distinct training columns, drawn with repetition, so that
+        # exact distance ties (duplicates and mirror images) are common
+        distinct = data.draw(st.lists(coords, min_size=1, max_size=4), label="distinct")
+        picks = data.draw(
+            st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=8),
+            label="picks",
         )
-        test = Dataset(np.array([[0.0]]), labels=("a",))
-        preds, _ = knn_classify(train, test, k=4)  # 2 votes each; "a" seen first
-        assert preds == ("a",)
+        train_cols = [distinct[i] for i in picks]
+        test_cols = data.draw(st.lists(coords, min_size=1, max_size=5), label="test")
+        # label = training index, so a prediction names the chosen column
+        train = Dataset(np.array(train_cols, dtype=float).T, labels=tuple(range(len(picks))))
+        test = Dataset(np.array(test_cols, dtype=float).T)
+
+        expected = []
+        for t in test_cols:
+            d2 = [sum((a - b) ** 2 for a, b in zip(t, x)) for x in train_cols]
+            expected.append(d2.index(min(d2)))
+        preds, acc = knn_classify(train, test)
+        assert preds == tuple(expected)
+        assert acc is None
+
+    def test_memory_does_not_grow_with_the_test_set(self):
+        rng = np.random.default_rng(7)
+        d, n_train, n_test = 20, 800, 400
+        train = Dataset(rng.normal(size=(d, n_train)), labels=tuple(range(n_train)))
+        test = Dataset(rng.normal(size=(d, n_test)))
+        full_tensor = 8 * n_test * n_train * d
+        assert full_tensor >= 50e6
+        tracemalloc.start()
+        try:
+            knn_classify(train, test)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < full_tensor / 10
 
     def test_validation(self):
         labeled = Dataset(np.ones((2, 3)), labels=("a", "b", "a"))
         bare = Dataset(np.ones((2, 3)))
         with pytest.raises(ValueError, match="labels"):
-            knn_classify(bare, labeled, k=1)
-        with pytest.raises(ValueError, match="k="):
-            knn_classify(labeled, labeled, k=4)
+            knn_classify(bare, labeled)
 
 
 def small_clusters():
@@ -88,7 +129,7 @@ class TestRunCurve:
             method="random", sample_budgets=(train.n_samples,), repeats=3, seed=5
         )
         curve = run_curve(train, test, spec)
-        _, full_acc = knn_classify(train, test, k=1)
+        _, full_acc = knn_classify(train, test)
         assert curve.mean_accuracy == (full_acc,) and set(
             curve.per_repeat[0]
         ) == {full_acc}
@@ -149,6 +190,42 @@ class TestRunCurve:
         curve = run_curve(train, test, spec)
         assert len(curve.mean_accuracy) == 2
         assert not curve.failures
+
+    @pytest.mark.parametrize("sampler", ["random", "alfs", "rcur"])
+    def test_variance_plus_runs_the_plain_sampler_on_the_kept_features(self, sampler):
+        train, _ = small_clusters()
+        unlabeled = train.without_labels()
+        spec = BenchSpec(
+            method=f"variance+{sampler}",
+            sample_budgets=(6,),
+            feature_budgets=(4,),
+            solver=FAST_SOLVER,
+            rcur_rank=3,
+        )
+        samples, feats = bench_mod._MethodRunner(unlabeled, spec).select(6, 4, seed=3)
+
+        assert feats == variance_feature_select(unlabeled, 4)
+        reduced = unlabeled.restrict(features=list(feats))
+        if sampler == "random":
+            expected = random_sampling(reduced.n_samples, 6, 3)
+        elif sampler == "alfs":
+            w, _ = solve(reduced, RegularizationParams(), FAST_SOLVER)
+            expected = rank_and_select(w, SelectionRequest(6, 4)).selected_samples
+        else:
+            cfg = RcurConfig(k=3, m=6, r=4, seed=3, exact_counts=True)
+            expected = rcur(reduced, cfg).column_indices
+        assert samples == expected
+
+    def test_budget_above_the_training_set_rejected(self):
+        train, test = small_clusters()
+        spec = BenchSpec(method="random", sample_budgets=(3, 41), repeats=1)
+        with pytest.raises(ValueError, match="sample budget 41 outside 1..40"):
+            run_curve(train, test, spec)
+        spec = BenchSpec(
+            method="variance+random", sample_budgets=(3,), feature_budgets=(11,)
+        )
+        with pytest.raises(ValueError, match="feature budget 11 outside 1..10"):
+            run_curve(train, test, spec)
 
     def test_unlabeled_train_rejected(self):
         train, test = small_clusters()
@@ -212,6 +289,22 @@ class TestRunCurve:
         assert len(curve.failures) == 1
         assert curve.failures[0][2].startswith("RuntimeError")
         assert curve.per_repeat[0].count(None) == 1
+
+    def test_every_cell_failing_raises_with_the_partial_curve(self, monkeypatch):
+        train, test = small_clusters()
+
+        def broken(n, m, seed):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(bench_mod, "random_sampling", broken)
+        spec = BenchSpec(method="random", sample_budgets=(3, 5), repeats=2, seed=0)
+        with pytest.raises(bench_mod.BenchMethodError, match="budget 3") as exc_info:
+            run_curve(train, test, spec)
+        partial = exc_info.value.partial
+        assert partial.budgets == (3, 5)
+        assert partial.mean_accuracy == ()
+        assert partial.per_repeat == ((None, None), (None, None))
+        assert len(partial.failures) == 4
 
     def test_alfs_grid_selects_params_once_per_curve(self, monkeypatch):
         train, test = small_clusters()
@@ -291,6 +384,20 @@ class TestGridSearch:
         )
         assert result.n_solver_calls == 1
         assert result.best_params.alpha == 1.0
+        assert result.best_params.gamma == 1.0
+
+    def test_gamma_comes_from_base_params_unless_given(self):
+        train = random_dataset(30, d=4, n=6)
+        base = RegularizationParams(gamma=5.0)
+        result = grid_search(
+            train, GridProtocol(m=2, r=2), grid=(1.0,), base_params=base,
+            solver_cfg=FAST_SOLVER,
+        )
+        assert result.best_params.gamma == 5.0
+        result = grid_search(
+            train, GridProtocol(m=2, r=2), grid=(1.0,), gamma=1.0, base_params=base,
+            solver_cfg=FAST_SOLVER,
+        )
         assert result.best_params.gamma == 1.0
 
     def test_full_grid_runs_64_solves(self):

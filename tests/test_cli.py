@@ -47,7 +47,7 @@ class TestConfigDefaults:
         }
         shared = spec_defaults.keys() & cfg["bench"].keys()
         assert shared == {
-            "feature_budgets", "repeats", "seed", "knn_k", "rcur_rank", "alfs_grid"
+            "feature_budgets", "repeats", "seed", "rcur_rank", "alfs_grid"
         }
         for key in shared:
             assert cfg["bench"][key] == spec_defaults[key], key
@@ -62,13 +62,13 @@ class TestConfigDefaults:
 
 @pytest.mark.parametrize("command, config, section", [
     ("bench", {"bench": {"repeats": "3"}}, "bench section"),
-    ("bench", {"bench": {"knn_k": "1"}}, "bench section"),
+    ("bench", {"bench": {"rcur_rank": 0}}, "bench section"),
     ("bench", {"bench": {"alfs_grid": [0.1, "10"]}}, "bench section"),
     ("bench", {"solver": {"max_outer_iters": 2.5}}, "solver section"),
     ("solve", {"solver": {"max_outer_iters": 2.5}}, "solver section"),
     ("solve", {"solver": {"adaptive_rho": "false"}}, "solver section"),
 ], ids=[
-    "bench-repeats", "bench-knn_k", "bench-alfs_grid", "bench-max_outer_iters",
+    "bench-repeats", "bench-rcur_rank", "bench-alfs_grid", "bench-max_outer_iters",
     "solve-max_outer_iters", "solve-adaptive_rho",
 ])
 def test_mistyped_config_value_exits_2_naming_the_section(
@@ -129,6 +129,7 @@ class TestSolveCommand:
         {"params": {"smoothing_eps": 1e-8}},
         {"solver": {"inner": {"max_iters": 25, "grad_tol": 1e-5}}},
         {"solver": {"seed": 0}},
+        {"bench": {"knn_k": 1}},
     ])
     def test_removed_solver_keys_exit_2(self, tiny_csv, tmp_path, capsys, removed):
         bad = tmp_path / "old.json"
@@ -316,6 +317,26 @@ class TestBenchCommand:
             "--budgets", "2:4:2", "--out", str(tmp_path / "c.csv"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--methods", "alfs,random", "--budgets", "2,9"],
+         "sample budget 9 outside 1..5"),
+        (["--methods", "variance+random", "--budgets", "3", "--feature-budgets", "2,5"],
+         "feature budget 5 outside 1..4"),
+    ], ids=["samples", "features"])
+    def test_budget_above_the_training_set_exits_2(
+        self, flags, message, tiny_csv, tmp_path, capsys
+    ):
+        out = tmp_path / "never.csv"
+        code = run_cli(
+            "bench", "--data", str(tiny_csv), "--label-column", "label", *flags,
+            "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"{message}: the training set has 5 samples and 4 features" in err
+        assert "Traceback" not in err
 
     def test_bad_budget_spec_exits_2(self, cluster_csv, tmp_path):
         code = run_cli(

@@ -50,8 +50,8 @@ def test_options_that_changed_nothing_are_gone():
     removed = {
         alfs.SolverConfig: {"seed"},
         alfs.RcurConfig: {"eps"},
-        alfs.BenchSpec: {"classifier"},
-        alfs.GridProtocol: {"holdout_fraction", "min_labeled_for_holdout"},
+        alfs.BenchSpec: {"classifier", "knn_k"},
+        alfs.GridProtocol: {"holdout_fraction", "min_labeled_for_holdout", "knn_k"},
     }
     for cls, names in removed.items():
         assert not names & {f.name for f in dataclasses.fields(cls)}, cls.__name__
