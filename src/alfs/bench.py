@@ -12,9 +12,6 @@ budgets with a fixed sample budget (classifying in the selected subspace).
 from __future__ import annotations
 
 import numbers
-import os
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -26,7 +23,6 @@ from .data import Dataset, SelectionRequest, _require_integer
 from .selection import SelectionResult, rank_and_select, reconstruction_error
 from .solver import RegularizationParams, SolverConfig, solve
 
-THREADS_ENV_VAR = "ALFS_THREADS"
 GRID_DEFAULT = (0.1, 1.0, 10.0, 100.0)
 GRID_HOLDOUT_FRACTION = 0.2
 GRID_MIN_LABELED_FOR_HOLDOUT = 10
@@ -101,6 +97,15 @@ class BenchSpec:
                 f"method {self.method!r} not valid for this curve style; "
                 f"expected one of {axis_methods}"
             )
+        if self.method == "variance+rcur":
+            # r kept features have rank at most r
+            low = 2 if self.rcur_rank is None else self.rcur_rank + 1
+            if min(self.feature_budgets) < low:
+                raise ValueError(
+                    f"variance+rcur needs feature budgets >= {low}, got "
+                    f"{min(self.feature_budgets)}: randomized CUR needs a target "
+                    "rank below the rank of the kept features"
+                )
 
     def check_against(self, n_samples: int, n_features: int) -> None:
         """Every budget must fit a training set of this size."""
@@ -215,30 +220,6 @@ class _MethodRunner:
         return samples, features if r else None
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        warnings.warn(
-            f"{THREADS_ENV_VAR}={raw!r} is not a positive integer; using 1 thread",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 1
-    return count
-
-
-def _map_cells(fn: Callable, cells: list) -> list:
-    workers = _thread_count()
-    if workers == 1 or len(cells) <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cells))  # ordered, deterministic reduction
-
-
 def run_curve(train: Dataset, test: Dataset, spec: BenchSpec) -> AccuracyCurve:
     """Accuracy curve of one method over budgets with repeated trials.
 
@@ -276,37 +257,24 @@ def run_curve(train: Dataset, test: Dataset, spec: BenchSpec) -> AccuracyCurve:
         ).best_params
     runner = _MethodRunner(unlabeled, spec, params)
 
-    def run_cell(cell: tuple[int, int]):
-        budget, t = cell
-        seed = spec.seed + t
-        m = fixed_m if feature_axis else budget
-        r = budget if feature_axis else None
-        samples, feats = runner.select(m, r, seed)
-        labeled = train.restrict(samples=list(samples))
-        test_view = test
-        if feature_axis:
-            labeled = labeled.restrict(features=list(feats))
-            test_view = test.restrict(features=list(feats))
-        _, acc = knn_classify(labeled, test_view)
-        return acc
-
-    cells = [(budget, t) for budget in budgets for t in range(spec.repeats)]
     per_repeat: dict[int, list[Optional[float]]] = {b: [] for b in budgets}
     failures: list[tuple[int, int, str]] = []
-
-    def safe(cell):
-        try:
-            return run_cell(cell)
-        except Exception as exc:  # cell failures must not kill the curve
-            return exc
-
-    outcomes = _map_cells(safe, cells)
-    for (budget, t), outcome in zip(cells, outcomes):
-        if isinstance(outcome, Exception):
-            failures.append((budget, t, f"{type(outcome).__name__}: {outcome}"))
-            per_repeat[budget].append(None)
-        else:
-            per_repeat[budget].append(outcome)
+    for budget in budgets:
+        m = fixed_m if feature_axis else budget
+        r = budget if feature_axis else None
+        for t in range(spec.repeats):
+            try:
+                samples, feats = runner.select(m, r, spec.seed + t)
+                labeled = train.restrict(samples=list(samples))
+                test_view = test
+                if feature_axis:
+                    labeled = labeled.restrict(features=list(feats))
+                    test_view = test.restrict(features=list(feats))
+                _, acc = knn_classify(labeled, test_view)
+            except Exception as exc:  # a failed cell must not kill the curve
+                failures.append((budget, t, f"{type(exc).__name__}: {exc}"))
+                acc = None
+            per_repeat[budget].append(acc)
 
     kept = {b: [v for v in per_repeat[b] if v is not None] for b in budgets}
     empty = [b for b in budgets if not kept[b]]
@@ -417,21 +385,18 @@ def grid_search(
     best: Optional[tuple[RegularizationParams, float]] = None
     scores: list[tuple[RegularizationParams, Optional[float]]] = []
     failures: list[tuple[RegularizationParams, str]] = []
-    n_calls = 0
     for alpha in grid:
         for beta in grid:
             for eta in grid:
                 params = replace(base_params, alpha=alpha, beta=beta, eta=eta)
                 try:
                     w, _ = solve(unlabeled, params, solver_cfg)
-                    n_calls += 1
                     sel = rank_and_select(w, SelectionRequest(protocol.m, req_r))
                     if score_fn is not None:
                         score = score_fn(train, params, sel)
                     else:
                         score = _default_grid_score(train, protocol, sel)
                 except Exception as exc:
-                    n_calls += 1
                     failures.append((params, f"{type(exc).__name__}: {exc}"))
                     scores.append((params, None))
                     continue
@@ -446,6 +411,6 @@ def grid_search(
         best_params=best[0],
         best_score=best[1],
         scores=scores,
-        n_solver_calls=n_calls,
+        n_solver_calls=len(scores),
         failures=failures,
     )

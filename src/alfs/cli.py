@@ -219,7 +219,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     document = {
         "tool_version": __version__,
-        "config_echo": {**cfg, "data_path": str(args.data)},
+        # the sections solve reads; the bench section does not change the result
+        "config_echo": {
+            **{key: cfg[key] for key in ("data", "params", "solver", "selection")},
+            "data_path": str(args.data),
+        },
         "selected_samples": list(result.selected_samples),
         "selected_features": list(result.selected_features),
         "sample_ranking": list(result.sample_ranking),

@@ -47,7 +47,7 @@ INNER_TOL_FACTOR = 1e-2
 
 
 class SolverAbortError(RuntimeError):
-    """An iterate went non-finite; carries the iteration that failed."""
+    """A value went non-finite during a sweep; names the outer iteration."""
 
 
 @dataclass(frozen=True)
@@ -503,7 +503,7 @@ def solve(
     ValueError
         Zero columns (the angular weights are undefined there).
     SolverAbortError
-        A non-finite iterate appeared.
+        A non-finite value appeared in a sweep (overflow, for data too large).
     """
     x = ds.matrix
     d, n = x.shape
@@ -515,18 +515,20 @@ def solve(
 
     for _ in range(cfg.max_outer_iters):
         prev_state = state.copy()
-
-        state, _ = solve_w_subproblem(ds, state, params, cfg.epsilon, basis)
-        state.z = update_z(state, ds, t, params.eta)
-        state.w_tilde = update_w_tilde(state, params.gamma)
-        state = update_duals_and_rho(state, ds, cfg)
-
-        if not state.all_finite():
+        try:
+            state, _ = solve_w_subproblem(ds, state, params, cfg.epsilon, basis)
+            state.z = update_z(state, ds, t, params.eta)
+            state.w_tilde = update_w_tilde(state, params.gamma)
+            state = update_duals_and_rho(state, ds, cfg)
+            if not state.all_finite():
+                raise ValueError("non-finite iterate")
+            curr_objective = objective(ds, state.w, params, t)
+        except ValueError as exc:
+            # in a sweep, the kernels and the objective raise ValueError only
+            # for non-finite values, and numpy only for an SVD that failed
             raise SolverAbortError(
-                f"non-finite iterate at outer iteration {state.iter}"
-            )
-
-        curr_objective = objective(ds, state.w, params, t)
+                f"{exc} at outer iteration {prev_state.iter + 1}"
+            ) from exc
         decision = check_convergence(
             state, ds, prev_objective, curr_objective, cfg.epsilon
         )

@@ -329,25 +329,6 @@ class TestRunCurve:
         # 8 grid combinations plus the single cached curve solve
         assert calls["count"] == 9
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        train, test = small_clusters()
-        spec = BenchSpec(method="random", sample_budgets=(3, 6), repeats=4, seed=2)
-        serial = run_curve(train, test, spec)
-        monkeypatch.setenv("ALFS_THREADS", "2")
-        threaded = run_curve(train, test, spec)
-        assert serial == threaded
-
-    @pytest.mark.parametrize("raw", ["two", "0", "-3", ""])
-    def test_bad_thread_count_warns_and_uses_one(self, monkeypatch, raw):
-        monkeypatch.setenv("ALFS_THREADS", raw)
-        with pytest.warns(RuntimeWarning, match=f"ALFS_THREADS={raw!r}"):
-            assert bench_mod._thread_count() == 1
-
-    def test_valid_thread_count_is_silent(self, monkeypatch, recwarn):
-        monkeypatch.setenv("ALFS_THREADS", "3")
-        assert bench_mod._thread_count() == 3
-        assert not recwarn.list
-
     def test_invalid_method_for_axis(self):
         with pytest.raises(ValueError, match="not valid"):
             BenchSpec(method="variance+random", sample_budgets=(3,), repeats=1)
@@ -358,6 +339,17 @@ class TestRunCurve:
                 feature_budgets=(2,),
                 repeats=1,
             )
+
+    @pytest.mark.parametrize("budgets, rank", [((1, 2), None), ((3, 4), 3)],
+                             ids=["auto-rank", "set-rank"])
+    def test_variance_rcur_feature_budget_must_exceed_the_target_rank(self, budgets, rank):
+        with pytest.raises(ValueError, match=f"variance\\+rcur needs feature budgets >= {budgets[1]}"):
+            BenchSpec(method="variance+rcur", sample_budgets=(3,),
+                      feature_budgets=budgets, rcur_rank=rank)
+        BenchSpec(method="variance+rcur", sample_budgets=(3,),
+                  feature_budgets=budgets[1:], rcur_rank=rank)
+        # plain rcur ranks the full matrix, so a one-feature budget is fine
+        BenchSpec(method="rcur", sample_budgets=(3,), feature_budgets=(1,), rcur_rank=rank)
 
 
 class TestWriteCurvesCsv:
@@ -410,6 +402,24 @@ class TestGridSearch:
         )
         assert result.n_solver_calls == 64
         assert len(result.scores) == 64
+
+    def test_a_cell_whose_scoring_fails_counts_one_solve(self):
+        train = random_dataset(35, d=4, n=5)
+
+        def fails_at_alpha_10(ds, params, sel):
+            if params.alpha == 10.0:
+                raise RuntimeError("scoring broke")
+            return 1.0
+
+        result = grid_search(
+            train,
+            GridProtocol(m=2, r=2),
+            grid=(0.1, 10.0),
+            solver_cfg=SolverConfig(max_outer_iters=5),
+            score_fn=fails_at_alpha_10,
+        )
+        assert len(result.failures) == 4
+        assert result.n_solver_calls == len(result.scores) == 8
 
     def test_injected_scorer_controls_the_choice(self):
         train = random_dataset(32, d=3, n=5)

@@ -103,6 +103,10 @@ class TestSolveCommand:
         assert len(doc["feature_ranking"]) == 4
         assert doc["config_echo"]["params"]["alpha"] == 1.0
         assert doc["config_echo"]["solver"]["tau"] == 1.1
+        # only the sections solve reads: a bench option cannot change it
+        assert set(doc["config_echo"]) == {
+            "data", "params", "solver", "selection", "data_path"
+        }
         assert "inner_failures" not in doc
 
     def test_malformed_config_exits_2_without_output(self, tiny_csv, tmp_path):
@@ -176,6 +180,20 @@ class TestSolveCommand:
             "--out", str(tmp_path / "x.json"),
         )
         assert code == 3
+
+    def test_overflow_in_the_solver_exits_3(self, tmp_path, capsys):
+        x = np.random.default_rng(0).normal(size=(12, 4)) * 1e110
+        data = tmp_path / "huge.csv"
+        np.savetxt(data, x, delimiter=",", header="a,b,c,d", comments="")
+        out = tmp_path / "never.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("solve", "--data", str(data), "--out", str(out))
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "numerical failure: " in err
+        assert "at outer iteration 1" in err
+        assert "Traceback" not in err
 
     def test_timing_flag_embeds_wall_time(self, tiny_csv, tmp_path, fast_config):
         out = tmp_path / "timed.json"
@@ -337,6 +355,16 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert f"{message}: the training set has 5 samples and 4 features" in err
         assert "Traceback" not in err
+
+    def test_variance_rcur_with_one_feature_exits_2(self, tiny_csv, tmp_path, capsys):
+        argv = ["bench", "--data", str(tiny_csv), "--label-column", "label",
+                "--budgets", "3", "--feature-budgets", "1", "--repeats", "1",
+                "--out", str(tmp_path / "c.csv")]
+        assert run_cli(*argv, "--methods", "variance+rcur") == 2
+        err = capsys.readouterr().err
+        assert "invalid bench section for method 'variance+rcur'" in err
+        assert "Traceback" not in err
+        assert run_cli(*argv, "--methods", "rcur") == 0
 
     def test_bad_budget_spec_exits_2(self, cluster_csv, tmp_path):
         code = run_cli(

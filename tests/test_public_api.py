@@ -3,6 +3,7 @@
 import dataclasses
 
 import alfs
+import alfs.bench
 import alfs.solver
 
 
@@ -56,3 +57,7 @@ def test_options_that_changed_nothing_are_gone():
     for cls, names in removed.items():
         assert not names & {f.name for f in dataclasses.fields(cls)}, cls.__name__
 
+
+def test_bench_thread_knob_is_gone():
+    for name in ("THREADS_ENV_VAR", "_thread_count"):
+        assert not hasattr(alfs.bench, name), name

@@ -619,6 +619,16 @@ class TestSolve:
         with pytest.raises(SolverAbortError):
             solver_mod.solve(ds, RegularizationParams(), SolverConfig())
 
+    @pytest.mark.parametrize("scale, message", [
+        (1e60, "objective is non-finite"),
+        (1e110, "group_shrink input contains non-finite entries"),
+    ])
+    def test_overflow_aborts_naming_the_outer_iteration(self, scale, message):
+        x = np.random.default_rng(0).normal(size=(12, 4)) * scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverAbortError, match=f"^{message} at outer iteration 1$"):
+                solve(Dataset(x.T))
+
 
 class TestBlockDescent:
     def test_each_primal_update_decreases_the_lagrangian(self):
