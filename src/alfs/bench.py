@@ -82,6 +82,10 @@ class BenchSpec:
             raise ValueError("sample_budgets must not be empty")
         for budget in (*self.sample_budgets, *self.feature_budgets):
             _require_integer("each budget", budget, 1)
+        for name in ("sample_budgets", "feature_budgets"):
+            budgets = getattr(self, name)
+            if len(set(budgets)) != len(budgets):
+                raise ValueError(f"{name} must not repeat a budget, got {list(budgets)}")
         for value in self.alfs_grid or ():
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value >= 0:
                 raise ValueError(f"alfs_grid values must be numbers >= 0, got {value!r}")

@@ -183,6 +183,7 @@ def _report_traces(report: ConvergenceReport) -> dict:
         "residual_traces": {
             "wx_minus_z": [rec.residual_wx_z for rec in report.records],
             "w_minus_wtilde": [rec.residual_w_wtilde for rec in report.records],
+            "w_minus_pq": [rec.residual_w_pq for rec in report.records],
             "rel_change": [rec.rel_change for rec in report.records],
         },
         "h_seminorm_trace": [rec.h_seminorm_sq for rec in report.records],

@@ -8,15 +8,14 @@ angular-weighted l1 term confines reconstruction to similar samples:
     min_W  ||X - X W X||_F^2 + alpha ||W||_2,1 + beta ||W^T||_2,1
            + gamma ||W||_* + eta ||T . (W X)||_1
 
-The splitting W X = Z, W = W~ makes the nonsmooth terms separable: Z and W~
-have closed-form proximal updates (entrywise shrinkage, singular value
-thresholding). The remaining W block - a quadratic plus the two l2,1
-terms - is solved exactly, without smoothing, by an inner split W = P
-(rows) and W = Q (columns). In the basis of the thin SVD X = U S V^T the
-quadratic is diagonal, so the W update is a diagonal solve, and P and Q
-are row and column group shrinkage. The inner split is warm-started from
-the previous sweep. Multipliers take a single dual ascent step per sweep
-and the penalties grow geometrically up to a cap.
+The splitting W X = Z, W = W~, W = P, W = Q makes every nonsmooth term
+separable, each on its own copy of W: Z gets entrywise shrinkage, W~
+singular value thresholding, P row and Q column group shrinkage. What is
+left for W is a quadratic, diagonal in the basis of the thin SVD
+X = U S V^T, so the W update is one closed-form diagonal solve. A sweep is
+thus a two-block ADMM step, W against (Z, W~, P, Q): one W solve, four
+independent proxes, then one dual ascent step on all four multipliers. The
+penalties grow geometrically up to a cap.
 """
 
 from __future__ import annotations
@@ -39,15 +38,9 @@ from .kernels import (
     svt,
 )
 
-# The inner split of the W step stops after this many passes, or earlier
-# once its residuals fall below INNER_TOL_FACTOR * epsilon; it is warm-started
-# every sweep, so unfinished work carries over to the next one.
-INNER_MAX_PASSES = 10
-INNER_TOL_FACTOR = 1e-2
-
 
 class SolverAbortError(RuntimeError):
-    """A value went non-finite during a sweep; names the outer iteration."""
+    """A value went non-finite; names the outer iteration it happened in."""
 
 
 @dataclass(frozen=True)
@@ -106,55 +99,40 @@ class SolverConfig:
             raise ValueError(f"adaptive_rho must be true or false, got {self.adaptive_rho!r}")
 
 
-_ARRAY_FIELDS = ("w", "z", "w_tilde", "lambda1", "lambda2",
-                 "p", "q", "lambda3", "lambda4")
+_ARRAY_FIELDS = ("w", "z", "w_tilde", "p", "q",
+                 "lambda1", "lambda2", "lambda3", "lambda4")
 
 
 @dataclass
 class SolverState:
-    """All ADMM iterates: primal W, Z, W~, multipliers, penalties.
+    """All ADMM iterates: primal W and its copies Z, W~, P, Q, their
+    multipliers, and the penalties.
 
-    ``p`` and ``q`` are the row and column copies of W in the inner split of
-    the W step, ``lambda3`` and ``lambda4`` their multipliers; they carry
-    over from one sweep to the next. Left out, they start at ``p = q = w``
-    with zero multipliers.
+    ``z`` stands for W X, ``w_tilde``, ``p`` and ``q`` for W; ``lambda1`` to
+    ``lambda4`` are the multipliers of these four constraints, in order.
     """
 
     w: np.ndarray        # n x d
     z: np.ndarray        # n x n
     w_tilde: np.ndarray  # n x d
+    p: np.ndarray        # n x d
+    q: np.ndarray        # n x d
     lambda1: np.ndarray  # n x n
     lambda2: np.ndarray  # n x d
+    lambda3: np.ndarray  # n x d
+    lambda4: np.ndarray  # n x d
     rho1: float
     rho2: float
     iter: int = 0
-    p: Optional[np.ndarray] = None        # n x d
-    q: Optional[np.ndarray] = None        # n x d
-    lambda3: Optional[np.ndarray] = None  # n x d
-    lambda4: Optional[np.ndarray] = None  # n x d
-
-    def __post_init__(self) -> None:
-        if self.p is None:
-            self.p = self.w.copy()
-        if self.q is None:
-            self.q = self.w.copy()
-        if self.lambda3 is None:
-            self.lambda3 = np.zeros_like(self.w)
-        if self.lambda4 is None:
-            self.lambda4 = np.zeros_like(self.w)
 
     @classmethod
     def initial(cls, d: int, n: int, cfg: SolverConfig) -> "SolverState":
         """All-zero start."""
         return cls(
-            w=np.zeros((n, d)),
-            z=np.zeros((n, n)),
-            w_tilde=np.zeros((n, d)),
-            lambda1=np.zeros((n, n)),
-            lambda2=np.zeros((n, d)),
+            **{f: np.zeros((n, n) if f in ("z", "lambda1") else (n, d))
+               for f in _ARRAY_FIELDS},
             rho1=cfg.rho1_init,
             rho2=cfg.rho2_init,
-            iter=0,
         )
 
     def copy(self) -> "SolverState":
@@ -171,6 +149,7 @@ class IterationRecord:
     objective: float
     residual_wx_z: float
     residual_w_wtilde: float
+    residual_w_pq: float
     rel_change: Optional[float]
     h_seminorm_sq: float
 
@@ -196,6 +175,7 @@ class ConvergenceDecision:
     converged: bool
     residual_wx_z: float
     residual_w_wtilde: float
+    residual_w_pq: float
     rel_change: Optional[float]
 
 
@@ -232,29 +212,34 @@ def augmented_lagrangian(
     state: SolverState,
     params: RegularizationParams,
     t: AngularWeights,
+    sigma: float,
 ) -> float:
-    """Augmented Lagrangian of the split problem at the given state."""
+    """Augmented Lagrangian of the split problem at the given state, with
+    ``sigma`` the penalty of the W = P and W = Q constraints."""
     x = ds.matrix
-    w, z, wt = state.w, state.z, state.w_tilde
+    w = state.w
     resid = (x @ w) @ x - x
-    r1 = w @ x - z
-    r2 = w - wt
+    coupling = 0.0
+    for lam, r, rho in (
+        (state.lambda1, w @ x - state.z, state.rho1),
+        (state.lambda2, w - state.w_tilde, state.rho2),
+        (state.lambda3, w - state.p, sigma),
+        (state.lambda4, w - state.q, sigma),
+    ):
+        coupling += float((lam * r).sum()) + 0.5 * rho * float((r * r).sum())
     return (
         float((resid * resid).sum())
-        + params.alpha * l21_norm(w)
-        + params.beta * l21_norm(w.T)
-        + params.gamma * nuclear_norm(wt)
-        + params.eta * float(np.abs(t.t * z).sum())
-        + float((state.lambda1 * r1).sum())
-        + float((state.lambda2 * r2).sum())
-        + 0.5 * state.rho1 * float((r1 * r1).sum())
-        + 0.5 * state.rho2 * float((r2 * r2).sum())
+        + params.alpha * l21_norm(state.p)
+        + params.beta * l21_norm(state.q.T)
+        + params.gamma * nuclear_norm(state.w_tilde)
+        + params.eta * float(np.abs(t.t * state.z).sum())
+        + coupling
     )
 
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """What the exact W step needs of X = U diag(s) V^T, computed once.
+    """What the W step needs of X = U diag(s) V^T, computed once.
 
     ``u`` (d x k) and ``v`` (n x k) hold the singular vectors of the thin
     SVD, k = min(d, n), ``s2`` the squared singular values, and ``g`` the
@@ -276,16 +261,15 @@ def spectral_basis(ds: Dataset) -> SpectralBasis:
 
 
 def inner_penalty(basis: SpectralBasis, rho1: float, rho2: float) -> float:
-    """Penalty of the inner W = P, W = Q split: ``sqrt(min h * max h)``.
+    """Penalty sigma of the W = P and W = Q constraints: ``sqrt(min h * max h)``.
 
     ``h_ab = 2 s_a^2 s_b^2 + rho1 s_b^2 + rho2`` are the eigenvalues of the
-    W subproblem's quadratic (see :func:`_shifted_inverse`). ``min h`` is
-    taken at its floor ``rho2`` (reached when X has fewer independent
-    samples than features) rather than at the data's smallest eigenvalue:
-    on full-rank data with more samples than features the latter gives a
-    penalty about ``sqrt(1 + s_min^2)`` times larger, with which the inner
-    split met its stopping test less often and the solves ended on higher
-    objectives.
+    W subproblem's quadratic without the P and Q terms (see
+    :func:`_shifted_inverse`), and the geometric mean of their extremes is
+    the classic penalty choice for a quadratic split. ``min h`` is taken at
+    its floor ``rho2`` (reached when X has fewer independent samples than
+    features) rather than at the data's smallest eigenvalue. The penalty
+    grows with rho1 and rho2 and is constant when they are.
     """
     high = float(basis.s2.max())
     return math.sqrt(rho2 * (2.0 * high * high + rho1 * high + rho2))
@@ -294,7 +278,8 @@ def inner_penalty(basis: SpectralBasis, rho1: float, rho2: float) -> float:
 def _shifted_inverse(
     basis: SpectralBasis, rho1: float, rho2: float, shift: float
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """The map ``rhs -> (H + shift)^-1 rhs``, H the W subproblem's Hessian.
+    """The map ``rhs -> (H + shift)^-1 rhs``, H the Hessian of the W
+    subproblem without the P and Q terms.
 
     In the full bases of ``X = U diag(s) V^T`` H is diagonal: it scales the
     coefficient ``(V^T W U)_ab`` by ``h_ab = 2 s_a^2 s_b^2 + rho1 s_b^2 +
@@ -325,51 +310,24 @@ def _shifted_inverse(
 def solve_w_subproblem(
     ds: Dataset,
     state: SolverState,
-    params: RegularizationParams,
-    epsilon: float = SolverConfig.epsilon,
-    basis: Optional[SpectralBasis] = None,
-) -> tuple[SolverState, bool]:
-    """Exact W step by the warm-started inner split W = P, W = Q.
+    basis: SpectralBasis,
+    sigma: float,
+) -> np.ndarray:
+    """Closed-form W update: the minimizer of the augmented Lagrangian in W.
 
-    The W subproblem is ``q(W) + alpha ||W||_2,1 + beta ||W^T||_2,1`` with
-    the smooth part ``q(W) = ||X - XWX||^2 + rho1/2 ||WX - Z + L1/rho1||^2
-    + rho2/2 ||W - W~ + L2/rho2||^2``. Each pass solves for W in closed form
-    (a diagonal solve in the spectral basis), shrinks the rows of P and the
-    columns of Q, and steps the multipliers ``lambda3``, ``lambda4``. The
-    passes stop when ``max|W - P|``, ``max|W - Q|`` and the scaled change of
-    P and Q fall below ``INNER_TOL_FACTOR * epsilon``, or after
-    ``INNER_MAX_PASSES``.
-
-    Returns the state with the new W, P, Q and inner multipliers, and
-    whether the inner stopping test was met. ``basis`` is the data's
-    :func:`spectral_basis`, computed here when not given.
+    With Z, W~, P, Q and the multipliers fixed, that is the quadratic
+    ``||X - XWX||^2 + rho1/2 ||WX - Z + L1/rho1||^2 + rho2/2 ||W - W~ +
+    L2/rho2||^2 + sigma/2 ||W - P + L3/sigma||^2 + sigma/2 ||W - Q +
+    L4/sigma||^2``, whose Hessian is diagonal in the spectral basis of the
+    data. ``basis`` is the data's :func:`spectral_basis` and ``sigma`` the
+    :func:`inner_penalty` of the sweep.
     """
-    if basis is None:
-        basis = spectral_basis(ds)
-    x = ds.matrix
     rho1, rho2 = state.rho1, state.rho2
-    sigma = inner_penalty(basis, rho1, rho2)
-    tol = INNER_TOL_FACTOR * epsilon
-    # minus the linear term of q: grad q(W) = H(W) - b
-    b = basis.g + (rho1 * state.z - state.lambda1) @ x.T + rho2 * state.w_tilde - state.lambda2
-    solve_shifted = _shifted_inverse(basis, rho1, rho2, 2.0 * sigma)
-    p, q, lambda3, lambda4 = state.p, state.q, state.lambda3, state.lambda4
-    converged = False
-    for _ in range(INNER_MAX_PASSES):
-        w = solve_shifted(b + sigma * (p + q) - lambda3 - lambda4)
-        p_new = group_shrink(w + lambda3 / sigma, params.alpha / sigma, axis=1)
-        q_new = group_shrink(w + lambda4 / sigma, params.beta / sigma, axis=0)
-        r3 = w - p_new
-        r4 = w - q_new
-        lambda3 = lambda3 + sigma * r3
-        lambda4 = lambda4 + sigma * r4
-        primal = max(float(np.abs(r3).max()), float(np.abs(r4).max()))
-        dual = sigma * max(float(np.abs(p_new - p).max()), float(np.abs(q_new - q).max()))
-        p, q = p_new, q_new
-        if primal < tol and dual < max(1.0, sigma) * tol:
-            converged = True
-            break
-    return replace(state, w=w, p=p, q=q, lambda3=lambda3, lambda4=lambda4), converged
+    # minus the linear term of the quadratic: its gradient is (H + 2 sigma)W - b
+    b = (basis.g + (rho1 * state.z - state.lambda1) @ ds.matrix.T
+         + rho2 * state.w_tilde - state.lambda2
+         + sigma * (state.p + state.q) - state.lambda3 - state.lambda4)
+    return _shifted_inverse(basis, rho1, rho2, 2.0 * sigma)(b)
 
 
 def update_z(
@@ -392,18 +350,31 @@ def update_w_tilde(state: SolverState, gamma: float) -> np.ndarray:
     return svt(state.w + state.lambda2 / state.rho2, gamma / state.rho2)
 
 
+def update_p_q(
+    state: SolverState,
+    params: RegularizationParams,
+    sigma: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form P and Q updates: row group shrinkage of W + L3/sigma and
+    column group shrinkage of W + L4/sigma."""
+    p = group_shrink(state.w + state.lambda3 / sigma, params.alpha / sigma, axis=1)
+    q = group_shrink(state.w + state.lambda4 / sigma, params.beta / sigma, axis=0)
+    return p, q
+
+
 def update_duals_and_rho(
     state: SolverState,
     ds: Dataset,
     cfg: SolverConfig,
+    sigma: float,
 ) -> SolverState:
-    """Dual ascent on both multipliers, then the geometric penalty growth."""
-    x = ds.matrix
-    r1 = state.w @ x - state.z
-    r2 = state.w - state.w_tilde
-    lambda1 = state.lambda1 + state.rho1 * r1
-    lambda2 = state.lambda2 + state.rho2 * r2
+    """Dual ascent on all four multipliers, then the geometric penalty growth."""
+    w = state.w
     rho1, rho2 = state.rho1, state.rho2
+    lambda1 = state.lambda1 + rho1 * (w @ ds.matrix - state.z)
+    lambda2 = state.lambda2 + rho2 * (w - state.w_tilde)
+    lambda3 = state.lambda3 + sigma * (w - state.p)
+    lambda4 = state.lambda4 + sigma * (w - state.q)
     if cfg.adaptive_rho:
         rho1 = min(cfg.tau * rho1, cfg.rho_max)
         rho2 = min(cfg.tau * rho2, cfg.rho_max)
@@ -411,6 +382,8 @@ def update_duals_and_rho(
         state,
         lambda1=lambda1,
         lambda2=lambda2,
+        lambda3=lambda3,
+        lambda4=lambda4,
         rho1=rho1,
         rho2=rho2,
         iter=state.iter + 1,
@@ -424,8 +397,8 @@ def check_convergence(
     curr_objective: float,
     epsilon: float,
 ) -> ConvergenceDecision:
-    """Stopping test: both max-norm residuals and the relative objective
-    change must all be below ``epsilon``.
+    """Stopping test: the max-norm residuals of all four constraints and the
+    relative objective change must all be below ``epsilon``.
 
     With no previous objective (``None``) the decision is always "not
     converged". A zero previous objective satisfies the change condition
@@ -437,16 +410,18 @@ def check_convergence(
     x = ds.matrix
     res1 = float(np.abs(state.w @ x - state.z).max())
     res2 = float(np.abs(state.w - state.w_tilde).max())
+    res3 = max(float(np.abs(state.w - state.p).max()),
+               float(np.abs(state.w - state.q).max()))
     if prev_objective is None:
-        return ConvergenceDecision(False, res1, res2, None)
+        return ConvergenceDecision(False, res1, res2, res3, None)
     if prev_objective == 0.0:
         obj_ok = curr_objective == 0.0
         rel: Optional[float] = 0.0 if obj_ok else None
     else:
         rel = abs((curr_objective - prev_objective) / prev_objective)
         obj_ok = rel < epsilon
-    converged = res1 < epsilon and res2 < epsilon and obj_ok
-    return ConvergenceDecision(converged, res1, res2, rel)
+    converged = max(res1, res2, res3) < epsilon and obj_ok
+    return ConvergenceDecision(converged, res1, res2, res3, rel)
 
 
 def state_difference(a: SolverState, b: SolverState) -> SolverState:
@@ -459,16 +434,17 @@ def h_seminorm_sq(
     ds: Dataset,
     rho1: float,
     rho2: float,
+    sigma: float,
 ) -> float:
     """Squared block-weighted seminorm of a state difference.
 
     The weighting is block diagonal: the W block carries the quadratic form
     induced by the coupling constraint (``rho1 ||dW X||^2 + rho2 ||dW||^2``),
-    Z and W~ carry their penalties, and the multipliers the inverse
-    penalties. Successive-iterate differences measured this way are the
-    solver's contraction diagnostic.
+    Z, W~, P and Q carry their penalties (``sigma`` for P and Q), and the
+    multipliers the inverse penalties. Successive-iterate differences
+    measured this way are the solver's contraction diagnostic.
     """
-    if rho1 <= 0 or rho2 <= 0:
+    if rho1 <= 0 or rho2 <= 0 or sigma <= 0:
         raise ValueError("penalties must be positive")
     x = ds.matrix
 
@@ -482,6 +458,8 @@ def h_seminorm_sq(
         + rho2 * fro2(delta.w_tilde)
         + fro2(delta.lambda1) / rho1
         + fro2(delta.lambda2) / rho2
+        + sigma * (fro2(delta.p) + fro2(delta.q))
+        + (fro2(delta.lambda3) + fro2(delta.lambda4)) / sigma
     )
 
 
@@ -492,9 +470,10 @@ def solve(
 ) -> tuple[np.ndarray, ConvergenceReport]:
     """Run the full ADMM loop from the all-zero start.
 
-    Each sweep updates W (exact inner split), then Z and W~ (closed forms), then
-    the multipliers and penalties, then tests convergence on the exact
-    objective. Deterministic: identical inputs give identical reports.
+    Each sweep updates W (closed form), then Z, W~, P and Q (closed-form
+    proxes, independent of each other), then the multipliers and penalties,
+    then tests convergence on the exact objective. Deterministic: identical
+    inputs give identical reports.
 
     Returns the final W (n x d) and the per-iteration report.
 
@@ -503,7 +482,8 @@ def solve(
     ValueError
         Zero columns (the angular weights are undefined there).
     SolverAbortError
-        A non-finite value appeared in a sweep (overflow, for data too large).
+        A non-finite value appeared, at the start or in a sweep (overflow,
+        for data too large).
     """
     x = ds.matrix
     d, n = x.shape
@@ -511,15 +491,21 @@ def solve(
     basis = spectral_basis(ds)
     state = SolverState.initial(d, n, cfg)
     report = ConvergenceReport()
-    prev_objective: Optional[float] = objective(ds, state.w, params, t)
+    try:
+        prev_objective: Optional[float] = objective(ds, state.w, params, t)
+    except ValueError as exc:
+        # ||X||^2 overflowed, and with it the angular weights
+        raise SolverAbortError(f"{exc} before outer iteration 1") from exc
 
     for _ in range(cfg.max_outer_iters):
         prev_state = state.copy()
+        sigma = inner_penalty(basis, state.rho1, state.rho2)
         try:
-            state, _ = solve_w_subproblem(ds, state, params, cfg.epsilon, basis)
+            state.w = solve_w_subproblem(ds, state, basis, sigma)
             state.z = update_z(state, ds, t, params.eta)
             state.w_tilde = update_w_tilde(state, params.gamma)
-            state = update_duals_and_rho(state, ds, cfg)
+            state.p, state.q = update_p_q(state, params, sigma)
+            state = update_duals_and_rho(state, ds, cfg, sigma)
             if not state.all_finite():
                 raise ValueError("non-finite iterate")
             curr_objective = objective(ds, state.w, params, t)
@@ -534,13 +520,15 @@ def solve(
         )
         # The sweep ran under the previous penalties; weight its step with them.
         h2 = h_seminorm_sq(
-            state_difference(state, prev_state), ds, prev_state.rho1, prev_state.rho2
+            state_difference(state, prev_state), ds,
+            prev_state.rho1, prev_state.rho2, sigma,
         )
         report.records.append(
             IterationRecord(
                 objective=curr_objective,
                 residual_wx_z=decision.residual_wx_z,
                 residual_w_wtilde=decision.residual_w_wtilde,
+                residual_w_pq=decision.residual_w_pq,
                 rel_change=decision.rel_change,
                 h_seminorm_sq=h2,
             )

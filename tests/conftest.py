@@ -99,7 +99,7 @@ def w_smooth_gradient(ds: Dataset, state, w: np.ndarray) -> np.ndarray:
 
 
 def w_split_objective(ds: Dataset, state, sigma: float, w: np.ndarray) -> float:
-    """The inner split's W subproblem at fixed P, Q and multipliers:
+    """The augmented Lagrangian as a function of W alone, up to a constant:
     q(W) + <L3, W - P> + sigma/2 ||W - P||^2 + <L4, W - Q> + sigma/2 ||W - Q||^2.
     """
     rp = w - state.p
@@ -123,31 +123,19 @@ def central_differences(f, w: np.ndarray, h: float) -> np.ndarray:
     return g
 
 
-def one_pass_gradient_ratio(ds: Dataset, state, params) -> float:
-    """Central-difference gradient of the split W subproblem at the W of one
-    inner pass, relative to its gradient at the warm start. The subproblem
-    is quadratic in W, so central differences are exact up to rounding."""
+def w_step_gradient_ratio(ds: Dataset, state) -> float:
+    """Central-difference gradient of the W-block augmented Lagrangian at the
+    W update, relative to its gradient at the state's W. The function is
+    quadratic in W, so central differences are exact up to rounding."""
     from alfs.solver import inner_penalty, solve_w_subproblem, spectral_basis
 
-    sigma = inner_penalty(spectral_basis(ds), state.rho1, state.rho2)
-    # an infinite tolerance stops the inner split after its first pass
-    new, _ = solve_w_subproblem(ds, state, params, epsilon=np.inf)
+    basis = spectral_basis(ds)
+    sigma = inner_penalty(basis, state.rho1, state.rho2)
+    w = solve_w_subproblem(ds, state, basis, sigma)
 
-    def f(w):
-        return w_split_objective(ds, state, sigma, w)
+    def f(v):
+        return w_split_objective(ds, state, sigma, v)
 
-    at_update = central_differences(f, new.w, 1e-3)
+    at_update = central_differences(f, w, 1e-3)
     at_start = central_differences(f, state.w, 1e-3)
     return float(np.linalg.norm(at_update) / np.linalg.norm(at_start))
-
-
-def solve_w_exactly(ds, state, params, epsilon: float = 1e-3, max_calls: int = 10_000):
-    """Call the W step until its inner stopping test is met; returns the
-    state and the number of calls."""
-    from alfs.solver import solve_w_subproblem
-
-    for calls in range(1, max_calls + 1):
-        state, converged = solve_w_subproblem(ds, state, params, epsilon)
-        if converged:
-            return state, calls
-    raise AssertionError(f"inner split did not converge in {max_calls} calls")

@@ -1,8 +1,8 @@
 """Limited-memory BFGS minimizer with a weak-Wolfe line search.
 
-A test oracle, independent of the solver: the tests minimize smoothed
-versions of the W subproblem with it and check that the exact W step is
-no worse. It is verified on its own in ``test_lbfgs.py``.
+A test oracle, independent of the solver: the tests minimize a smoothed
+version of the whole objective with it and check the default solve against
+the result. It is verified on its own in ``test_lbfgs.py``.
 
 Operates on flat vectors only; callers with matrix variables flatten and
 reshape at the boundary. The implementation is deliberately strict about

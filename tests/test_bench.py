@@ -227,6 +227,15 @@ class TestRunCurve:
         with pytest.raises(ValueError, match="feature budget 11 outside 1..10"):
             run_curve(train, test, spec)
 
+    @pytest.mark.parametrize("method, budgets", [
+        ("random", {"sample_budgets": (3, 5, 3)}),
+        ("variance+random", {"sample_budgets": (3,), "feature_budgets": (2, 2)}),
+    ], ids=["samples", "features"])
+    def test_repeated_budget_rejected(self, method, budgets):
+        # a repeated budget would merge its rows with the first one's
+        with pytest.raises(ValueError, match="must not repeat a budget"):
+            BenchSpec(method=method, repeats=1, **budgets)
+
     def test_unlabeled_train_rejected(self):
         train, test = small_clusters()
         spec = BenchSpec(method="random", sample_budgets=(3,), repeats=1)

@@ -195,6 +195,19 @@ class TestSolveCommand:
         assert "at outer iteration 1" in err
         assert "Traceback" not in err
 
+    def test_overflow_at_the_start_exits_3(self, tmp_path, capsys):
+        x = np.random.default_rng(0).normal(size=(12, 4)) * 1e155
+        data = tmp_path / "huge.csv"
+        np.savetxt(data, x, delimiter=",", header="a,b,c,d", comments="")
+        out = tmp_path / "never.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("solve", "--data", str(data), "--out", str(out))
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "numerical failure: objective is non-finite before outer iteration 1" in err
+        assert "Traceback" not in err
+
     def test_timing_flag_embeds_wall_time(self, tiny_csv, tmp_path, fast_config):
         out = tmp_path / "timed.json"
         code = run_cli(
@@ -365,6 +378,19 @@ class TestBenchCommand:
         assert "invalid bench section for method 'variance+rcur'" in err
         assert "Traceback" not in err
         assert run_cli(*argv, "--methods", "rcur") == 0
+
+    def test_repeated_budget_exits_2(self, tiny_csv, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        code = run_cli(
+            "bench", "--data", str(tiny_csv), "--label-column", "label",
+            "--methods", "random", "--budgets", "3,3", "--repeats", "1",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "invalid bench section for method 'random'" in err
+        assert "must not repeat a budget" in err
 
     def test_bad_budget_spec_exits_2(self, cluster_csv, tmp_path):
         code = run_cli(

@@ -17,6 +17,16 @@ from alfs import (
 from conftest import random_dataset
 
 
+def matrices(max_side=6):
+    shapes = st.tuples(st.integers(1, max_side), st.integers(1, max_side))
+    entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=entries))
+
+
+thresholds = st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False)
+axes = st.sampled_from([0, 1])
+
+
 class TestL21Norm:
     def test_zero_matrix(self):
         assert l21_norm(np.zeros((3, 4))) == 0.0
@@ -114,14 +124,24 @@ class TestSoftThreshold:
             )
 
 
-def matrices(max_side=6):
-    shapes = st.tuples(st.integers(1, max_side), st.integers(1, max_side))
-    entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
-    return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=entries))
-
-
-thresholds = st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False)
-axes = st.sampled_from([0, 1])
+    @settings(max_examples=200)
+    @given(
+        pair=st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+            lambda shape: st.tuples(
+                arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)),
+                arrays(np.float64, shape, elements=thresholds),
+            )
+        )
+    )
+    def test_prox_certificate_on_drawn_inputs(self, pair):
+        # k - out is a subgradient of sum mu_ij |.| at out, entry by entry
+        k, mu = pair
+        out = soft_threshold(k, mu)
+        resid = k - out
+        slack = 1e-12 * (1.0 + np.abs(k).max())
+        assert np.all(np.abs(resid) <= mu + slack)
+        nz = out != 0
+        assert np.all(np.abs(resid[nz] - mu[nz] * np.sign(out[nz])) <= slack)
 
 
 class TestGroupShrink:
@@ -239,6 +259,20 @@ class TestSvt:
             scale = rng.choice([1e-4, 1e-2, 1e-1])
             pert = out + scale * rng.normal(size=out.shape)
             assert base <= prox_objective(pert, k, mu) + 1e-12
+
+    @settings(max_examples=200)
+    @given(k=matrices(), mu=thresholds)
+    def test_prox_certificate_on_drawn_inputs(self, k, mu):
+        # k - out is a subgradient of mu ||.||_* at out: its spectral norm is
+        # at most mu, and on the singular pairs that survive it is mu U V^T
+        out = svt(k, mu)
+        resid = k - out
+        slack = 1e-12 * (1.0 + np.abs(k).max())
+        assert np.linalg.norm(resid, 2) <= mu + slack
+        u, s, vt = np.linalg.svd(k, full_matrices=False)
+        kept = s > mu
+        assert np.all(np.abs(resid @ vt[kept].T - mu * u[:, kept]) <= slack)
+        assert np.all(np.abs(u[:, kept].T @ resid - mu * vt[kept]) <= slack)
 
     def test_commutes_with_orthogonal_transforms(self):
         rng = np.random.default_rng(5)

@@ -32,6 +32,7 @@ def test_no_solver_internals_exported():
         "spectral_basis",
         "state_difference",
         "update_duals_and_rho",
+        "update_p_q",
         "update_w_tilde",
         "update_z",
     }
