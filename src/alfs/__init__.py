@@ -58,6 +58,7 @@ from .solver import (
     RegularizationParams,
     SolverAbortError,
     SolverConfig,
+    StackReport,
     objective,
     solve,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "svt",
     # solver
     "ConvergenceReport",
+    "StackReport",
     "RegularizationParams",
     "SolverAbortError",
     "SolverConfig",

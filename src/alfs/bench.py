@@ -376,9 +376,9 @@ def grid_search(
     ``gamma`` defaults to ``base_params.gamma``.
 
     Iterates alpha-major (alpha outermost, then beta, then eta); ties keep
-    the first-encountered combination. One solver invocation per
-    combination, counted in the result. ``score_fn`` overrides the scoring
-    protocol (higher is better).
+    the first-encountered combination. All combinations are solved by one
+    stacked :func:`solve` call; each counts as one solver invocation in the
+    result. ``score_fn`` overrides the scoring protocol (higher is better).
     """
     if not grid:
         raise ValueError("grid must not be empty")
@@ -386,27 +386,32 @@ def grid_search(
         base_params = replace(base_params, gamma=gamma)
     unlabeled = train.without_labels()
     req_r = protocol.r if protocol.r is not None else unlabeled.n_features
+    cells = [replace(base_params, alpha=alpha, beta=beta, eta=eta)
+             for alpha in grid for beta in grid for eta in grid]
+    try:
+        ws, report = solve(unlabeled, cells, solver_cfg)
+        solved = zip(ws, report.cells)
+    except Exception as exc:  # nothing could be solved: every cell fails alike
+        solved = [(None, exc)] * len(cells)
     best: Optional[tuple[RegularizationParams, float]] = None
     scores: list[tuple[RegularizationParams, Optional[float]]] = []
     failures: list[tuple[RegularizationParams, str]] = []
-    for alpha in grid:
-        for beta in grid:
-            for eta in grid:
-                params = replace(base_params, alpha=alpha, beta=beta, eta=eta)
-                try:
-                    w, _ = solve(unlabeled, params, solver_cfg)
-                    sel = rank_and_select(w, SelectionRequest(protocol.m, req_r))
-                    if score_fn is not None:
-                        score = score_fn(train, params, sel)
-                    else:
-                        score = _default_grid_score(train, protocol, sel)
-                except Exception as exc:
-                    failures.append((params, f"{type(exc).__name__}: {exc}"))
-                    scores.append((params, None))
-                    continue
-                scores.append((params, score))
-                if best is None or score > best[1]:
-                    best = (params, score)
+    for params, (w, outcome) in zip(cells, solved):
+        try:
+            if w is None:
+                raise outcome
+            sel = rank_and_select(w, SelectionRequest(protocol.m, req_r))
+            if score_fn is not None:
+                score = score_fn(train, params, sel)
+            else:
+                score = _default_grid_score(train, protocol, sel)
+        except Exception as exc:
+            failures.append((params, f"{type(exc).__name__}: {exc}"))
+            scores.append((params, None))
+            continue
+        scores.append((params, score))
+        if best is None or score > best[1]:
+            best = (params, score)
     if best is None:
         raise GridSearchError(
             f"all {len(scores)} grid combinations failed", failures

@@ -16,13 +16,21 @@ X = U S V^T, so the W update is one closed-form diagonal solve. A sweep is
 thus a two-block ADMM step, W against (Z, W~, P, Q): one W solve, four
 independent proxes, then one dual ascent step on all four multipliers. The
 penalties grow geometrically up to a cap.
+
+The penalty schedule depends on neither the data nor the weights, so cells
+of a grid (weights that share the data and ``varsigma``) are solved as one
+stack: every iterate gets a leading cell axis, each step of a sweep runs
+once for all cells, and each cell is frozen at its own stopping sweep. The
+steps use only operations that act on each cell's matrices alone (matmul,
+SVD, elementwise maps, reductions within a matrix), so a cell's W and
+report are bit for bit those of its serial solve; the tests check this.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,6 +38,7 @@ from .data import Dataset, _require_integer
 from .kernels import (
     DEFAULT_VARSIGMA,
     AngularWeights,
+    _per_stack,
     angular_weights,
     group_shrink,
     l21_norm,
@@ -37,6 +46,9 @@ from .kernels import (
     soft_threshold,
     svt,
 )
+
+# Memory one stack of cells may take; larger grids run in chunks of cells.
+STACK_BYTES = 64 * 2**20
 
 
 class SolverAbortError(RuntimeError):
@@ -110,6 +122,10 @@ class SolverState:
 
     ``z`` stands for W X, ``w_tilde``, ``p`` and ``q`` for W; ``lambda1`` to
     ``lambda4`` are the multipliers of these four constraints, in order.
+    ``wx`` is W X formed once for the current W, or None when not formed;
+    whoever rebinds ``w`` rebinds ``wx`` with it. Every array may carry a
+    leading cell axis: a stack of cells sharing the penalties and the sweep
+    count.
     """
 
     w: np.ndarray        # n x d
@@ -124,19 +140,37 @@ class SolverState:
     rho1: float
     rho2: float
     iter: int = 0
+    wx: Optional[np.ndarray] = None  # n x n
 
     @classmethod
-    def initial(cls, d: int, n: int, cfg: SolverConfig) -> "SolverState":
-        """All-zero start."""
+    def initial(
+        cls, d: int, n: int, cfg: SolverConfig, cells: Optional[int] = None
+    ) -> "SolverState":
+        """All-zero start, for one cell or a stack of ``cells``."""
+        lead = () if cells is None else (cells,)
         return cls(
-            **{f: np.zeros((n, n) if f in ("z", "lambda1") else (n, d))
+            **{f: np.zeros(lead + ((n, n) if f in ("z", "lambda1") else (n, d)))
                for f in _ARRAY_FIELDS},
             rho1=cfg.rho1_init,
             rho2=cfg.rho2_init,
         )
 
-    def copy(self) -> "SolverState":
-        return replace(self, **{f: getattr(self, f).copy() for f in _ARRAY_FIELDS})
+    def __getitem__(self, index) -> "SolverState":
+        """The cells ``index`` (any numpy index of the cell axis) of a stack."""
+        return replace(
+            self,
+            wx=None if self.wx is None else self.wx[index],
+            **{f: getattr(self, f)[index] for f in _ARRAY_FIELDS},
+        )
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["SolverState"]) -> "SolverState":
+        """One stack of the cells of ``parts``, in order; they share penalties."""
+        def joined(name):
+            arrays = [getattr(part, name) for part in parts]
+            return None if arrays[0] is None else np.concatenate(arrays)
+
+        return replace(parts[0], **{f: joined(f) for f in _ARRAY_FIELDS + ("wx",)})
 
     def all_finite(self) -> bool:
         return all(np.isfinite(getattr(self, f)).all() for f in _ARRAY_FIELDS)
@@ -170,8 +204,35 @@ class ConvergenceReport:
         return len(self.records)
 
 
+@dataclass
+class StackReport:
+    """What :func:`solve` reports for a sequence of cells.
+
+    ``cells[i]`` is cell i's :class:`ConvergenceReport`, or the
+    :class:`SolverAbortError` its serial solve raises. ``iterations`` counts
+    the sweeps run: stacked sweeps, plus the single-cell re-runs of any
+    stacked sweep that raised.
+    """
+
+    cells: list[Union[ConvergenceReport, SolverAbortError]]
+    iterations: int
+
+    @property
+    def stop_reason(self) -> str:
+        """``converged`` if every cell converged, ``aborted`` if a cell
+        failed, else ``max_iters``."""
+        if any(isinstance(cell, SolverAbortError) for cell in self.cells):
+            return "aborted"
+        if all(cell.converged for cell in self.cells):
+            return "converged"
+        return "max_iters"
+
+
 @dataclass(frozen=True)
 class ConvergenceDecision:
+    """The stopping test's verdict; for a stack, one entry per cell in every
+    field, with NaN where ``rel_change`` is undefined."""
+
     converged: bool
     residual_wx_z: float
     residual_w_wtilde: float
@@ -179,32 +240,71 @@ class ConvergenceDecision:
     rel_change: Optional[float]
 
 
+@dataclass(frozen=True)
+class _Cells:
+    """The cells of a stack: their positions among the solve's cells and
+    their weights, one entry per cell. Stands in for
+    :class:`RegularizationParams` in the steps of a stacked sweep."""
+
+    index: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    eta: np.ndarray
+    eta_t: np.ndarray  # eta * T, the Z step's weights
+
+    @classmethod
+    def of(cls, cells: Sequence[RegularizationParams], positions: np.ndarray,
+           t: AngularWeights) -> "_Cells":
+        weights = {name: np.array([getattr(c, name) for c in cells], dtype=float)
+                   for name in ("alpha", "beta", "gamma", "eta")}
+        return cls(index=positions, eta_t=weights["eta"][:, None, None] * t.t, **weights)
+
+    def __getitem__(self, index) -> "_Cells":
+        return _Cells(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
+
+
+def _sum2(m: np.ndarray):
+    """Sum over each matrix: a 0-d array for a matrix, one value per cell."""
+    return m.sum(axis=(-2, -1))
+
+
+def _times_x(state: SolverState, ds: Dataset) -> np.ndarray:
+    return state.wx if state.wx is not None else state.w @ ds.matrix
+
+
 def objective(
     ds: Dataset,
     w: np.ndarray,
     params: RegularizationParams,
     t: AngularWeights,
-) -> float:
-    """Exact value of the five-term objective at W."""
+    wx: Optional[np.ndarray] = None,
+):
+    """Exact value of the five-term objective at W.
+
+    ``wx`` is W X if already formed. For a stack of W, ``params`` holds one
+    weight per cell and the result one value per cell.
+    """
     x = ds.matrix
     d, n = x.shape
     w = np.asarray(w, dtype=float)
-    if w.shape != (n, d):
+    if w.ndim not in (2, 3) or w.shape[-2:] != (n, d):
         raise ValueError(f"w must be {n}x{d}, got {w.shape}")
     if t.t.shape != (n, n):
         raise ValueError(f"angular weights must be {n}x{n}, got {t.t.shape}")
     resid = (x @ w) @ x - x
-    wx = w @ x
+    if wx is None:
+        wx = w @ x
     value = (
-        float((resid * resid).sum())
+        _sum2(resid * resid)
         + params.alpha * l21_norm(w)
-        + params.beta * l21_norm(w.T)
+        + params.beta * l21_norm(np.swapaxes(w, -1, -2))
         + params.gamma * nuclear_norm(w)
-        + params.eta * float(np.abs(t.t * wx).sum())
+        + params.eta * _sum2(np.abs(t.t * wx))
     )
-    if not math.isfinite(value):
+    if not np.isfinite(value).all():
         raise ValueError("objective is non-finite")
-    return value
+    return _per_stack(value)
 
 
 def augmented_lagrangian(
@@ -333,18 +433,28 @@ def solve_w_subproblem(
 def update_z(
     state: SolverState,
     ds: Dataset,
-    t: AngularWeights,
-    eta: float,
+    t: Union[AngularWeights, np.ndarray],
+    eta: Optional[Union[float, np.ndarray]],
 ) -> np.ndarray:
-    """Closed-form Z update: weighted entrywise shrinkage of WX + L1/rho1."""
+    """Closed-form Z update: weighted entrywise shrinkage of WX + L1/rho1.
+
+    The thresholds are ``eta * T / rho1``, with ``t`` the angular weights T
+    and ``eta`` a float or, for a stacked state, one value per cell. With
+    ``eta=None``, ``t`` is the array ``eta * T`` itself, which :func:`solve`
+    builds once.
+    """
     if state.rho1 <= 0:
         raise ValueError("rho1 must be positive")
-    k = state.w @ ds.matrix + state.lambda1 / state.rho1
-    return soft_threshold(k, eta * t.t / state.rho1)
+    k = _times_x(state, ds) + state.lambda1 / state.rho1
+    weights = t if eta is None else np.asarray(eta)[..., None, None] * t.t
+    return soft_threshold(k, weights / state.rho1)
 
 
-def update_w_tilde(state: SolverState, gamma: float) -> np.ndarray:
-    """Closed-form W~ update: singular value thresholding of W + L2/rho2."""
+def update_w_tilde(state: SolverState, gamma: Union[float, np.ndarray]) -> np.ndarray:
+    """Closed-form W~ update: singular value thresholding of W + L2/rho2.
+
+    ``gamma`` is a float or, for a stacked state, one value per cell.
+    """
     if state.rho2 <= 0:
         raise ValueError("rho2 must be positive")
     return svt(state.w + state.lambda2 / state.rho2, gamma / state.rho2)
@@ -356,10 +466,20 @@ def update_p_q(
     sigma: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form P and Q updates: row group shrinkage of W + L3/sigma and
-    column group shrinkage of W + L4/sigma."""
+    column group shrinkage of W + L4/sigma. For a stacked state ``params``
+    holds one ``alpha`` and ``beta`` per cell."""
     p = group_shrink(state.w + state.lambda3 / sigma, params.alpha / sigma, axis=1)
     q = group_shrink(state.w + state.lambda4 / sigma, params.beta / sigma, axis=0)
     return p, q
+
+
+def primal_residuals(
+    state: SolverState, ds: Dataset
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The four constraint residuals ``WX - Z``, ``W - W~``, ``W - P`` and
+    ``W - Q``, which the dual step and the stopping test share."""
+    w = state.w
+    return _times_x(state, ds) - state.z, w - state.w_tilde, w - state.p, w - state.q
 
 
 def update_duals_and_rho(
@@ -367,14 +487,18 @@ def update_duals_and_rho(
     ds: Dataset,
     cfg: SolverConfig,
     sigma: float,
+    residuals: Optional[tuple[np.ndarray, ...]] = None,
 ) -> SolverState:
-    """Dual ascent on all four multipliers, then the geometric penalty growth."""
-    w = state.w
+    """Dual ascent on all four multipliers, then the geometric penalty growth.
+
+    ``residuals`` are the state's :func:`primal_residuals` if already formed.
+    """
+    r1, r2, r3, r4 = primal_residuals(state, ds) if residuals is None else residuals
     rho1, rho2 = state.rho1, state.rho2
-    lambda1 = state.lambda1 + rho1 * (w @ ds.matrix - state.z)
-    lambda2 = state.lambda2 + rho2 * (w - state.w_tilde)
-    lambda3 = state.lambda3 + sigma * (w - state.p)
-    lambda4 = state.lambda4 + sigma * (w - state.q)
+    lambda1 = state.lambda1 + rho1 * r1
+    lambda2 = state.lambda2 + rho2 * r2
+    lambda3 = state.lambda3 + sigma * r3
+    lambda4 = state.lambda4 + sigma * r4
     if cfg.adaptive_rho:
         rho1 = min(cfg.tau * rho1, cfg.rho_max)
         rho2 = min(cfg.tau * rho2, cfg.rho_max)
@@ -390,12 +514,17 @@ def update_duals_and_rho(
     )
 
 
+def _max_abs(m: np.ndarray):
+    return np.abs(m).max(axis=(-2, -1))
+
+
 def check_convergence(
     state: SolverState,
     ds: Dataset,
-    prev_objective: Optional[float],
-    curr_objective: float,
+    prev_objective,
+    curr_objective,
     epsilon: float,
+    residuals: Optional[tuple[np.ndarray, ...]] = None,
 ) -> ConvergenceDecision:
     """Stopping test: the max-norm residuals of all four constraints and the
     relative objective change must all be below ``epsilon``.
@@ -403,30 +532,39 @@ def check_convergence(
     With no previous objective (``None``) the decision is always "not
     converged". A zero previous objective satisfies the change condition
     only when the current objective is also exactly zero; ``rel_change`` is
-    ``None`` whenever the ratio is undefined.
+    ``None`` whenever the ratio is undefined. For a stacked state the
+    objectives hold one value per cell, and so does every field of the
+    decision. ``residuals`` are the state's :func:`primal_residuals` if
+    already formed.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    x = ds.matrix
-    res1 = float(np.abs(state.w @ x - state.z).max())
-    res2 = float(np.abs(state.w - state.w_tilde).max())
-    res3 = max(float(np.abs(state.w - state.p).max()),
-               float(np.abs(state.w - state.q).max()))
+    r1, r2, r3, r4 = primal_residuals(state, ds) if residuals is None else residuals
+    res1 = _max_abs(r1)
+    res2 = _max_abs(r2)
+    res3 = np.maximum(_max_abs(r3), _max_abs(r4))
     if prev_objective is None:
-        return ConvergenceDecision(False, res1, res2, res3, None)
-    if prev_objective == 0.0:
-        obj_ok = curr_objective == 0.0
-        rel: Optional[float] = 0.0 if obj_ok else None
+        rel = np.full(np.shape(res1), np.nan)
+        converged = np.zeros(np.shape(res1), dtype=bool)
     else:
-        rel = abs((curr_objective - prev_objective) / prev_objective)
-        obj_ok = rel < epsilon
-    converged = max(res1, res2, res3) < epsilon and obj_ok
-    return ConvergenceDecision(converged, res1, res2, res3, rel)
+        prev = np.asarray(prev_objective, dtype=float)
+        curr = np.asarray(curr_objective, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.abs((curr - prev) / prev)
+        rel = np.where(prev == 0.0, np.where(curr == 0.0, 0.0, np.nan), rel)
+        # an undefined change (NaN) is never below epsilon
+        converged = (np.maximum(np.maximum(res1, res2), res3) < epsilon) & (rel < epsilon)
+    if state.w.ndim == 3:
+        return ConvergenceDecision(converged, res1, res2, res3, rel)
+    return ConvergenceDecision(
+        bool(converged), float(res1), float(res2), float(res3),
+        None if np.isnan(rel) else float(rel),
+    )
 
 
 def state_difference(a: SolverState, b: SolverState) -> SolverState:
     """Componentwise difference a - b (penalties and counter taken from a)."""
-    return replace(a, **{f: getattr(a, f) - getattr(b, f) for f in _ARRAY_FIELDS})
+    return replace(a, wx=None, **{f: getattr(a, f) - getattr(b, f) for f in _ARRAY_FIELDS})
 
 
 def h_seminorm_sq(
@@ -435,23 +573,24 @@ def h_seminorm_sq(
     rho1: float,
     rho2: float,
     sigma: float,
-) -> float:
+):
     """Squared block-weighted seminorm of a state difference.
 
     The weighting is block diagonal: the W block carries the quadratic form
     induced by the coupling constraint (``rho1 ||dW X||^2 + rho2 ||dW||^2``),
     Z, W~, P and Q carry their penalties (``sigma`` for P and Q), and the
     multipliers the inverse penalties. Successive-iterate differences
-    measured this way are the solver's contraction diagnostic.
+    measured this way are the solver's contraction diagnostic. One value per
+    cell for a stacked difference.
     """
     if rho1 <= 0 or rho2 <= 0 or sigma <= 0:
         raise ValueError("penalties must be positive")
     x = ds.matrix
 
-    def fro2(m: np.ndarray) -> float:
-        return float((m * m).sum())
+    def fro2(m: np.ndarray):
+        return _sum2(m * m)
 
-    return (
+    return _per_stack(
         rho1 * fro2(delta.w @ x)
         + rho2 * fro2(delta.w)
         + rho1 * fro2(delta.z)
@@ -463,11 +602,181 @@ def h_seminorm_sq(
     )
 
 
+def _cells_per_stack(d: int, n: int) -> int:
+    """How many cells one stack holds within :data:`STACK_BYTES`, at least one.
+
+    At the peak of a sweep a cell holds, counted generously, 16 float64
+    arrays of n x n (eta T, W X, Z and L1 at the sweep's end, start and the
+    sweep before, the residual, the seminorm's differences and the Z step's
+    temporaries) and 32 of n x d. About 12.4 of n x n were measured.
+    """
+    return max(1, STACK_BYTES // (8 * (16 * n * n + 32 * n * d)))
+
+
+def _sweep(
+    ds: Dataset,
+    start: SolverState,
+    cells: _Cells,
+    t: AngularWeights,
+    basis: SpectralBasis,
+    cfg: SolverConfig,
+    prev_objective: np.ndarray,
+) -> tuple[SolverState, tuple[np.ndarray, ...]]:
+    """One sweep of a stack from ``start``: the W step, then the Z, W~, P
+    and Q proxes, then the multipliers and penalties, then the stopping test.
+
+    Returns the new state and, one entry per cell, the objective, the three
+    residuals, the relative change, the seminorm step and the stop
+    decision. Raises ValueError if a value of any cell goes non-finite (or
+    an SVD fails). No array is changed in place, so ``start`` stays valid.
+    """
+    x = ds.matrix
+    sigma = inner_penalty(basis, start.rho1, start.rho2)
+    w = solve_w_subproblem(ds, start, basis, sigma)
+    state = replace(start, w=w, wx=w @ x)
+    z = update_z(state, ds, cells.eta_t, None)
+    w_tilde = update_w_tilde(state, cells.gamma)
+    p, q = update_p_q(state, cells, sigma)
+    state.z, state.w_tilde, state.p, state.q = z, w_tilde, p, q
+    residuals = primal_residuals(state, ds)
+    state = update_duals_and_rho(state, ds, cfg, sigma, residuals)
+    if not state.all_finite():
+        raise ValueError("non-finite iterate")
+    # W X and the residuals go at their last use, and W X stays out of the
+    # next sweep: every n x n array held longer raises each sweep's peak
+    wx, state.wx = state.wx, None
+    curr = objective(ds, state.w, cells, t, wx=wx)
+    del wx
+    decision = check_convergence(state, ds, prev_objective, curr, cfg.epsilon, residuals)
+    del residuals
+    # The sweep ran under the previous penalties; weight its step with them.
+    h2 = h_seminorm_sq(state_difference(state, start), ds, start.rho1, start.rho2, sigma)
+    return state, (
+        curr,
+        decision.residual_wx_z,
+        decision.residual_w_wtilde,
+        decision.residual_w_pq,
+        decision.rel_change,
+        h2,
+        decision.converged,
+    )
+
+
+def _stacked_or_by_cell(run: Callable, stack: tuple, size: int, merge: Callable):
+    """``run(*stack)`` on all ``size`` cells of a stack at once; if that
+    raises ValueError, on each cell alone from the same inputs.
+
+    ``stack`` holds the arguments with a cell axis. Returns the result
+    (``merge`` of the single-cell results, in order, if the stack raised),
+    the positions of the cells it covers, the errors by position, and the
+    number of runs. A lone cell's error is its own, so it is not run twice.
+    """
+    try:
+        return run(*stack), np.arange(size), {}, 1
+    except ValueError as exc:
+        if size == 1:
+            return None, np.arange(0), {0: exc}, 1
+    results, errors = [], {}
+    for i in range(size):
+        try:
+            results.append(run(*(part[i:i + 1] for part in stack)))
+        except ValueError as exc:
+            errors[i] = exc
+    kept = np.array([i for i in range(size) if i not in errors], dtype=int)
+    return (merge(results) if results else None), kept, errors, 1 + size
+
+
+def _abort(exc: ValueError, where: str) -> SolverAbortError:
+    err = SolverAbortError(f"{exc} {where}")
+    err.__cause__ = exc
+    return err
+
+
+def _merge_sweeps(results):
+    states, values = zip(*results)
+    return (SolverState.concatenate(states),
+            tuple(np.concatenate(column) for column in zip(*values)))
+
+
+def _solve_stack(
+    ds: Dataset,
+    cells: _Cells,
+    t: AngularWeights,
+    basis: SpectralBasis,
+    cfg: SolverConfig,
+    ws: list,
+    outcomes: list,
+) -> int:
+    """The ADMM loop on one stack of cells from the all-zero start.
+
+    Fills in ``ws`` and ``outcomes`` at the cells' positions: the final W
+    and the :class:`ConvergenceReport`, or None and the
+    :class:`SolverAbortError` of a failed cell. A cell leaves the stack at
+    its own stopping sweep or failure; the others go on stacked. Returns
+    the number of sweeps run.
+    """
+    d, n = ds.matrix.shape
+    state = SolverState.initial(d, n, cfg, cells=cells.index.size)
+    for i in cells.index:
+        outcomes[i] = ConvergenceReport()
+
+    def fail(errors: dict, where: str) -> None:
+        for i, exc in errors.items():
+            outcomes[cells.index[i]] = _abort(exc, where)
+
+    prev, kept, errors, _ = _stacked_or_by_cell(
+        lambda w, cells: objective(ds, w, cells, t),
+        (state.w, cells), cells.index.size, np.concatenate,
+    )
+    if errors:
+        # ||X||^2 overflowed, and with it the angular weights
+        fail(errors, "before outer iteration 1")
+        state, cells = state[kept], cells[kept]
+
+    sweeps = 0
+    for _ in range(cfg.max_outer_iters):
+        if not cells.index.size:
+            break
+        result, kept, errors, runs = _stacked_or_by_cell(
+            lambda start, cells, prev: _sweep(ds, start, cells, t, basis, cfg, prev),
+            (state, cells, prev), cells.index.size, _merge_sweeps,
+        )
+        sweeps += runs
+        if errors:
+            # in a sweep, the kernels and the objective raise ValueError
+            # only for non-finite values, and numpy only for an SVD that failed
+            fail(errors, f"at outer iteration {state.iter + 1}")
+            cells = cells[kept]
+        if result is None:
+            break
+        # The replaced state is freed one sweep late. Freed at once, it
+        # leaves the top of the heap free, glibc's malloc returns that to
+        # the system, and the next sweep faults it back in: at 30 x 120,
+        # about 15k page faults and a fifth of a solve's time.
+        replaced, (state, (curr, res1, res2, res3, rel, h2, converged)) = state, result
+        rows = zip(cells.index, curr.tolist(), res1.tolist(), res2.tolist(),
+                   res3.tolist(), rel.tolist(), h2.tolist())
+        for i, value, r1, r2, r3, change, step in rows:
+            outcomes[i].records.append(IterationRecord(
+                value, r1, r2, r3, None if math.isnan(change) else change, step))
+        for i, cell in enumerate(cells.index):
+            if converged[i]:
+                outcomes[cell].stop_reason = "converged"
+                ws[cell] = state.w[i].copy()
+        prev = curr
+        if converged.any():
+            going = ~converged
+            state, cells, prev = state[going], cells[going], curr[going]
+    for i, cell in enumerate(cells.index):
+        ws[cell] = state.w[i].copy()
+    return sweeps
+
+
 def solve(
     ds: Dataset,
-    params: RegularizationParams = RegularizationParams(),
+    params: Union[RegularizationParams, Sequence[RegularizationParams]] = RegularizationParams(),
     cfg: SolverConfig = SolverConfig(),
-) -> tuple[np.ndarray, ConvergenceReport]:
+):
     """Run the full ADMM loop from the all-zero start.
 
     Each sweep updates W (closed form), then Z, W~, P and Q (closed-form
@@ -475,69 +784,41 @@ def solve(
     then tests convergence on the exact objective. Deterministic: identical
     inputs give identical reports.
 
-    Returns the final W (n x d) and the per-iteration report.
+    For one :class:`RegularizationParams`, returns the final W (n x d) and
+    the per-iteration :class:`ConvergenceReport`. For a sequence of them
+    (cells sharing one ``varsigma``), solves the cells as stacks of at most
+    :data:`STACK_BYTES` each, in the given order, and returns the list of
+    final Ws (None for a failed cell) and a :class:`StackReport`. Each
+    cell's W and report are bit for bit those of its own serial solve.
 
     Raises
     ------
     ValueError
-        Zero columns (the angular weights are undefined there).
+        Zero columns (the angular weights are undefined there), no cells,
+        or cells with different ``varsigma``.
     SolverAbortError
-        A non-finite value appeared, at the start or in a sweep (overflow,
-        for data too large).
+        For one cell: a non-finite value appeared, at the start or in a
+        sweep (overflow, for data too large). In a sequence the error is
+        that cell's entry of the report instead.
     """
-    x = ds.matrix
-    d, n = x.shape
-    t = angular_weights(ds, params.varsigma)
+    single = isinstance(params, RegularizationParams)
+    cells = [params] if single else list(params)
+    if not cells:
+        raise ValueError("solve needs at least one RegularizationParams")
+    if len({c.varsigma for c in cells}) > 1:
+        raise ValueError("the cells of one solve must share varsigma")
+    t = angular_weights(ds, cells[0].varsigma)
     basis = spectral_basis(ds)
-    state = SolverState.initial(d, n, cfg)
-    report = ConvergenceReport()
-    try:
-        prev_objective: Optional[float] = objective(ds, state.w, params, t)
-    except ValueError as exc:
-        # ||X||^2 overflowed, and with it the angular weights
-        raise SolverAbortError(f"{exc} before outer iteration 1") from exc
-
-    for _ in range(cfg.max_outer_iters):
-        prev_state = state.copy()
-        sigma = inner_penalty(basis, state.rho1, state.rho2)
-        try:
-            state.w = solve_w_subproblem(ds, state, basis, sigma)
-            state.z = update_z(state, ds, t, params.eta)
-            state.w_tilde = update_w_tilde(state, params.gamma)
-            state.p, state.q = update_p_q(state, params, sigma)
-            state = update_duals_and_rho(state, ds, cfg, sigma)
-            if not state.all_finite():
-                raise ValueError("non-finite iterate")
-            curr_objective = objective(ds, state.w, params, t)
-        except ValueError as exc:
-            # in a sweep, the kernels and the objective raise ValueError only
-            # for non-finite values, and numpy only for an SVD that failed
-            raise SolverAbortError(
-                f"{exc} at outer iteration {prev_state.iter + 1}"
-            ) from exc
-        decision = check_convergence(
-            state, ds, prev_objective, curr_objective, cfg.epsilon
-        )
-        # The sweep ran under the previous penalties; weight its step with them.
-        h2 = h_seminorm_sq(
-            state_difference(state, prev_state), ds,
-            prev_state.rho1, prev_state.rho2, sigma,
-        )
-        report.records.append(
-            IterationRecord(
-                objective=curr_objective,
-                residual_wx_z=decision.residual_wx_z,
-                residual_w_wtilde=decision.residual_w_wtilde,
-                residual_w_pq=decision.residual_w_pq,
-                rel_change=decision.rel_change,
-                h_seminorm_sq=h2,
-            )
-        )
-        if decision.converged:
-            report.stop_reason = "converged"
-            break
-        prev_objective = curr_objective
-    else:
-        report.stop_reason = "max_iters"
-
-    return state.w.copy(), report
+    d, n = ds.matrix.shape
+    size = _cells_per_stack(d, n)
+    ws: list[Optional[np.ndarray]] = [None] * len(cells)
+    outcomes: list = [None] * len(cells)
+    sweeps = 0
+    for lo in range(0, len(cells), size):
+        stack = _Cells.of(cells[lo:lo + size], np.arange(lo, min(lo + size, len(cells))), t)
+        sweeps += _solve_stack(ds, stack, t, basis, cfg, ws, outcomes)
+    if not single:
+        return ws, StackReport(cells=outcomes, iterations=sweeps)
+    if isinstance(outcomes[0], SolverAbortError):
+        raise outcomes[0]
+    return ws[0], outcomes[0]

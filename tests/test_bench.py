@@ -321,7 +321,9 @@ class TestRunCurve:
         original = bench_mod.solve
 
         def counting_solve(ds, params, cfg):
-            calls["count"] += 1
+            # one call solves a whole grid: count the cells it solves
+            single = isinstance(params, RegularizationParams)
+            calls["count"] += 1 if single else len(params)
             return original(ds, params, cfg)
 
         monkeypatch.setattr(bench_mod, "solve", counting_solve)
@@ -335,7 +337,7 @@ class TestRunCurve:
         )
         curve = run_curve(train, test, spec)
         assert len(curve.mean_accuracy) == 1
-        # 8 grid combinations plus the single cached curve solve
+        # 8 grid cells plus the single cached curve solve
         assert calls["count"] == 9
 
     def test_invalid_method_for_axis(self):

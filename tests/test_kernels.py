@@ -314,3 +314,44 @@ class TestAngularWeights:
             assert np.array_equal(t, t.T)
             assert np.all(t >= 1.0 / (1.0 + aw.varsigma) - 1e-12)
             assert np.allclose(np.diag(t), 1.0, atol=1e-6)
+
+
+class TestStacks:
+    """A stack of matrices, one threshold each: every matrix is treated bit
+    for bit as it would be alone."""
+
+    @staticmethod
+    def stack():
+        k = np.random.default_rng(3).normal(size=(3, 5, 4))
+        k[1] *= 1e-170  # squares underflow: the safe fallback
+        k[2] *= 1e200  # squares overflow
+        return k
+
+    def test_norms(self):
+        k = self.stack()
+        assert np.array_equal(l21_norm(k), [l21_norm(m) for m in k])
+        assert np.array_equal(nuclear_norm(k), [nuclear_norm(m) for m in k])
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_group_shrink(self, axis):
+        k, mu = self.stack(), np.array([0.5, 1e-170, 1e200])
+        out = group_shrink(k, mu, axis)
+        for i in range(3):
+            assert np.array_equal(out[i], group_shrink(k[i], mu[i], axis))
+
+    def test_svt_and_soft_threshold(self):
+        k, mu = self.stack()[:2], np.array([0.5, 1e-170])
+        shrunk, thresholded = svt(k, mu), soft_threshold(k, mu)
+        per_entry = soft_threshold(k, np.abs(k[::-1]))
+        for i in range(2):
+            assert np.array_equal(shrunk[i], svt(k[i], mu[i]))
+            assert np.array_equal(thresholded[i], soft_threshold(k[i], mu[i]))
+            assert np.array_equal(per_entry[i], soft_threshold(k[i], np.abs(k[1 - i])))
+
+    def test_one_threshold_per_matrix_or_none(self):
+        k = self.stack()
+        for op in (svt, soft_threshold, lambda m, mu: group_shrink(m, mu, 1)):
+            with pytest.raises(ValueError, match="threshold"):
+                op(k, np.ones(2))
+            with pytest.raises(ValueError, match="nonnegative"):
+                op(k, np.array([1.0, -1.0, 1.0]))

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import alfs.solver as solver_mod
 from alfs import (
@@ -16,7 +20,9 @@ from alfs import (
     solve,
 )
 from alfs.solver import (
+    STACK_BYTES,
     SolverState,
+    StackReport,
     augmented_lagrangian,
     check_convergence,
     h_seminorm_sq,
@@ -663,3 +669,104 @@ class TestBlockDescent:
         assert report.records[-1].residual_wx_z < 1e-3
         assert report.records[-1].residual_w_wtilde < 1e-3
         assert report.records[-1].residual_w_pq < 1e-3
+
+
+GRID = (0.1, 1.0, 10.0, 100.0)
+
+
+def grid_cells(**fixed):
+    return [RegularizationParams(alpha=a, beta=b, eta=e, **fixed)
+            for a in GRID for b in GRID for e in GRID]
+
+
+class TestStackedSolve:
+    def test_each_cell_is_bit_for_bit_its_serial_solve(self):
+        # one ordinary cell, one that aborts in the first sweep, one that
+        # runs out of sweeps, one that stops at a sweep of its own
+        ds = Dataset(np.random.default_rng(0).normal(size=(5, 6)))
+        cfg = SolverConfig(tau=1.5)
+        cells = [
+            RegularizationParams(),
+            RegularizationParams(alpha=1e308),
+            RegularizationParams(eta=1e300),
+            RegularizationParams(alpha=10.0, beta=10.0),
+        ]
+        with np.errstate(over="ignore"):
+            ws, report = solve(ds, cells, cfg)
+            with pytest.raises(SolverAbortError) as aborted:
+                solve(ds, cells[1], cfg)
+        assert isinstance(report, StackReport)
+        assert str(aborted.value) == "objective is non-finite at outer iteration 1"
+        assert ws[1] is None and str(report.cells[1]) == str(aborted.value)
+        serial_sweeps = []
+        for i in (0, 2, 3):
+            w, serial = solve(ds, cells[i], cfg)
+            assert np.array_equal(ws[i], w)
+            assert report.cells[i].stop_reason == serial.stop_reason
+            assert len(report.cells[i].records) == len(serial.records)
+            for a, b in zip(report.cells[i].records, serial.records):
+                assert a == b  # exact float equality, field by field
+            serial_sweeps.append(serial.iterations)
+        assert report.cells[2].stop_reason == "max_iters"
+        assert report.cells[2].iterations == 1000
+        # the first stacked sweep raised and was re-run cell by cell
+        assert report.iterations == max(serial_sweeps) + len(cells)
+        assert report.stop_reason == "aborted"
+
+    def test_chunks_under_a_small_budget_give_the_same_cells(self, monkeypatch):
+        ds = random_dataset(28, d=4, n=7)
+        cfg = SolverConfig(tau=1.5)
+        cells = grid_cells()[:6]
+        ws, report = solve(ds, cells, cfg)
+        assert report.stop_reason == "converged"
+        # two cells per stack: three stacks, in order
+        monkeypatch.setattr(solver_mod, "_cells_per_stack", lambda d, n: 2)
+        chunked_ws, chunked = solve(ds, cells, cfg)
+        for a, b in zip(ws, chunked_ws):
+            assert np.array_equal(a, b)
+        assert [c.records for c in chunked.cells] == [c.records for c in report.cells]
+        sweeps = [c.iterations for c in report.cells]
+        assert chunked.iterations == sum(max(sweeps[i:i + 2]) for i in (0, 2, 4))
+
+    def test_cells_must_share_varsigma(self):
+        ds = random_dataset(29, d=3, n=4)
+        with pytest.raises(ValueError, match="varsigma"):
+            solve(ds, [RegularizationParams(), RegularizationParams(varsigma=1e-3)])
+        with pytest.raises(ValueError, match="at least one"):
+            solve(ds, [])
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d, n, oversubscribed", [(5, 6, False), (4, 300, True)])
+def test_a_64_cell_solve_stays_within_the_stack_budget(d, n, oversubscribed):
+    ds = Dataset(np.random.default_rng(0).normal(size=(d, n)))
+    cfg = SolverConfig(max_outer_iters=3)  # every sweep peaks alike
+    cells = grid_cells()
+    serial = traced_peak(lambda: solve(ds, cells[0], cfg))
+    stacked = traced_peak(lambda: solve(ds, cells, cfg))
+    # at 4 x 300, one stack of all 64 cells would take several budgets
+    assert (64 * serial > 4 * STACK_BYTES) == oversubscribed
+    assert stacked <= STACK_BYTES + serial
+
+
+@settings(max_examples=12)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_permuting_samples_and_features_permutes_w(seed, data):
+    # X' = X with features (rows) and samples (columns) permuted; W is
+    # n x d, so W' is W with its rows and columns permuted alike
+    x = np.random.default_rng(seed).normal(size=(4, 7))
+    features = data.draw(st.permutations(range(4)))
+    samples = data.draw(st.permutations(range(7)))
+    cfg = SolverConfig(tau=1.5)
+    w, _ = solve(Dataset(x), RegularizationParams(), cfg)
+    permuted, _ = solve(Dataset(x[np.ix_(features, samples)]), RegularizationParams(), cfg)
+    expected = w[np.ix_(samples, features)]
+    assert np.abs(permuted - expected).max() <= 1e-9 * np.abs(w).max()
