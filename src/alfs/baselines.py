@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _memo
 from .selection import _cur_core, _index_set
 
 # err must dominate the best rank-q SVD error; slack for float rounding only.
@@ -57,6 +57,11 @@ class RcurResult:
     svd_err_k: float
 
 
+def _matrix_rank(ds: Dataset) -> int:
+    """Numerical rank of the data matrix, memoized on ``ds``."""
+    return _memo(ds, "rank", lambda: int(np.linalg.matrix_rank(ds.matrix)))
+
+
 def random_sampling(n: int, m: int, seed: int) -> tuple[int, ...]:
     """m distinct uniform indices out of 0..n-1, sorted; deterministic per seed."""
     if m > n:
@@ -88,7 +93,7 @@ def leverage_scores(ds: Dataset, k: int) -> tuple[np.ndarray, np.ndarray]:
     x = ds.matrix
     if not 1 <= k <= min(x.shape):
         raise ValueError(f"k={k} outside 1..{min(x.shape)}")
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    u, s, vt = _memo(ds, "svd", lambda: np.linalg.svd(x, full_matrices=False))
     if k < s.size and s[0] > 0 and (s[k - 1] - s[k]) <= 1e-10 * s[0]:
         warnings.warn(
             f"leverage scores for k={k} are not unique: sigma_k ~= sigma_k+1",
@@ -111,11 +116,10 @@ def cur_from_indices(
     Duplicate indices are dropped; an empty set or an index outside the
     matrix raises ValueError.
     """
-    x = ds.matrix
     cols = _index_set(column_indices, ds.n_samples, "column")
     rows = _index_set(row_indices, ds.n_features, "row")
-    c, u, r, err = _cur_core(x, cols, rows)
-    s = np.linalg.svd(x, compute_uv=False)
+    c, u, r, err = _cur_core(ds, cols, rows)
+    s = _memo(ds, "singular_values", lambda: np.linalg.svd(ds.matrix, compute_uv=False))
     svd_err_k = float((s[k:] ** 2).sum())
     q = min(len(cols), len(rows))
     svd_err_q = float((s[q:] ** 2).sum())
@@ -142,11 +146,10 @@ def rcur(ds: Dataset, cfg: RcurConfig) -> RcurResult:
     generator). With replacement the realized counts can fall below the
     requested ones after deduplication.
     """
-    x = ds.matrix
     n, d = ds.n_samples, ds.n_features
     if cfg.m > n or cfg.r > d:
         raise ValueError(f"budgets m={cfg.m}, r={cfg.r} exceed shape {d}x{n}")
-    rank = np.linalg.matrix_rank(x)
+    rank = _matrix_rank(ds)
     if cfg.k >= rank:
         raise ValueError(f"target rank k={cfg.k} must be below rank(X)={rank}")
     col_scores, row_scores = leverage_scores(ds, cfg.k)

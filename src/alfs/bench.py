@@ -18,7 +18,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .baselines import RcurConfig, random_sampling, rcur, variance_feature_select
+from .baselines import (
+    RcurConfig,
+    _matrix_rank,
+    random_sampling,
+    rcur,
+    variance_feature_select,
+)
 from .data import Dataset, SelectionRequest, _require_integer
 from .selection import SelectionResult, rank_and_select, reconstruction_error
 from .solver import RegularizationParams, SolverConfig, solve
@@ -161,15 +167,17 @@ def knn_classify(train: Dataset, test: Dataset) -> tuple[tuple, Optional[float]]
     return predictions, hits / test.n_samples
 
 
-def _auto_rcur_rank(matrix: np.ndarray) -> int:
-    rank = int(np.linalg.matrix_rank(matrix))
+def _auto_rcur_rank(ds: Dataset) -> int:
+    rank = _matrix_rank(ds)
     if rank < 2:
         raise ValueError("matrix rank < 2: randomized CUR needs k < rank")
-    return min(max(1, min(matrix.shape) // 2), rank - 1)
+    return min(max(1, min(ds.matrix.shape) // 2), rank - 1)
 
 
 class _MethodRunner:
-    """Per-run selector with a cache for the deterministic solves."""
+    """Per-run selector with caches for the deterministic solves and the
+    variance-restricted datasets (whose memoized factorizations then serve
+    every repeat)."""
 
     def __init__(
         self,
@@ -181,6 +189,7 @@ class _MethodRunner:
         self.spec = spec
         self.params = params if params is not None else spec.alfs_params
         self._alfs_cache: dict[Optional[tuple[int, ...]], np.ndarray] = {}
+        self._variance_cache: dict[int, tuple[tuple[int, ...], Dataset]] = {}
 
     def _alfs_w(self, ds: Dataset, features: Optional[tuple[int, ...]]) -> np.ndarray:
         if features not in self._alfs_cache:
@@ -201,8 +210,10 @@ class _MethodRunner:
         if method.startswith("variance+"):
             if r is None:
                 raise ValueError(f"{method!r} needs a feature budget")
-            variance_features = variance_feature_select(ds, r)
-            ds = ds.restrict(features=list(variance_features))
+            if r not in self._variance_cache:
+                kept = variance_feature_select(ds, r)
+                self._variance_cache[r] = kept, ds.restrict(features=list(kept))
+            variance_features, ds = self._variance_cache[r]
             method, r = method.split("+", 1)[1], None
         n, d = ds.n_samples, ds.n_features
 
@@ -213,7 +224,7 @@ class _MethodRunner:
             sel = rank_and_select(w, SelectionRequest(m, r or d))
             samples, features = sel.selected_samples, sel.selected_features
         elif method == "rcur":
-            k = self.spec.rcur_rank or _auto_rcur_rank(ds.matrix)
+            k = self.spec.rcur_rank or _auto_rcur_rank(ds)
             cfg = RcurConfig(k=k, m=m, r=r or d, seed=seed, exact_counts=True)
             result = rcur(ds, cfg)
             samples, features = result.column_indices, result.row_indices
@@ -230,7 +241,9 @@ def run_curve(train: Dataset, test: Dataset, spec: BenchSpec) -> AccuracyCurve:
     The method sees only the unlabeled training matrix; labels are revealed
     for selected samples only. Cells that fail keep the rest of the curve
     alive and are reported in ``failures``; if every cell fails a
-    :class:`BenchMethodError` is raised.
+    :class:`BenchMethodError` is raised. 1-NN is deterministic, so a
+    selection that recurs (every repeat at the full budget) is classified
+    once.
     """
     if train.labels is None:
         raise ValueError("training set has no labels to reveal")
@@ -263,18 +276,21 @@ def run_curve(train: Dataset, test: Dataset, spec: BenchSpec) -> AccuracyCurve:
 
     per_repeat: dict[int, list[Optional[float]]] = {b: [] for b in budgets}
     failures: list[tuple[int, int, str]] = []
+    accuracy: dict[tuple, Optional[float]] = {}
     for budget in budgets:
         m = fixed_m if feature_axis else budget
         r = budget if feature_axis else None
         for t in range(spec.repeats):
             try:
                 samples, feats = runner.select(m, r, spec.seed + t)
-                labeled = train.restrict(samples=list(samples))
-                test_view = test
-                if feature_axis:
-                    labeled = labeled.restrict(features=list(feats))
-                    test_view = test.restrict(features=list(feats))
-                _, acc = knn_classify(labeled, test_view)
+                if (samples, feats) not in accuracy:
+                    labeled = train.restrict(samples=list(samples))
+                    test_view = test
+                    if feature_axis:
+                        labeled = labeled.restrict(features=list(feats))
+                        test_view = test.restrict(features=list(feats))
+                    _, accuracy[samples, feats] = knn_classify(labeled, test_view)
+                acc = accuracy[samples, feats]
             except Exception as exc:  # a failed cell must not kill the curve
                 failures.append((budget, t, f"{type(exc).__name__}: {exc}"))
                 acc = None
@@ -339,9 +355,12 @@ class GridSearchResult:
 
 def _default_grid_score(
     train: Dataset,
+    unlabeled: Dataset,
     protocol: GridProtocol,
     sel: SelectionResult,
 ) -> float:
+    """Holdout 1-NN accuracy on ``train``'s labels, or the negated
+    reconstruction error on ``unlabeled``, the grid's label-free dataset."""
     samples = list(sel.selected_samples)
     features = (
         list(sel.selected_features)
@@ -359,7 +378,7 @@ def _default_grid_score(
         _, acc = knn_classify(fit_ds, hold_ds)
         assert acc is not None
         return acc
-    return -reconstruction_error(train.without_labels(), samples, features)
+    return -reconstruction_error(unlabeled, samples, features)
 
 
 def grid_search(
@@ -404,7 +423,7 @@ def grid_search(
             if score_fn is not None:
                 score = score_fn(train, params, sel)
             else:
-                score = _default_grid_score(train, protocol, sel)
+                score = _default_grid_score(train, unlabeled, protocol, sel)
         except Exception as exc:
             failures.append((params, f"{type(exc).__name__}: {exc}"))
             scores.append((params, None))

@@ -11,15 +11,22 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence, TypeVar
 
 import numpy as np
 
 ROWS_ARE_SAMPLES = "rows-are-samples"
 ROWS_ARE_FEATURES = "rows-are-features"
 _ORIENTATIONS = (ROWS_ARE_SAMPLES, ROWS_ARE_FEATURES)
+
+# Array bytes of derived values (pseudoinverses, SVDs) one Dataset keeps;
+# past it the least recently used are dropped.
+MEMO_BYTES = 16 * 2**20
+
+_T = TypeVar("_T")
 
 
 def _require_integer(name: str, value, minimum: int) -> None:
@@ -44,6 +51,10 @@ class Dataset:
         never consults them.
     source : str
         Provenance note (file path, generator description, ...).
+
+    Factorizations of the matrix that the evaluation code needs (the rank,
+    SVDs, pseudoinverses of column and row subsets) are memoized on the
+    instance, at most ``MEMO_BYTES`` of arrays per dataset.
     """
 
     matrix: np.ndarray
@@ -65,6 +76,8 @@ class Dataset:
             )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        # not a field: equality, repr and replace() ignore it
+        object.__setattr__(self, "_derived", _Memo())
 
         names = self.feature_names
         if names is None:
@@ -121,6 +134,46 @@ class Dataset:
             if labels is not None:
                 labels = tuple(labels[j] for j in samples)
         return Dataset(m, names, labels, self.source)
+
+
+class _Memo(OrderedDict):
+    """Derived values of one matrix, least recently used first; ``nbytes``
+    counts the array bytes they hold."""
+
+    nbytes = 0
+
+
+def _freeze(value) -> int:
+    """Make the arrays in ``value`` read-only; return their total bytes."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+        return value.nbytes
+    if isinstance(value, tuple):
+        return sum(_freeze(v) for v in value)
+    return 0
+
+
+def _memo(ds: Dataset, key: Hashable, compute: Callable[[], _T]) -> _T:
+    """``compute()``, evaluated once per dataset and ``key`` while cached.
+
+    ``compute`` must be a deterministic function of ``ds.matrix``, which is
+    read-only, so a cached value never goes stale. Its arrays are made
+    read-only. At most ``MEMO_BYTES`` of arrays are kept per dataset, the
+    least recently used dropped first; a larger value is not kept.
+    """
+    cache = ds._derived
+    if key in cache:
+        cache.move_to_end(key)
+        return cache[key][0]
+    value = compute()
+    size = _freeze(value)
+    if size <= MEMO_BYTES:
+        while cache.nbytes + size > MEMO_BYTES:
+            _, (_, dropped) = cache.popitem(last=False)
+            cache.nbytes -= dropped
+        cache[key] = (value, size)
+        cache.nbytes += size
+    return value
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import Dataset, SelectionRequest
+from .data import Dataset, SelectionRequest, _memo
 
 LOW_SCORE_THRESHOLD = 1e-6
 ORACLE_ENUMERATION_LIMIT = 10**6
@@ -90,12 +90,18 @@ def _index_set(indices: Iterable[int], bound: int, what: str) -> list[int]:
 
 
 def _cur_core(
-    x: np.ndarray, samples: list[int], features: list[int]
+    ds: Dataset, samples: list[int], features: list[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """C, the core ``U = C+ X R+``, R and ``||X - C U R||_F^2`` at checked indices."""
+    """C, the core ``U = C+ X R+``, R and ``||X - C U R||_F^2`` at checked indices.
+
+    ``C+`` and ``R+`` are memoized on ``ds`` per index set.
+    """
+    x = ds.matrix
     c = x[:, samples]
     r = x[features, :]
-    u = np.linalg.pinv(c, rcond=PINV_RCOND) @ x @ np.linalg.pinv(r, rcond=PINV_RCOND)
+    c_pinv = _memo(ds, ("pinv_c", tuple(samples)), lambda: np.linalg.pinv(c, rcond=PINV_RCOND))
+    r_pinv = _memo(ds, ("pinv_r", tuple(features)), lambda: np.linalg.pinv(r, rcond=PINV_RCOND))
+    u = c_pinv @ x @ r_pinv
     resid = x - c @ u @ r
     return c, u, r, float((resid * resid).sum())
 
@@ -114,7 +120,7 @@ def reconstruction_error(
     """
     s = _index_set(samples, ds.n_samples, "sample")
     f = _index_set(features, ds.n_features, "feature")
-    return _cur_core(ds.matrix, s, f)[3]
+    return _cur_core(ds, s, f)[3]
 
 
 def oracle_best_subsets(

@@ -292,16 +292,18 @@ def objective(
         raise ValueError(f"w must be {n}x{d}, got {w.shape}")
     if t.t.shape != (n, n):
         raise ValueError(f"angular weights must be {n}x{n}, got {t.t.shape}")
-    resid = (x @ w) @ x - x
     if wx is None:
         wx = w @ x
-    value = (
-        _sum2(resid * resid)
-        + params.alpha * l21_norm(w)
-        + params.beta * l21_norm(np.swapaxes(w, -1, -2))
-        + params.gamma * nuclear_norm(w)
-        + params.eta * _sum2(np.abs(t.t * wx))
-    )
+    # an overflow here is reported by the finiteness test below
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = (x @ w) @ x - x
+        value = (
+            _sum2(resid * resid)
+            + params.alpha * l21_norm(w)
+            + params.beta * l21_norm(np.swapaxes(w, -1, -2))
+            + params.gamma * nuclear_norm(w)
+            + params.eta * _sum2(np.abs(t.t * wx))
+        )
     if not np.isfinite(value).all():
         raise ValueError("objective is non-finite")
     return _per_stack(value)
@@ -356,8 +358,10 @@ def spectral_basis(ds: Dataset) -> SpectralBasis:
     """Thin SVD of the data and the constant term of the W step."""
     x = ds.matrix
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    xtx = x.T @ x
-    return SpectralBasis(u=u, s2=s * s, v=vt.T, g=2.0 * (xtx @ x.T))
+    # overflow on huge data surfaces as the solver's non-finite objective
+    with np.errstate(over="ignore", invalid="ignore"):
+        xtx = x.T @ x
+        return SpectralBasis(u=u, s2=s * s, v=vt.T, g=2.0 * (xtx @ x.T))
 
 
 def inner_penalty(basis: SpectralBasis, rho1: float, rho2: float) -> float:
@@ -391,7 +395,10 @@ def _shifted_inverse(
     projection, so no n x n basis is formed.
     """
     u, v, s2 = basis.u, basis.v, basis.s2
-    inv_inside = 1.0 / (2.0 * np.outer(s2, s2) + rho1 * s2[None, :] + rho2 + shift)
+    # on huge data the weights underflow to 0 and the W step goes
+    # non-finite, which the Z step's finiteness check reports
+    with np.errstate(over="ignore"):
+        inv_inside = 1.0 / (2.0 * np.outer(s2, s2) + rho1 * s2[None, :] + rho2 + shift)
     inv_outside_v = 1.0 / (rho1 * s2 + rho2 + shift)
     inv_outside_u = 1.0 / (rho2 + shift)
     thin_u = u.shape[0] > u.shape[1]  # more features than samples
@@ -423,10 +430,12 @@ def solve_w_subproblem(
     :func:`inner_penalty` of the sweep.
     """
     rho1, rho2 = state.rho1, state.rho2
-    # minus the linear term of the quadratic: its gradient is (H + 2 sigma)W - b
-    b = (basis.g + (rho1 * state.z - state.lambda1) @ ds.matrix.T
-         + rho2 * state.w_tilde - state.lambda2
-         + sigma * (state.p + state.q) - state.lambda3 - state.lambda4)
+    # minus the linear term of the quadratic: its gradient is (H + 2 sigma)W - b;
+    # a non-finite b (huge data) is reported by the Z step's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = (basis.g + (rho1 * state.z - state.lambda1) @ ds.matrix.T
+             + rho2 * state.w_tilde - state.lambda2
+             + sigma * (state.p + state.q) - state.lambda3 - state.lambda4)
     return _shifted_inverse(basis, rho1, rho2, 2.0 * sigma)(b)
 
 
@@ -457,7 +466,10 @@ def update_w_tilde(state: SolverState, gamma: Union[float, np.ndarray]) -> np.nd
     """
     if state.rho2 <= 0:
         raise ValueError("rho2 must be positive")
-    return svt(state.w + state.lambda2 / state.rho2, gamma / state.rho2)
+    # an overflowing threshold zeroes the spectrum, as in update_p_q
+    with np.errstate(over="ignore"):
+        mu = gamma / state.rho2
+    return svt(state.w + state.lambda2 / state.rho2, mu)
 
 
 def update_p_q(
@@ -468,8 +480,12 @@ def update_p_q(
     """Closed-form P and Q updates: row group shrinkage of W + L3/sigma and
     column group shrinkage of W + L4/sigma. For a stacked state ``params``
     holds one ``alpha`` and ``beta`` per cell."""
-    p = group_shrink(state.w + state.lambda3 / sigma, params.alpha / sigma, axis=1)
-    q = group_shrink(state.w + state.lambda4 / sigma, params.beta / sigma, axis=0)
+    # a weight so large that its threshold overflows to inf zeroes the
+    # groups; the objective then reports the non-finite weighted term
+    with np.errstate(over="ignore"):
+        alpha, beta = params.alpha / sigma, params.beta / sigma
+    p = group_shrink(state.w + state.lambda3 / sigma, alpha, axis=1)
+    q = group_shrink(state.w + state.lambda4 / sigma, beta, axis=0)
     return p, q
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import alfs.baselines as baselines_mod
 from alfs import (
     Dataset,
     RcurConfig,
@@ -121,6 +122,38 @@ class TestCur:
         b = rcur(ds, RcurConfig(k=2, m=4, r=3, seed=9))
         assert a.column_indices == b.column_indices
         assert a.err == b.err
+
+    @pytest.mark.parametrize("exact_counts", [False, True])
+    def test_a_memo_warm_dataset_gives_the_fresh_result(self, exact_counts):
+        warm = random_dataset(16, d=6, n=9)
+        for seed in range(6):  # fills the memo: rank, SVDs, pseudoinverses
+            rcur(warm, RcurConfig(k=2, m=4, r=3, seed=seed, exact_counts=exact_counts))
+        for seed in range(6):
+            cfg = RcurConfig(k=2, m=4, r=3, seed=seed, exact_counts=exact_counts)
+            a, b = rcur(warm, cfg), rcur(Dataset(warm.matrix), cfg)
+            assert np.array_equal(a.c, b.c) and np.array_equal(a.u, b.u)
+            assert np.array_equal(a.r, b.r)
+            assert (a.column_indices, a.row_indices) == (b.column_indices, b.row_indices)
+            assert a.err == b.err and a.svd_err_k == b.svd_err_k
+
+    def test_checks_still_run_on_a_memo_warm_dataset(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        low = Dataset(rng.normal(size=(5, 2)) @ rng.normal(size=(2, 6)))
+        rcur(low, RcurConfig(k=1, m=3, r=3, seed=0))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="rank"):
+                rcur(low, RcurConfig(k=2, m=3, r=3, seed=0))
+        flat = Dataset(np.eye(4))
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning, match="not unique"):
+                leverage_scores(flat, 2)
+        ds = random_dataset(17, d=5, n=7)
+        cur_from_indices(ds, [0, 1], [0, 1], k=1)
+        core = baselines_mod._cur_core
+        monkeypatch.setattr(baselines_mod, "_cur_core", lambda *a: (*core(*a)[:3], 0.0))
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="lower bound"):
+                cur_from_indices(ds, [0, 1], [0, 1], k=1)
 
     def test_exact_counts_mode(self):
         ds = random_dataset(7, d=6, n=9)

@@ -134,6 +134,60 @@ class TestRunCurve:
             curve.per_repeat[0]
         ) == {full_acc}
 
+    @pytest.mark.parametrize("method", ["random", "rcur"])
+    def test_a_recurring_selection_is_classified_once(self, monkeypatch, method):
+        # at the full budget every repeat selects every sample
+        train, test = small_clusters()
+        calls = []
+        original = bench_mod.knn_classify
+
+        def counting_knn(labeled, test_view):
+            calls.append(labeled.n_samples)
+            return original(labeled, test_view)
+
+        monkeypatch.setattr(bench_mod, "knn_classify", counting_knn)
+        spec = BenchSpec(method=method, sample_budgets=(5, train.n_samples), repeats=3, seed=2)
+        curve = run_curve(train, test, spec)
+        assert calls.count(train.n_samples) == 1
+        full = curve.per_repeat[1]
+        assert full == (full[0],) * 3 and full[0] == original(train, test)[1]
+
+    def test_a_failed_classification_is_not_reused(self, monkeypatch):
+        train, test = small_clusters()
+        calls = {"count": 0}
+        original = bench_mod.knn_classify
+
+        def flaky_knn(labeled, test_view):
+            calls["count"] += 1
+            if calls["count"] == 1:
+                raise RuntimeError("boom")
+            return original(labeled, test_view)
+
+        monkeypatch.setattr(bench_mod, "knn_classify", flaky_knn)
+        spec = BenchSpec(method="random", sample_budgets=(train.n_samples,), repeats=3, seed=0)
+        curve = run_curve(train, test, spec)
+        assert [f[:2] for f in curve.failures] == [(train.n_samples, 0)]
+        assert curve.per_repeat[0][0] is None
+        assert curve.per_repeat[0][1] == curve.per_repeat[0][2] is not None
+        assert calls["count"] == 2
+
+    def test_variance_features_are_restricted_once_per_budget(self, monkeypatch):
+        train, test = small_clusters()
+        calls = []
+        original = bench_mod.variance_feature_select
+
+        def counting_var(ds, r):
+            calls.append(r)
+            return original(ds, r)
+
+        monkeypatch.setattr(bench_mod, "variance_feature_select", counting_var)
+        spec = BenchSpec(
+            method="variance+rcur", sample_budgets=(6,), feature_budgets=(3, 5),
+            repeats=3, seed=1,
+        )
+        run_curve(train, test, spec)
+        assert calls == [3, 5]
+
     def test_deterministic_per_seed(self):
         train, test = small_clusters()
         spec = BenchSpec(method="random", sample_budgets=(4, 8), repeats=2, seed=9)
@@ -402,6 +456,28 @@ class TestGridSearch:
             solver_cfg=FAST_SOLVER,
         )
         assert result.best_params.gamma == 1.0
+
+    def test_labeled_data_is_unlabeled_once_per_grid(self, monkeypatch):
+        # every cell's reconstruction score reads the grid's one unlabeled dataset
+        train = Dataset(random_dataset(32, d=4, n=6).matrix, labels=tuple("abcabc"))
+        calls = {"count": 0}
+        original = Dataset.without_labels
+
+        def counting(ds):
+            calls["count"] += 1
+            return original(ds)
+
+        monkeypatch.setattr(Dataset, "without_labels", counting)
+        result = grid_search(
+            train, GridProtocol(m=2, r=2), grid=(0.1, 10.0), solver_cfg=FAST_SOLVER
+        )
+        assert calls["count"] == 1
+        for params, score in result.scores:
+            w, _ = solve(train.without_labels(), params, FAST_SOLVER)
+            sel = rank_and_select(w, SelectionRequest(2, 2))
+            fresh = Dataset(train.matrix)
+            assert score == -bench_mod.reconstruction_error(
+                fresh, sel.selected_samples, sel.selected_features)
 
     def test_full_grid_runs_64_solves(self):
         train = random_dataset(31, d=3, n=5)

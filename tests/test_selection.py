@@ -1,6 +1,10 @@
+from dataclasses import fields
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+import alfs.data as data_mod
 from alfs import (
     Dataset,
     SelectionRequest,
@@ -98,8 +102,6 @@ class TestOracle:
 
     def test_matches_independent_enumeration(self):
         # recompute the full enumeration here with its own loop order
-        from itertools import combinations
-
         ds = random_dataset(6, d=5, n=6)
         s, f, err = oracle_best_subsets(ds, SelectionRequest(2, 2))
         best = np.inf
@@ -128,3 +130,47 @@ class TestOracle:
             for r in (1, 2):
                 assert grid[m + 1, r] <= grid[m, r] + 1e-12
                 assert grid[m, r + 1] <= grid[m, r] + 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("d, n, m, r", [(5, 6, 2, 2), (8, 10, 3, 2)])
+    def test_memoized_oracle_equals_a_memo_free_brute_force(self, seed, d, n, m, r):
+        # a fresh Dataset per pair shares no memoized pseudoinverse
+        ds = random_dataset(seed, d=d, n=n)
+        best = None
+        for s in combinations(range(n), m):
+            for f in combinations(range(d), r):
+                err = reconstruction_error(Dataset(ds.matrix), s, f)
+                if best is None or err < best[2]:
+                    best = (s, f, err)
+        assert oracle_best_subsets(ds, SelectionRequest(m, r)) == best
+
+
+class TestMemo:
+    def test_the_memo_is_not_a_field(self):
+        ds = random_dataset(0, d=4, n=6)
+        reconstruction_error(ds, [0, 1], [0, 1])
+        assert [f.name for f in fields(Dataset)] == ["matrix", "feature_names", "labels", "source"]
+        assert "_derived" not in repr(ds)
+
+    def test_bytes_stay_within_the_bound_and_eviction_is_lru(self, monkeypatch):
+        ds = random_dataset(1, d=4, n=6)
+        # pinv(C) of two samples is 2x4 (64 bytes), pinv(R) of two features 6x2 (96)
+        monkeypatch.setattr(data_mod, "MEMO_BYTES", 3 * 64 + 96)
+        memo = ds._derived
+        f = (0, 1)
+        calls = [(0, 1), (0, 2), (0, 3), (0, 1), (0, 4), (0, 2)]
+        for s in calls:
+            assert reconstruction_error(ds, s, f) == reconstruction_error(Dataset(ds.matrix), s, f)
+            assert memo.nbytes == sum(size for _, size in memo.values()) <= data_mod.MEMO_BYTES
+        # (0, 2) was the least recently used when (0, 4) arrived, then (0, 3)
+        assert list(memo) == [
+            ("pinv_c", (0, 1)), ("pinv_c", (0, 4)), ("pinv_c", (0, 2)), ("pinv_r", f),
+        ]
+        assert all(not value.flags.writeable for value, _ in memo.values())
+
+    def test_a_value_above_the_bound_is_returned_but_not_kept(self, monkeypatch):
+        ds = random_dataset(2, d=4, n=6)
+        monkeypatch.setattr(data_mod, "MEMO_BYTES", 64)
+        value = data_mod._memo(ds, "big", lambda: np.zeros(9))
+        assert value.shape == (9,) and not value.flags.writeable
+        assert len(ds._derived) == 0 and ds._derived.nbytes == 0

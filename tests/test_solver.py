@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -587,6 +588,26 @@ class TestSolve:
                 match="^objective is non-finite before outer iteration 1$",
             ):
                 solve(Dataset(x.T))
+
+    @pytest.mark.parametrize("scale, params, message", [
+        (1.0, RegularizationParams(alpha=1e308), "objective is non-finite at outer iteration 1"),
+        (1.0, RegularizationParams(beta=1e308), "objective is non-finite at outer iteration 1"),
+        (1.0, RegularizationParams(gamma=1e308), "objective is non-finite at outer iteration 1"),
+        (1e60, RegularizationParams(), "objective is non-finite at outer iteration 1"),
+        (1e110, RegularizationParams(),
+         "soft_threshold input contains non-finite entries at outer iteration 1"),
+        (1e155, RegularizationParams(), "objective is non-finite before outer iteration 1"),
+    ])
+    def test_a_caught_overflow_prints_no_numpy_warning(self, scale, params, message):
+        # the abort reports the overflow; numpy's own warnings would be noise
+        x = np.random.default_rng(0).normal(size=(5, 6)) if scale == 1.0 else (
+            np.random.default_rng(0).normal(size=(12, 4)).T * scale)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SolverAbortError) as info:
+                solve(Dataset(x), params)
+        assert str(info.value) == message
+        assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def smoothed_objective(ds, params, t, eps):
