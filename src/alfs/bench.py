@@ -398,6 +398,7 @@ def grid_search(
     the first-encountered combination. All combinations are solved by one
     stacked :func:`solve` call; each counts as one solver invocation in the
     result. ``score_fn`` overrides the scoring protocol (higher is better).
+    A budget the data cannot hold raises ValueError before any solve.
     """
     if not grid:
         raise ValueError("grid must not be empty")
@@ -405,6 +406,8 @@ def grid_search(
         base_params = replace(base_params, gamma=gamma)
     unlabeled = train.without_labels()
     req_r = protocol.r if protocol.r is not None else unlabeled.n_features
+    req = SelectionRequest(protocol.m, req_r)
+    req.check_against(unlabeled.n_samples, unlabeled.n_features)
     cells = [replace(base_params, alpha=alpha, beta=beta, eta=eta)
              for alpha in grid for beta in grid for eta in grid]
     try:
@@ -419,7 +422,7 @@ def grid_search(
         try:
             if w is None:
                 raise outcome
-            sel = rank_and_select(w, SelectionRequest(protocol.m, req_r))
+            sel = rank_and_select(w, req)
             if score_fn is not None:
                 score = score_fn(train, params, sel)
             else:

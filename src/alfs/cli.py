@@ -207,9 +207,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     m = sel_cfg["m"] if sel_cfg["m"] is not None else min(10, ds.n_samples)
     r = sel_cfg["r"] if sel_cfg["r"] is not None else min(10, ds.n_features)
     try:
-        req = SelectionRequest(int(m), int(r))
+        req = SelectionRequest(m, r)
         req.check_against(ds.n_samples, ds.n_features)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"invalid selection budgets: {exc}") from None
 
     cfg["selection"] = {"m": req.m, "r": req.r}
@@ -338,7 +338,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if ds.labels is None:
         raise CliError("bench needs a labeled dataset (use --label-column)")
 
-    n_train = args.train_size if args.train_size else max(1, (2 * ds.n_samples) // 3)
+    n_train = (args.train_size if args.train_size is not None
+               else max(1, (2 * ds.n_samples) // 3))
     from .data import SplitSpec, split as split_dataset
 
     try:

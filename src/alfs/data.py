@@ -184,8 +184,8 @@ class SelectionRequest:
     r: int
 
     def __post_init__(self) -> None:
-        if self.m < 1 or self.r < 1:
-            raise ValueError(f"budgets must be positive, got m={self.m}, r={self.r}")
+        _require_integer("m", self.m, 1)
+        _require_integer("r", self.r, 1)
 
     def check_against(self, n_samples: int, n_features: int) -> None:
         if not 1 <= self.m <= n_samples:

@@ -14,8 +14,10 @@ singular value thresholding, P row and Q column group shrinkage. What is
 left for W is a quadratic, diagonal in the basis of the thin SVD
 X = U S V^T, so the W update is one closed-form diagonal solve. A sweep is
 thus a two-block ADMM step, W against (Z, W~, P, Q): one W solve, four
-independent proxes, then one dual ascent step on all four multipliers. The
-penalties grow geometrically up to a cap.
+independent proxes, then one dual ascent step on all four multipliers.
+One penalty rho weights the W X = Z and W = W~ constraints and grows
+geometrically up to a cap; the W = P and W = Q constraints take a penalty
+sigma derived from rho and the data.
 
 The penalty schedule depends on neither the data nor the weights, so cells
 of a grid (weights that share the data and ``varsigma``) are solved as one
@@ -82,33 +84,27 @@ class RegularizationParams:
 class SolverConfig:
     """ADMM loop settings.
 
-    Defaults follow the standard initialization for this scheme: penalties
-    start at 1e-6 and grow by a factor tau=1.1 per sweep up to 1e10, with
-    stopping tolerance 1e-3. ``adaptive_rho=False`` freezes the penalties,
-    the regime in which the monotone-difference diagnostic is meaningful.
-    The solve starts from zeros and is fully deterministic.
+    Defaults follow the standard initialization for this scheme: the
+    penalty rho starts at 1e-6 and grows by a factor tau=1.1 per sweep up
+    to 1e10, with stopping tolerance 1e-3. ``tau=1`` holds rho fixed, the
+    regime in which the monotone-difference diagnostic is meaningful. The
+    solve starts from zeros and is fully deterministic.
     """
 
-    rho1_init: float = 1e-6
-    rho2_init: float = 1e-6
+    rho_init: float = 1e-6
     rho_max: float = 1e10
     tau: float = 1.1
     epsilon: float = 1e-3
     max_outer_iters: int = 1000
-    adaptive_rho: bool = True
 
     def __post_init__(self) -> None:
         if self.tau < 1.0:
             raise ValueError("tau must be >= 1")
-        if not (0.0 < self.rho1_init <= self.rho_max):
-            raise ValueError("need 0 < rho1_init <= rho_max")
-        if not (0.0 < self.rho2_init <= self.rho_max):
-            raise ValueError("need 0 < rho2_init <= rho_max")
+        if not (0.0 < self.rho_init <= self.rho_max):
+            raise ValueError("need 0 < rho_init <= rho_max")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         _require_integer("max_outer_iters", self.max_outer_iters, 1)
-        if not isinstance(self.adaptive_rho, bool):
-            raise ValueError(f"adaptive_rho must be true or false, got {self.adaptive_rho!r}")
 
 
 _ARRAY_FIELDS = ("w", "z", "w_tilde", "p", "q",
@@ -118,13 +114,13 @@ _ARRAY_FIELDS = ("w", "z", "w_tilde", "p", "q",
 @dataclass
 class SolverState:
     """All ADMM iterates: primal W and its copies Z, W~, P, Q, their
-    multipliers, and the penalties.
+    multipliers, and the penalty rho.
 
     ``z`` stands for W X, ``w_tilde``, ``p`` and ``q`` for W; ``lambda1`` to
     ``lambda4`` are the multipliers of these four constraints, in order.
     ``wx`` is W X formed once for the current W, or None when not formed;
     whoever rebinds ``w`` rebinds ``wx`` with it. Every array may carry a
-    leading cell axis: a stack of cells sharing the penalties and the sweep
+    leading cell axis: a stack of cells sharing the penalty and the sweep
     count.
     """
 
@@ -137,8 +133,7 @@ class SolverState:
     lambda2: np.ndarray  # n x d
     lambda3: np.ndarray  # n x d
     lambda4: np.ndarray  # n x d
-    rho1: float
-    rho2: float
+    rho: float
     iter: int = 0
     wx: Optional[np.ndarray] = None  # n x n
 
@@ -151,8 +146,7 @@ class SolverState:
         return cls(
             **{f: np.zeros(lead + ((n, n) if f in ("z", "lambda1") else (n, d)))
                for f in _ARRAY_FIELDS},
-            rho1=cfg.rho1_init,
-            rho2=cfg.rho2_init,
+            rho=cfg.rho_init,
         )
 
     def __getitem__(self, index) -> "SolverState":
@@ -165,7 +159,7 @@ class SolverState:
 
     @classmethod
     def concatenate(cls, parts: Sequence["SolverState"]) -> "SolverState":
-        """One stack of the cells of ``parts``, in order; they share penalties."""
+        """One stack of the cells of ``parts``, in order; they share the penalty."""
         def joined(name):
             arrays = [getattr(part, name) for part in parts]
             return None if arrays[0] is None else np.concatenate(arrays)
@@ -317,18 +311,19 @@ def augmented_lagrangian(
     sigma: float,
 ) -> float:
     """Augmented Lagrangian of the split problem at the given state, with
-    ``sigma`` the penalty of the W = P and W = Q constraints."""
+    ``state.rho`` the penalty of the W X = Z and W = W~ constraints and
+    ``sigma`` that of the W = P and W = Q constraints."""
     x = ds.matrix
     w = state.w
     resid = (x @ w) @ x - x
     coupling = 0.0
-    for lam, r, rho in (
-        (state.lambda1, w @ x - state.z, state.rho1),
-        (state.lambda2, w - state.w_tilde, state.rho2),
+    for lam, r, penalty in (
+        (state.lambda1, w @ x - state.z, state.rho),
+        (state.lambda2, w - state.w_tilde, state.rho),
         (state.lambda3, w - state.p, sigma),
         (state.lambda4, w - state.q, sigma),
     ):
-        coupling += float((lam * r).sum()) + 0.5 * rho * float((r * r).sum())
+        coupling += float((lam * r).sum()) + 0.5 * penalty * float((r * r).sum())
     return (
         float((resid * resid).sum())
         + params.alpha * l21_norm(state.p)
@@ -364,43 +359,43 @@ def spectral_basis(ds: Dataset) -> SpectralBasis:
         return SpectralBasis(u=u, s2=s * s, v=vt.T, g=2.0 * (xtx @ x.T))
 
 
-def inner_penalty(basis: SpectralBasis, rho1: float, rho2: float) -> float:
+def pq_penalty(basis: SpectralBasis, rho: float) -> float:
     """Penalty sigma of the W = P and W = Q constraints: ``sqrt(min h * max h)``.
 
-    ``h_ab = 2 s_a^2 s_b^2 + rho1 s_b^2 + rho2`` are the eigenvalues of the
+    ``h_ab = 2 s_a^2 s_b^2 + rho s_b^2 + rho`` are the eigenvalues of the
     W subproblem's quadratic without the P and Q terms (see
     :func:`_shifted_inverse`), and the geometric mean of their extremes is
     the classic penalty choice for a quadratic split. ``min h`` is taken at
-    its floor ``rho2`` (reached when X has fewer independent samples than
+    its floor ``rho`` (reached when X has fewer independent samples than
     features) rather than at the data's smallest eigenvalue. The penalty
-    grows with rho1 and rho2 and is constant when they are.
+    grows with rho and is constant when rho is.
     """
     high = float(basis.s2.max())
-    return math.sqrt(rho2 * (2.0 * high * high + rho1 * high + rho2))
+    return math.sqrt(rho * (2.0 * high * high + rho * high + rho))
 
 
 def _shifted_inverse(
-    basis: SpectralBasis, rho1: float, rho2: float, shift: float
+    basis: SpectralBasis, rho: float, shift: float
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The map ``rhs -> (H + shift)^-1 rhs``, H the Hessian of the W
     subproblem without the P and Q terms.
 
     In the full bases of ``X = U diag(s) V^T`` H is diagonal: it scales the
-    coefficient ``(V^T W U)_ab`` by ``h_ab = 2 s_a^2 s_b^2 + rho1 s_b^2 +
-    rho2``, with s padded by zeros to length n (rows a) and d (columns b).
+    coefficient ``(V^T W U)_ab`` by ``h_ab = 2 s_a^2 s_b^2 + rho s_b^2 +
+    rho``, with s padded by zeros to length n (rows a) and d (columns b).
     The right-hand side splits into three orthogonal parts: inside both the
     row space V and the column space U of the thin SVD (a k x k block of
     weights), outside V but inside U (s_a = 0: one weight per column), and
-    outside U (s_b = 0: the weight rho2). The complement of V is reached by
+    outside U (s_b = 0: the weight rho). The complement of V is reached by
     projection, so no n x n basis is formed.
     """
     u, v, s2 = basis.u, basis.v, basis.s2
     # on huge data the weights underflow to 0 and the W step goes
     # non-finite, which the Z step's finiteness check reports
     with np.errstate(over="ignore"):
-        inv_inside = 1.0 / (2.0 * np.outer(s2, s2) + rho1 * s2[None, :] + rho2 + shift)
-    inv_outside_v = 1.0 / (rho1 * s2 + rho2 + shift)
-    inv_outside_u = 1.0 / (rho2 + shift)
+        inv_inside = 1.0 / (2.0 * np.outer(s2, s2) + rho * s2[None, :] + rho + shift)
+    inv_outside_v = 1.0 / (rho * s2 + rho + shift)
+    inv_outside_u = 1.0 / (rho + shift)
     thin_u = u.shape[0] > u.shape[1]  # more features than samples
 
     def apply(rhs: np.ndarray) -> np.ndarray:
@@ -423,20 +418,20 @@ def solve_w_subproblem(
     """Closed-form W update: the minimizer of the augmented Lagrangian in W.
 
     With Z, W~, P, Q and the multipliers fixed, that is the quadratic
-    ``||X - XWX||^2 + rho1/2 ||WX - Z + L1/rho1||^2 + rho2/2 ||W - W~ +
-    L2/rho2||^2 + sigma/2 ||W - P + L3/sigma||^2 + sigma/2 ||W - Q +
+    ``||X - XWX||^2 + rho/2 ||WX - Z + L1/rho||^2 + rho/2 ||W - W~ +
+    L2/rho||^2 + sigma/2 ||W - P + L3/sigma||^2 + sigma/2 ||W - Q +
     L4/sigma||^2``, whose Hessian is diagonal in the spectral basis of the
     data. ``basis`` is the data's :func:`spectral_basis` and ``sigma`` the
-    :func:`inner_penalty` of the sweep.
+    :func:`pq_penalty` of the sweep.
     """
-    rho1, rho2 = state.rho1, state.rho2
+    rho = state.rho
     # minus the linear term of the quadratic: its gradient is (H + 2 sigma)W - b;
     # a non-finite b (huge data) is reported by the Z step's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
-        b = (basis.g + (rho1 * state.z - state.lambda1) @ ds.matrix.T
-             + rho2 * state.w_tilde - state.lambda2
+        b = (basis.g + (rho * state.z - state.lambda1) @ ds.matrix.T
+             + rho * state.w_tilde - state.lambda2
              + sigma * (state.p + state.q) - state.lambda3 - state.lambda4)
-    return _shifted_inverse(basis, rho1, rho2, 2.0 * sigma)(b)
+    return _shifted_inverse(basis, rho, 2.0 * sigma)(b)
 
 
 def update_z(
@@ -445,31 +440,31 @@ def update_z(
     t: Union[AngularWeights, np.ndarray],
     eta: Optional[Union[float, np.ndarray]],
 ) -> np.ndarray:
-    """Closed-form Z update: weighted entrywise shrinkage of WX + L1/rho1.
+    """Closed-form Z update: weighted entrywise shrinkage of WX + L1/rho.
 
-    The thresholds are ``eta * T / rho1``, with ``t`` the angular weights T
+    The thresholds are ``eta * T / rho``, with ``t`` the angular weights T
     and ``eta`` a float or, for a stacked state, one value per cell. With
     ``eta=None``, ``t`` is the array ``eta * T`` itself, which :func:`solve`
     builds once.
     """
-    if state.rho1 <= 0:
-        raise ValueError("rho1 must be positive")
-    k = _times_x(state, ds) + state.lambda1 / state.rho1
+    if state.rho <= 0:
+        raise ValueError("rho must be positive")
+    k = _times_x(state, ds) + state.lambda1 / state.rho
     weights = t if eta is None else np.asarray(eta)[..., None, None] * t.t
-    return soft_threshold(k, weights / state.rho1)
+    return soft_threshold(k, weights / state.rho)
 
 
 def update_w_tilde(state: SolverState, gamma: Union[float, np.ndarray]) -> np.ndarray:
-    """Closed-form W~ update: singular value thresholding of W + L2/rho2.
+    """Closed-form W~ update: singular value thresholding of W + L2/rho.
 
     ``gamma`` is a float or, for a stacked state, one value per cell.
     """
-    if state.rho2 <= 0:
-        raise ValueError("rho2 must be positive")
+    if state.rho <= 0:
+        raise ValueError("rho must be positive")
     # an overflowing threshold zeroes the spectrum, as in update_p_q
     with np.errstate(over="ignore"):
-        mu = gamma / state.rho2
-    return svt(state.w + state.lambda2 / state.rho2, mu)
+        mu = gamma / state.rho
+    return svt(state.w + state.lambda2 / state.rho, mu)
 
 
 def update_p_q(
@@ -505,27 +500,20 @@ def update_duals_and_rho(
     sigma: float,
     residuals: Optional[tuple[np.ndarray, ...]] = None,
 ) -> SolverState:
-    """Dual ascent on all four multipliers, then the geometric penalty growth.
+    """Dual ascent on all four multipliers, then rho grows by ``cfg.tau``
+    up to ``cfg.rho_max``.
 
     ``residuals`` are the state's :func:`primal_residuals` if already formed.
     """
     r1, r2, r3, r4 = primal_residuals(state, ds) if residuals is None else residuals
-    rho1, rho2 = state.rho1, state.rho2
-    lambda1 = state.lambda1 + rho1 * r1
-    lambda2 = state.lambda2 + rho2 * r2
-    lambda3 = state.lambda3 + sigma * r3
-    lambda4 = state.lambda4 + sigma * r4
-    if cfg.adaptive_rho:
-        rho1 = min(cfg.tau * rho1, cfg.rho_max)
-        rho2 = min(cfg.tau * rho2, cfg.rho_max)
+    rho = state.rho
     return replace(
         state,
-        lambda1=lambda1,
-        lambda2=lambda2,
-        lambda3=lambda3,
-        lambda4=lambda4,
-        rho1=rho1,
-        rho2=rho2,
+        lambda1=state.lambda1 + rho * r1,
+        lambda2=state.lambda2 + rho * r2,
+        lambda3=state.lambda3 + sigma * r3,
+        lambda4=state.lambda4 + sigma * r4,
+        rho=min(cfg.tau * rho, cfg.rho_max),
         iter=state.iter + 1,
     )
 
@@ -579,27 +567,26 @@ def check_convergence(
 
 
 def state_difference(a: SolverState, b: SolverState) -> SolverState:
-    """Componentwise difference a - b (penalties and counter taken from a)."""
+    """Componentwise difference a - b (penalty and counter taken from a)."""
     return replace(a, wx=None, **{f: getattr(a, f) - getattr(b, f) for f in _ARRAY_FIELDS})
 
 
 def h_seminorm_sq(
     delta: SolverState,
     ds: Dataset,
-    rho1: float,
-    rho2: float,
+    rho: float,
     sigma: float,
 ):
     """Squared block-weighted seminorm of a state difference.
 
     The weighting is block diagonal: the W block carries the quadratic form
-    induced by the coupling constraint (``rho1 ||dW X||^2 + rho2 ||dW||^2``),
-    Z, W~, P and Q carry their penalties (``sigma`` for P and Q), and the
-    multipliers the inverse penalties. Successive-iterate differences
-    measured this way are the solver's contraction diagnostic. One value per
-    cell for a stacked difference.
+    induced by the coupling constraint (``rho ||dW X||^2 + rho ||dW||^2``),
+    Z and W~ carry ``rho``, P and Q ``sigma``, and the multipliers the
+    inverse penalties. Successive-iterate differences measured this way are
+    the solver's contraction diagnostic. One value per cell for a stacked
+    difference.
     """
-    if rho1 <= 0 or rho2 <= 0 or sigma <= 0:
+    if rho <= 0 or sigma <= 0:
         raise ValueError("penalties must be positive")
     x = ds.matrix
 
@@ -607,12 +594,12 @@ def h_seminorm_sq(
         return _sum2(m * m)
 
     return _per_stack(
-        rho1 * fro2(delta.w @ x)
-        + rho2 * fro2(delta.w)
-        + rho1 * fro2(delta.z)
-        + rho2 * fro2(delta.w_tilde)
-        + fro2(delta.lambda1) / rho1
-        + fro2(delta.lambda2) / rho2
+        rho * fro2(delta.w @ x)
+        + rho * fro2(delta.w)
+        + rho * fro2(delta.z)
+        + rho * fro2(delta.w_tilde)
+        + fro2(delta.lambda1) / rho
+        + fro2(delta.lambda2) / rho
         + sigma * (fro2(delta.p) + fro2(delta.q))
         + (fro2(delta.lambda3) + fro2(delta.lambda4)) / sigma
     )
@@ -639,7 +626,7 @@ def _sweep(
     prev_objective: np.ndarray,
 ) -> tuple[SolverState, tuple[np.ndarray, ...]]:
     """One sweep of a stack from ``start``: the W step, then the Z, W~, P
-    and Q proxes, then the multipliers and penalties, then the stopping test.
+    and Q proxes, then the multipliers and rho, then the stopping test.
 
     Returns the new state and, one entry per cell, the objective, the three
     residuals, the relative change, the seminorm step and the stop
@@ -647,7 +634,7 @@ def _sweep(
     an SVD fails). No array is changed in place, so ``start`` stays valid.
     """
     x = ds.matrix
-    sigma = inner_penalty(basis, start.rho1, start.rho2)
+    sigma = pq_penalty(basis, start.rho)
     w = solve_w_subproblem(ds, start, basis, sigma)
     state = replace(start, w=w, wx=w @ x)
     z = update_z(state, ds, cells.eta_t, None)
@@ -666,7 +653,7 @@ def _sweep(
     decision = check_convergence(state, ds, prev_objective, curr, cfg.epsilon, residuals)
     del residuals
     # The sweep ran under the previous penalties; weight its step with them.
-    h2 = h_seminorm_sq(state_difference(state, start), ds, start.rho1, start.rho2, sigma)
+    h2 = h_seminorm_sq(state_difference(state, start), ds, start.rho, sigma)
     return state, (
         curr,
         decision.residual_wx_z,
@@ -796,7 +783,7 @@ def solve(
     """Run the full ADMM loop from the all-zero start.
 
     Each sweep updates W (closed form), then Z, W~, P and Q (closed-form
-    proxes, independent of each other), then the multipliers and penalties,
+    proxes, independent of each other), then the multipliers and rho,
     then tests convergence on the exact objective. Deterministic: identical
     inputs give identical reports.
 

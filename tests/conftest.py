@@ -77,25 +77,25 @@ def tiny_csv() -> Path:
 
 def w_smooth_objective(ds: Dataset, state, w: np.ndarray) -> float:
     """Smooth part q(W) of the W subproblem, recomputed from its definition:
-    ||X - XWX||^2 + rho1/2 ||WX - Z + L1/rho1||^2 + rho2/2 ||W - W~ + L2/rho2||^2.
+    ||X - XWX||^2 + rho/2 ||WX - Z + L1/rho||^2 + rho/2 ||W - W~ + L2/rho||^2.
     """
     x = ds.matrix
     resid = x - x @ w @ x
-    r1 = w @ x - state.z + state.lambda1 / state.rho1
-    r2 = w - state.w_tilde + state.lambda2 / state.rho2
+    r1 = w @ x - state.z + state.lambda1 / state.rho
+    r2 = w - state.w_tilde + state.lambda2 / state.rho
     return (
         float((resid**2).sum())
-        + 0.5 * state.rho1 * float((r1**2).sum())
-        + 0.5 * state.rho2 * float((r2**2).sum())
+        + 0.5 * state.rho * float((r1**2).sum())
+        + 0.5 * state.rho * float((r2**2).sum())
     )
 
 
 def w_smooth_gradient(ds: Dataset, state, w: np.ndarray) -> np.ndarray:
     """Gradient of :func:`w_smooth_objective` with respect to W."""
     x = ds.matrix
-    r1 = w @ x - state.z + state.lambda1 / state.rho1
-    r2 = w - state.w_tilde + state.lambda2 / state.rho2
-    return 2.0 * x.T @ (x @ w @ x - x) @ x.T + state.rho1 * r1 @ x.T + state.rho2 * r2
+    r1 = w @ x - state.z + state.lambda1 / state.rho
+    r2 = w - state.w_tilde + state.lambda2 / state.rho
+    return 2.0 * x.T @ (x @ w @ x - x) @ x.T + state.rho * r1 @ x.T + state.rho * r2
 
 
 def w_split_objective(ds: Dataset, state, sigma: float, w: np.ndarray) -> float:
@@ -127,10 +127,10 @@ def w_step_gradient_ratio(ds: Dataset, state) -> float:
     """Central-difference gradient of the W-block augmented Lagrangian at the
     W update, relative to its gradient at the state's W. The function is
     quadratic in W, so central differences are exact up to rounding."""
-    from alfs.solver import inner_penalty, solve_w_subproblem, spectral_basis
+    from alfs.solver import pq_penalty, solve_w_subproblem, spectral_basis
 
     basis = spectral_basis(ds)
-    sigma = inner_penalty(basis, state.rho1, state.rho2)
+    sigma = pq_penalty(basis, state.rho)
     w = solve_w_subproblem(ds, state, basis, sigma)
 
     def f(v):

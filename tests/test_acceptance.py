@@ -37,7 +37,7 @@ from alfs.bench import GRID_DEFAULT
 from alfs.cli import main as cli_main
 from alfs.solver import (
     SolverState,
-    inner_penalty,
+    pq_penalty,
     solve_w_subproblem,
     spectral_basis,
     update_p_q,
@@ -104,8 +104,7 @@ def test_criterion_1_gradient_correctness():
             lambda2=rng.normal(size=(n, d)),
             lambda3=rng.normal(size=(n, d)),
             lambda4=rng.normal(size=(n, d)),
-            rho1=float(rng.uniform(0.1, 2.0)),
-            rho2=float(rng.uniform(0.1, 2.0)),
+            rho=float(rng.uniform(0.1, 2.0)),
         )
         params = RegularizationParams(
             alpha=float(rng.uniform(0.1, 2.0)),
@@ -117,7 +116,7 @@ def test_criterion_1_gradient_correctness():
         worst_fd = max(worst_fd, w_step_gradient_ratio(ds, state))
 
         basis = spectral_basis(ds)
-        sigma = inner_penalty(basis, state.rho1, state.rho2)
+        sigma = pq_penalty(basis, state.rho)
         state.w = solve_w_subproblem(ds, state, basis, sigma)
         # as drawn, and ten times stronger so that some rows and columns vanish
         for strength in (1.0, 10.0):
@@ -243,9 +242,8 @@ def test_criterion_4_h_seminorm_diagnostic():
     rng = np.random.default_rng(7)
     ds = Dataset(rng.normal(size=(10, 20)))
     cfg = SolverConfig(
-        rho1_init=1.0,
-        rho2_init=1.0,
-        adaptive_rho=False,
+        rho_init=1.0,
+        tau=1.0,  # a fixed penalty
         epsilon=1e-12,  # run the full budget; this test watches the sequence
         max_outer_iters=80,
     )

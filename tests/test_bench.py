@@ -490,6 +490,25 @@ class TestGridSearch:
         assert result.n_solver_calls == 64
         assert len(result.scores) == 64
 
+    @pytest.mark.parametrize("protocol, message", [
+        (GridProtocol(m=9), "sample budget m=9 outside 1..6"),
+        (GridProtocol(m=2, r=5), "feature budget r=5 outside 1..4"),
+    ], ids=["samples", "features"])
+    def test_a_budget_the_data_cannot_hold_solves_nothing(
+        self, protocol, message, monkeypatch
+    ):
+        calls = {"count": 0}
+        original = bench_mod.solve
+
+        def counting(*args, **kwargs):
+            calls["count"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bench_mod, "solve", counting)
+        with pytest.raises(ValueError, match=message):
+            grid_search(random_dataset(36, d=4, n=6), protocol, solver_cfg=FAST_SOLVER)
+        assert calls["count"] == 0
+
     def test_a_cell_whose_scoring_fails_counts_one_solve(self):
         train = random_dataset(35, d=4, n=5)
 

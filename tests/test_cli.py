@@ -66,10 +66,12 @@ class TestConfigDefaults:
     ("bench", {"bench": {"alfs_grid": [0.1, "10"]}}, "bench section"),
     ("bench", {"solver": {"max_outer_iters": 2.5}}, "solver section"),
     ("solve", {"solver": {"max_outer_iters": 2.5}}, "solver section"),
-    ("solve", {"solver": {"adaptive_rho": "false"}}, "solver section"),
+    ("solve", {"solver": {"tau": "1.1"}}, "solver section"),
+    ("solve", {"selection": {"m": 2.5}}, "selection budgets"),
+    ("solve", {"selection": {"r": True}}, "selection budgets"),
 ], ids=[
     "bench-repeats", "bench-rcur_rank", "bench-alfs_grid", "bench-max_outer_iters",
-    "solve-max_outer_iters", "solve-adaptive_rho",
+    "solve-max_outer_iters", "solve-tau", "solve-selection_m", "solve-selection_r",
 ])
 def test_mistyped_config_value_exits_2_naming_the_section(
     command, config, section, tiny_csv, tmp_path, capsys
@@ -133,6 +135,9 @@ class TestSolveCommand:
         {"params": {"smoothing_eps": 1e-8}},
         {"solver": {"inner": {"max_iters": 25, "grad_tol": 1e-5}}},
         {"solver": {"seed": 0}},
+        {"solver": {"rho1_init": 1e-6}},
+        {"solver": {"rho2_init": 1e-6}},
+        {"solver": {"adaptive_rho": False}},
         {"bench": {"knn_k": 1}},
     ])
     def test_removed_solver_keys_exit_2(self, tiny_csv, tmp_path, capsys, removed):
@@ -391,6 +396,17 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert "invalid bench section for method 'random'" in err
         assert "must not repeat a budget" in err
+
+    def test_zero_train_size_exits_2(self, cluster_csv, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        code = run_cli(
+            "bench", "--data", str(cluster_csv), "--label-column", "label",
+            "--methods", "random", "--budgets", "2", "--train-size", "0",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+        assert "n_train=0 outside 1..44" in capsys.readouterr().err
 
     def test_bad_budget_spec_exits_2(self, cluster_csv, tmp_path):
         code = run_cli(

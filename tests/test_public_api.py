@@ -27,7 +27,7 @@ def test_no_solver_internals_exported():
         "augmented_lagrangian",
         "check_convergence",
         "h_seminorm_sq",
-        "inner_penalty",
+        "pq_penalty",
         "solve_w_subproblem",
         "spectral_basis",
         "state_difference",
@@ -50,7 +50,7 @@ def test_removed_l_bfgs_stack_is_gone():
 
 def test_options_that_changed_nothing_are_gone():
     removed = {
-        alfs.SolverConfig: {"seed"},
+        alfs.SolverConfig: {"seed", "rho1_init", "rho2_init", "adaptive_rho"},
         alfs.RcurConfig: {"eps"},
         alfs.BenchSpec: {"classifier", "knn_k"},
         alfs.GridProtocol: {"holdout_fraction", "min_labeled_for_holdout", "knn_k"},

@@ -38,6 +38,13 @@ class TestRankAndSelect:
         with pytest.raises(ValueError):
             rank_and_select(np.ones((3, 2)), SelectionRequest(4, 1))
 
+    @pytest.mark.parametrize("m, r, name", [
+        (2.5, 1, "m"), (2.0, 1, "m"), (2, True, "r"), (0, 1, "m"), (1, -1, "r"),
+    ])
+    def test_budgets_must_be_positive_integers(self, m, r, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            SelectionRequest(m, r)
+
     def test_scale_equivariant_ordering(self):
         rng = np.random.default_rng(0)
         w = rng.normal(size=(6, 4))

@@ -27,7 +27,7 @@ from alfs.solver import (
     augmented_lagrangian,
     check_convergence,
     h_seminorm_sq,
-    inner_penalty,
+    pq_penalty,
     solve_w_subproblem,
     spectral_basis,
     state_difference,
@@ -47,7 +47,7 @@ from conftest import (
 )
 
 
-def random_state(rng, d, n, rho1=0.7, rho2=1.3):
+def random_state(rng, d, n, rho=0.7):
     return SolverState(
         w=rng.normal(size=(n, d)),
         z=rng.normal(size=(n, n)),
@@ -58,23 +58,22 @@ def random_state(rng, d, n, rho1=0.7, rho2=1.3):
         lambda2=rng.normal(size=(n, d)),
         lambda3=rng.normal(size=(n, d)),
         lambda4=rng.normal(size=(n, d)),
-        rho1=rho1,
-        rho2=rho2,
+        rho=rho,
     )
 
 
-def feasible_state(ds, w, rho1=1.0, rho2=1.0):
+def feasible_state(ds, w, rho=1.0):
     """All copies of W equal to W, all multipliers zero."""
     n, d = w.shape
     return SolverState(
         w=w, z=w @ ds.matrix, w_tilde=w.copy(), p=w.copy(), q=w.copy(),
         lambda1=np.zeros((n, n)), lambda2=np.zeros((n, d)),
         lambda3=np.zeros((n, d)), lambda4=np.zeros((n, d)),
-        rho1=rho1, rho2=rho2,
+        rho=rho,
     )
 
 
-def single_entry_state(w, w_tilde=0.0, p=0.0, q=0.0, rho1=1.0, rho2=1.0):
+def single_entry_state(w, w_tilde=0.0, p=0.0, q=0.0, rho=1.0):
     """A 1 x 1 state with zero Z and zero multipliers."""
     def one(v):
         return np.array([[v]])
@@ -82,7 +81,7 @@ def single_entry_state(w, w_tilde=0.0, p=0.0, q=0.0, rho1=1.0, rho2=1.0):
     return SolverState(
         w=one(w), z=one(0.0), w_tilde=one(w_tilde), p=one(p), q=one(q),
         lambda1=one(0.0), lambda2=one(0.0), lambda3=one(0.0), lambda4=one(0.0),
-        rho1=rho1, rho2=rho2,
+        rho=rho,
     )
 
 
@@ -139,7 +138,7 @@ class TestAugmentedLagrangian:
         t = angular_weights(ds)
         p = RegularizationParams(alpha=0.3, beta=0.4, gamma=0.5, eta=0.6)
         w = rng.normal(size=(5, 3))
-        state = feasible_state(ds, w, rho1=2.0, rho2=3.0)
+        state = feasible_state(ds, w, rho=2.0)
         assert augmented_lagrangian(ds, state, p, t, sigma=1.5) == pytest.approx(
             objective(ds, w, p, t), abs=1e-10
         )
@@ -173,8 +172,8 @@ class TestAugmentedLagrangian:
             + float(np.trace(state.lambda2.T @ r2))
             + float(np.trace(state.lambda3.T @ r3))
             + float(np.trace(state.lambda4.T @ r4))
-            + 0.5 * state.rho1 * float(np.sum(r1**2))
-            + 0.5 * state.rho2 * float(np.sum(r2**2))
+            + 0.5 * state.rho * float(np.sum(r1**2))
+            + 0.5 * state.rho * float(np.sum(r2**2))
             + 0.5 * sigma * float(np.sum(r3**2) + np.sum(r4**2))
         )
         assert augmented_lagrangian(ds, state, p, t, sigma) == pytest.approx(
@@ -185,12 +184,12 @@ class TestAugmentedLagrangian:
 class TestWSubproblemGradient:
     def test_zero_state_closed_form(self):
         # from the all-zero state the minimizer solves
-        # 2 X^T X W X X^T + rho1 W X X^T + (rho2 + 2 sigma) W = 2 X^T X X^T
+        # 2 X^T X W X X^T + rho W X X^T + (rho + 2 sigma) W = 2 X^T X X^T
         ds = random_dataset(7, d=4, n=6)
         x = ds.matrix
-        state = SolverState.initial(4, 6, SolverConfig(rho1_init=1.0, rho2_init=1.0))
+        state = SolverState.initial(4, 6, SolverConfig(rho_init=1.0))
         basis = spectral_basis(ds)
-        sigma = inner_penalty(basis, 1.0, 1.0)
+        sigma = pq_penalty(basis, 1.0)
         w = solve_w_subproblem(ds, state, basis, sigma)
         lhs = 2.0 * x.T @ x @ w @ x @ x.T + w @ x @ x.T + (1.0 + 2.0 * sigma) * w
         rhs = 2.0 * x.T @ x @ x.T
@@ -220,25 +219,27 @@ class TestWSubproblemGradient:
 
 
 class TestInnerPenalty:
+    """:func:`pq_penalty`, the penalty sigma of the W = P and W = Q constraints."""
+
     @pytest.mark.parametrize("d, n", [(3, 5), (5, 3), (4, 4)])
     def test_geometric_mean_of_floor_and_top_eigenvalue(self, d, n):
         ds = random_dataset(40 + d, d=d, n=n)
         x = ds.matrix
-        rho1, rho2 = 0.3, 2.0
+        rho = 0.3
         # every eigenvalue of the quadratic, from the Gram matrices
         sa = np.linalg.eigvalsh(x.T @ x)  # n values, zeros beyond rank
         sb = np.linalg.eigvalsh(x @ x.T)  # d values
-        h = 2.0 * np.outer(sa, sb) + rho1 * sb[None, :] + rho2
-        assert h.min() >= rho2 * (1 - 1e-12)
-        expected = np.sqrt(rho2 * h.max())
-        got = inner_penalty(spectral_basis(ds), rho1, rho2)
+        h = 2.0 * np.outer(sa, sb) + rho * sb[None, :] + rho
+        assert h.min() >= rho * (1 - 1e-12)
+        expected = np.sqrt(rho * h.max())
+        got = pq_penalty(spectral_basis(ds), rho)
         assert got == pytest.approx(expected, rel=1e-9)
 
 
 def w_step(ds, state):
     """The W update with the sweep's penalty; returns it and the penalty."""
     basis = spectral_basis(ds)
-    sigma = inner_penalty(basis, state.rho1, state.rho2)
+    sigma = pq_penalty(basis, state.rho)
     return solve_w_subproblem(ds, state, basis, sigma), sigma
 
 
@@ -247,7 +248,7 @@ class TestSolveWSubproblem:
         rng = np.random.default_rng(10)
         ds = random_dataset(10, d=3, n=4)
         w0 = rng.normal(size=(4, 3))
-        state = feasible_state(ds, w0, rho1=1e8, rho2=1e8)
+        state = feasible_state(ds, w0, rho=1e8)
         state.w = np.zeros((4, 3))
         w, _ = w_step(ds, state)
         assert np.abs(w - w0).max() < 1e-3
@@ -258,7 +259,7 @@ class TestSolveWSubproblem:
         # random starts
         rng = np.random.default_rng(11)
         ds = random_dataset(11, d=2, n=3)
-        state = random_state(rng, 2, 3, rho1=0.5, rho2=0.8)
+        state = random_state(rng, 2, 3, rho=0.5)
         exact, sigma = w_step(ds, state)
 
         def grad(w):
@@ -317,7 +318,7 @@ class TestUpdateZ:
         state = random_state(rng, 3, 4)
         t = angular_weights(ds)
         z = update_z(state, ds, t, eta=0.0)
-        assert np.array_equal(z, state.w @ ds.matrix + state.lambda1 / state.rho1)
+        assert np.array_equal(z, state.w @ ds.matrix + state.lambda1 / state.rho)
 
     def test_single_entry_shrinkage(self):
         ds = Dataset(np.array([[1.0]]))
@@ -341,9 +342,9 @@ class TestUpdateZ:
         t = angular_weights(ds)
         eta = 0.8
         z = update_z(state, ds, t, eta)
-        anchor = state.w @ ds.matrix + state.lambda1 / state.rho1
+        anchor = state.w @ ds.matrix + state.lambda1 / state.rho
         resid = anchor - z
-        thr = eta * t.t / state.rho1
+        thr = eta * t.t / state.rho
         assert np.all(np.abs(resid) <= thr * (1 + 1e-12) + 1e-300)
         nz = z != 0
         assert np.allclose(resid[nz], thr[nz] * np.sign(z[nz]), rtol=1e-10, atol=1e-14)
@@ -354,10 +355,10 @@ class TestUpdateWTilde:
         rng = np.random.default_rng(16)
         state = random_state(rng, 3, 4)
         out = update_w_tilde(state, gamma=0.0)
-        assert np.allclose(out, state.w + state.lambda2 / state.rho2, atol=1e-12)
+        assert np.allclose(out, state.w + state.lambda2 / state.rho, atol=1e-12)
 
     def test_diagonal_case(self):
-        state = SolverState.initial(2, 2, SolverConfig(rho1_init=1.0, rho2_init=1.0))
+        state = SolverState.initial(2, 2, SolverConfig(rho_init=1.0))
         state.w = np.diag([3.0, 1.0])
         out = update_w_tilde(state, gamma=2.0)
         assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
@@ -369,22 +370,22 @@ class TestUpdateWTilde:
             ).sum()
 
         rng = np.random.default_rng(17)
-        state = random_state(rng, 3, 5, rho2=2.0)
+        state = random_state(rng, 3, 5, rho=2.0)
         gamma = 0.9
-        k = state.w + state.lambda2 / state.rho2
+        k = state.w + state.lambda2 / state.rho
         out = update_w_tilde(state, gamma)
-        base = prox_objective(out, k, gamma / state.rho2)
+        base = prox_objective(out, k, gamma / state.rho)
         for _ in range(1000):
             pert = out + rng.choice([1e-4, 1e-2]) * rng.normal(size=out.shape)
-            assert base <= prox_objective(pert, k, gamma / state.rho2) + 1e-12
+            assert base <= prox_objective(pert, k, gamma / state.rho) + 1e-12
 
 
 class TestUpdateDualsAndRho:
     def test_multiplier_step(self):
         ds = Dataset(np.array([[1.0]]))
-        state = single_entry_state(1.0, w_tilde=1.0, p=0.0, q=1.0, rho1=2.0)
-        out = update_duals_and_rho(state, ds, SolverConfig(adaptive_rho=False), sigma=3.0)
-        assert out.lambda1[0, 0] == pytest.approx(2.0)  # rho1 * (WX - Z) = 2*1
+        state = single_entry_state(1.0, w_tilde=1.0, p=0.0, q=1.0, rho=2.0)
+        out = update_duals_and_rho(state, ds, SolverConfig(tau=1.0), sigma=3.0)
+        assert out.lambda1[0, 0] == pytest.approx(2.0)  # rho * (WX - Z) = 2*1
         assert out.lambda2[0, 0] == pytest.approx(0.0)
         assert out.lambda3[0, 0] == pytest.approx(3.0)  # sigma * (W - P) = 3*1
         assert out.lambda4[0, 0] == pytest.approx(0.0)
@@ -394,22 +395,21 @@ class TestUpdateDualsAndRho:
         ds = Dataset(np.array([[1.0]]))
         state = SolverState.initial(1, 1, SolverConfig())
         out = update_duals_and_rho(state, ds, SolverConfig(tau=1.1), sigma=1.0)
-        assert out.rho1 == pytest.approx(1.1e-6, rel=1e-12)
-        assert out.rho2 == pytest.approx(1.1e-6, rel=1e-12)
+        assert out.rho == pytest.approx(1.1e-6, rel=1e-12)
 
     def test_rho_capped(self):
         ds = Dataset(np.array([[1.0]]))
-        cfg = SolverConfig(rho1_init=1e10, rho2_init=1e10, rho_max=1e10)
+        cfg = SolverConfig(rho_init=1e10, rho_max=1e10)
         state = SolverState.initial(1, 1, cfg)
         out = update_duals_and_rho(state, ds, cfg, sigma=1.0)
-        assert out.rho1 == 1e10 and out.rho2 == 1e10
+        assert out.rho == 1e10
 
     def test_fixed_mode_leaves_rho(self):
         ds = Dataset(np.array([[1.0]]))
-        cfg = SolverConfig(adaptive_rho=False)
+        cfg = SolverConfig(tau=1.0)
         state = SolverState.initial(1, 1, cfg)
         out = update_duals_and_rho(state, ds, cfg, sigma=1.0)
-        assert out.rho1 == cfg.rho1_init and out.rho2 == cfg.rho2_init
+        assert out.rho == cfg.rho_init
 
 
 class TestCheckConvergence:
@@ -455,16 +455,16 @@ class TestCheckConvergence:
 class TestHSeminorm:
     def test_zero_difference(self):
         ds = random_dataset(19, d=3, n=4)
-        zero = SolverState.initial(3, 4, SolverConfig(rho1_init=1.0, rho2_init=1.0))
-        assert h_seminorm_sq(zero, ds, 1.0, 1.0, 1.0) == 0.0
+        zero = SolverState.initial(3, 4, SolverConfig(rho_init=1.0))
+        assert h_seminorm_sq(zero, ds, 1.0, 1.0) == 0.0
 
     def test_identity_data_w_block(self):
         ds = Dataset(np.eye(3))
         rng = np.random.default_rng(20)
         dw = rng.normal(size=(3, 3))
-        delta = SolverState.initial(3, 3, SolverConfig(rho1_init=1.0, rho2_init=1.0))
+        delta = SolverState.initial(3, 3, SolverConfig(rho_init=1.0))
         delta.w = dw
-        assert h_seminorm_sq(delta, ds, 1.0, 1.0, 5.0) == pytest.approx(
+        assert h_seminorm_sq(delta, ds, 1.0, 5.0) == pytest.approx(
             2.0 * float((dw**2).sum()), rel=1e-12
         )
 
@@ -474,22 +474,22 @@ class TestHSeminorm:
         d, n = 2, 3
         ds = random_dataset(21, d=d, n=n)
         x = ds.matrix
-        rho1, rho2, sigma = 0.6, 1.7, 2.3
+        rho, sigma = 0.6, 2.3
 
         basis_map = np.zeros((n * n, n * d))
         for idx in range(n * d):
             e = np.zeros(n * d)
             e[idx] = 1.0
             basis_map[:, idx] = (e.reshape(n, d) @ x).ravel()
-        h_w = rho1 * basis_map.T @ basis_map + rho2 * np.eye(n * d)
+        h_w = rho * basis_map.T @ basis_map + rho * np.eye(n * d)
         blocks = [
             h_w,
-            rho1 * np.eye(n * n),
-            rho2 * np.eye(n * d),
+            rho * np.eye(n * n),
+            rho * np.eye(n * d),
             sigma * np.eye(n * d),
             sigma * np.eye(n * d),
-            (1.0 / rho1) * np.eye(n * n),
-            (1.0 / rho2) * np.eye(n * d),
+            (1.0 / rho) * np.eye(n * n),
+            (1.0 / rho) * np.eye(n * d),
             (1.0 / sigma) * np.eye(n * d),
             (1.0 / sigma) * np.eye(n * d),
         ]
@@ -500,7 +500,7 @@ class TestHSeminorm:
             big[at : at + b.shape[0], at : at + b.shape[0]] = b
             at += b.shape[0]
 
-        delta = random_state(rng, d, n, rho1=rho1, rho2=rho2)
+        delta = random_state(rng, d, n, rho=rho)
         v = np.concatenate(
             [
                 getattr(delta, name).ravel()
@@ -509,7 +509,7 @@ class TestHSeminorm:
             ]
         )
         expected = float(v @ big @ v)
-        assert h_seminorm_sq(delta, ds, rho1, rho2, sigma) == pytest.approx(
+        assert h_seminorm_sq(delta, ds, rho, sigma) == pytest.approx(
             expected, abs=1e-10
         )
 
@@ -669,7 +669,7 @@ class TestBlockDescent:
         p = RegularizationParams(
             alpha=0.5, beta=0.5, gamma=0.8, eta=0.6
         )
-        state = random_state(rng, 3, 5, rho1=1.0, rho2=1.0)
+        state = random_state(rng, 3, 5, rho=1.0)
 
         w, sigma = w_step(ds, state)
         values = [augmented_lagrangian(ds, state, p, t, sigma)]
