@@ -73,10 +73,11 @@ class RegularizationParams:
     varsigma: float = DEFAULT_VARSIGMA
 
     def __post_init__(self) -> None:
+        # written so that NaN, which fails every comparison, is rejected
         for name in ("alpha", "beta", "gamma", "eta"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.varsigma <= 0:
+        if not self.varsigma > 0:
             raise ValueError("varsigma must be positive")
 
 
@@ -98,11 +99,12 @@ class SolverConfig:
     max_outer_iters: int = 1000
 
     def __post_init__(self) -> None:
-        if self.tau < 1.0:
+        # written so that NaN, which fails every comparison, is rejected
+        if not self.tau >= 1.0:
             raise ValueError("tau must be >= 1")
         if not (0.0 < self.rho_init <= self.rho_max):
             raise ValueError("need 0 < rho_init <= rho_max")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         _require_integer("max_outer_iters", self.max_outer_iters, 1)
 
@@ -224,14 +226,14 @@ class StackReport:
 
 @dataclass(frozen=True)
 class ConvergenceDecision:
-    """The stopping test's verdict; for a stack, one entry per cell in every
-    field, with NaN where ``rel_change`` is undefined."""
+    """The stopping test's verdict: one entry per cell in every field, with
+    NaN where ``rel_change`` is undefined."""
 
-    converged: bool
-    residual_wx_z: float
-    residual_w_wtilde: float
-    residual_w_pq: float
-    rel_change: Optional[float]
+    converged: np.ndarray
+    residual_wx_z: np.ndarray
+    residual_w_wtilde: np.ndarray
+    residual_w_pq: np.ndarray
+    rel_change: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -261,10 +263,6 @@ class _Cells:
 def _sum2(m: np.ndarray):
     """Sum over each matrix: a 0-d array for a matrix, one value per cell."""
     return m.sum(axis=(-2, -1))
-
-
-def _times_x(state: SolverState, ds: Dataset) -> np.ndarray:
-    return state.wx if state.wx is not None else state.w @ ds.matrix
 
 
 def objective(
@@ -301,37 +299,6 @@ def objective(
     if not np.isfinite(value).all():
         raise ValueError("objective is non-finite")
     return _per_stack(value)
-
-
-def augmented_lagrangian(
-    ds: Dataset,
-    state: SolverState,
-    params: RegularizationParams,
-    t: AngularWeights,
-    sigma: float,
-) -> float:
-    """Augmented Lagrangian of the split problem at the given state, with
-    ``state.rho`` the penalty of the W X = Z and W = W~ constraints and
-    ``sigma`` that of the W = P and W = Q constraints."""
-    x = ds.matrix
-    w = state.w
-    resid = (x @ w) @ x - x
-    coupling = 0.0
-    for lam, r, penalty in (
-        (state.lambda1, w @ x - state.z, state.rho),
-        (state.lambda2, w - state.w_tilde, state.rho),
-        (state.lambda3, w - state.p, sigma),
-        (state.lambda4, w - state.q, sigma),
-    ):
-        coupling += float((lam * r).sum()) + 0.5 * penalty * float((r * r).sum())
-    return (
-        float((resid * resid).sum())
-        + params.alpha * l21_norm(state.p)
-        + params.beta * l21_norm(state.q.T)
-        + params.gamma * nuclear_norm(state.w_tilde)
-        + params.eta * float(np.abs(t.t * state.z).sum())
-        + coupling
-    )
 
 
 @dataclass(frozen=True)
@@ -434,24 +401,16 @@ def solve_w_subproblem(
     return _shifted_inverse(basis, rho, 2.0 * sigma)(b)
 
 
-def update_z(
-    state: SolverState,
-    ds: Dataset,
-    t: Union[AngularWeights, np.ndarray],
-    eta: Optional[Union[float, np.ndarray]],
-) -> np.ndarray:
+def update_z(state: SolverState, eta_t: np.ndarray) -> np.ndarray:
     """Closed-form Z update: weighted entrywise shrinkage of WX + L1/rho.
 
-    The thresholds are ``eta * T / rho``, with ``t`` the angular weights T
-    and ``eta`` a float or, for a stacked state, one value per cell. With
-    ``eta=None``, ``t`` is the array ``eta * T`` itself, which :func:`solve`
-    builds once.
+    The thresholds are ``eta_t / rho``, with ``eta_t`` the array ``eta * T``
+    of the angular weights T (one matrix per cell for a stack), which
+    :func:`solve` builds once. ``state.wx`` must be formed.
     """
     if state.rho <= 0:
         raise ValueError("rho must be positive")
-    k = _times_x(state, ds) + state.lambda1 / state.rho
-    weights = t if eta is None else np.asarray(eta)[..., None, None] * t.t
-    return soft_threshold(k, weights / state.rho)
+    return soft_threshold(state.wx + state.lambda1 / state.rho, eta_t / state.rho)
 
 
 def update_w_tilde(state: SolverState, gamma: Union[float, np.ndarray]) -> np.ndarray:
@@ -485,27 +444,25 @@ def update_p_q(
 
 
 def primal_residuals(
-    state: SolverState, ds: Dataset
+    state: SolverState,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The four constraint residuals ``WX - Z``, ``W - W~``, ``W - P`` and
-    ``W - Q``, which the dual step and the stopping test share."""
+    ``W - Q``, which the dual step, the stopping test and the seminorm
+    share. ``state.wx`` must be formed."""
     w = state.w
-    return _times_x(state, ds) - state.z, w - state.w_tilde, w - state.p, w - state.q
+    return state.wx - state.z, w - state.w_tilde, w - state.p, w - state.q
 
 
 def update_duals_and_rho(
     state: SolverState,
-    ds: Dataset,
     cfg: SolverConfig,
     sigma: float,
-    residuals: Optional[tuple[np.ndarray, ...]] = None,
+    residuals: tuple[np.ndarray, ...],
 ) -> SolverState:
-    """Dual ascent on all four multipliers, then rho grows by ``cfg.tau``
-    up to ``cfg.rho_max``.
-
-    ``residuals`` are the state's :func:`primal_residuals` if already formed.
-    """
-    r1, r2, r3, r4 = primal_residuals(state, ds) if residuals is None else residuals
+    """Dual ascent on all four multipliers by the state's
+    :func:`primal_residuals`, then rho grows by ``cfg.tau`` up to
+    ``cfg.rho_max``."""
+    r1, r2, r3, r4 = residuals
     rho = state.rho
     return replace(
         state,
@@ -523,85 +480,71 @@ def _max_abs(m: np.ndarray):
 
 
 def check_convergence(
-    state: SolverState,
-    ds: Dataset,
-    prev_objective,
-    curr_objective,
+    residuals: tuple[np.ndarray, ...],
+    prev_objective: np.ndarray,
+    curr_objective: np.ndarray,
     epsilon: float,
-    residuals: Optional[tuple[np.ndarray, ...]] = None,
 ) -> ConvergenceDecision:
-    """Stopping test: the max-norm residuals of all four constraints and the
-    relative objective change must all be below ``epsilon``.
+    """Stopping test: the max-norm :func:`primal_residuals` of all four
+    constraints and the relative objective change must all be below
+    ``epsilon``.
 
-    With no previous objective (``None``) the decision is always "not
-    converged". A zero previous objective satisfies the change condition
-    only when the current objective is also exactly zero; ``rel_change`` is
-    ``None`` whenever the ratio is undefined. For a stacked state the
-    objectives hold one value per cell, and so does every field of the
-    decision. ``residuals`` are the state's :func:`primal_residuals` if
-    already formed.
+    A zero previous objective satisfies the change condition only when the
+    current objective is also exactly zero; ``rel_change`` is NaN whenever
+    the ratio is undefined. The objectives hold one value per cell, and so
+    does every field of the decision.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    r1, r2, r3, r4 = primal_residuals(state, ds) if residuals is None else residuals
+    r1, r2, r3, r4 = residuals
     res1 = _max_abs(r1)
     res2 = _max_abs(r2)
     res3 = np.maximum(_max_abs(r3), _max_abs(r4))
-    if prev_objective is None:
-        rel = np.full(np.shape(res1), np.nan)
-        converged = np.zeros(np.shape(res1), dtype=bool)
-    else:
-        prev = np.asarray(prev_objective, dtype=float)
-        curr = np.asarray(curr_objective, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.abs((curr - prev) / prev)
-        rel = np.where(prev == 0.0, np.where(curr == 0.0, 0.0, np.nan), rel)
-        # an undefined change (NaN) is never below epsilon
-        converged = (np.maximum(np.maximum(res1, res2), res3) < epsilon) & (rel < epsilon)
-    if state.w.ndim == 3:
-        return ConvergenceDecision(converged, res1, res2, res3, rel)
-    return ConvergenceDecision(
-        bool(converged), float(res1), float(res2), float(res3),
-        None if np.isnan(rel) else float(rel),
-    )
-
-
-def state_difference(a: SolverState, b: SolverState) -> SolverState:
-    """Componentwise difference a - b (penalty and counter taken from a)."""
-    return replace(a, wx=None, **{f: getattr(a, f) - getattr(b, f) for f in _ARRAY_FIELDS})
+    prev = np.asarray(prev_objective, dtype=float)
+    curr = np.asarray(curr_objective, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs((curr - prev) / prev)
+    rel = np.where(prev == 0.0, np.where(curr == 0.0, 0.0, np.nan), rel)
+    # an undefined change (NaN) is never below epsilon
+    converged = (np.maximum(np.maximum(res1, res2), res3) < epsilon) & (rel < epsilon)
+    return ConvergenceDecision(converged, res1, res2, res3, rel)
 
 
 def h_seminorm_sq(
-    delta: SolverState,
-    ds: Dataset,
-    rho: float,
+    start: SolverState,
+    end: SolverState,
+    residuals: tuple[np.ndarray, ...],
+    basis: SpectralBasis,
     sigma: float,
 ):
-    """Squared block-weighted seminorm of a state difference.
+    """Squared block-weighted seminorm of the sweep from ``start`` to
+    ``end``, under the sweep's penalties ``start.rho`` and ``sigma``.
 
     The weighting is block diagonal: the W block carries the quadratic form
     induced by the coupling constraint (``rho ||dW X||^2 + rho ||dW||^2``),
     Z and W~ carry ``rho``, P and Q ``sigma``, and the multipliers the
     inverse penalties. Successive-iterate differences measured this way are
-    the solver's contraction diagnostic. One value per cell for a stacked
-    difference.
+    the solver's contraction diagnostic. The terms come from what the sweep
+    holds: ``||dW X||^2`` is ``||dW U diag(s)||^2`` on the thin basis of
+    X, and the dual step moved each multiplier by its penalty times its
+    residual (``residuals``, the sweep's :func:`primal_residuals`), so a
+    multiplier block is that penalty times the residual's squared norm.
+    One value per cell.
     """
-    if rho <= 0 or sigma <= 0:
-        raise ValueError("penalties must be positive")
-    x = ds.matrix
+    rho = start.rho
+    r1, r2, r3, r4 = residuals
 
     def fro2(m: np.ndarray):
         return _sum2(m * m)
 
+    dw = end.w - start.w
+    dwu = dw @ basis.u
     return _per_stack(
-        rho * fro2(delta.w @ x)
-        + rho * fro2(delta.w)
-        + rho * fro2(delta.z)
-        + rho * fro2(delta.w_tilde)
-        + fro2(delta.lambda1) / rho
-        + fro2(delta.lambda2) / rho
-        + sigma * (fro2(delta.p) + fro2(delta.q))
-        + (fro2(delta.lambda3) + fro2(delta.lambda4)) / sigma
+        rho * _sum2(dwu * dwu * basis.s2)
+        + rho * fro2(dw)
+        + rho * fro2(end.z - start.z)
+        + rho * fro2(end.w_tilde - start.w_tilde)
+        + rho * (fro2(r1) + fro2(r2))
+        + sigma * (fro2(end.p - start.p) + fro2(end.q - start.q))
+        + sigma * (fro2(r3) + fro2(r4))
     )
 
 
@@ -610,8 +553,8 @@ def _cells_per_stack(d: int, n: int) -> int:
 
     At the peak of a sweep a cell holds, counted generously, 16 float64
     arrays of n x n (eta T, W X, Z and L1 at the sweep's end, start and the
-    sweep before, the residual, the seminorm's differences and the Z step's
-    temporaries) and 32 of n x d. About 12.4 of n x n were measured.
+    sweep before, the residual, the seminorm's Z difference and the Z
+    step's temporaries) and 32 of n x d. About 12.4 of n x n were measured.
     """
     return max(1, STACK_BYTES // (8 * (16 * n * n + 32 * n * d)))
 
@@ -629,20 +572,21 @@ def _sweep(
     and Q proxes, then the multipliers and rho, then the stopping test.
 
     Returns the new state and, one entry per cell, the objective, the three
-    residuals, the relative change, the seminorm step and the stop
-    decision. Raises ValueError if a value of any cell goes non-finite (or
-    an SVD fails). No array is changed in place, so ``start`` stays valid.
+    residuals, the relative change, the seminorm step (from the residuals
+    the dual step used, and only the Z block's difference of n x n) and the
+    stop decision. Raises ValueError if a value of any cell goes non-finite
+    (or an SVD fails). No array is changed in place, so ``start`` stays
+    valid.
     """
-    x = ds.matrix
     sigma = pq_penalty(basis, start.rho)
     w = solve_w_subproblem(ds, start, basis, sigma)
-    state = replace(start, w=w, wx=w @ x)
-    z = update_z(state, ds, cells.eta_t, None)
+    state = replace(start, w=w, wx=w @ ds.matrix)
+    z = update_z(state, cells.eta_t)
     w_tilde = update_w_tilde(state, cells.gamma)
     p, q = update_p_q(state, cells, sigma)
     state.z, state.w_tilde, state.p, state.q = z, w_tilde, p, q
-    residuals = primal_residuals(state, ds)
-    state = update_duals_and_rho(state, ds, cfg, sigma, residuals)
+    residuals = primal_residuals(state)
+    state = update_duals_and_rho(state, cfg, sigma, residuals)
     if not state.all_finite():
         raise ValueError("non-finite iterate")
     # W X and the residuals go at their last use, and W X stays out of the
@@ -650,10 +594,9 @@ def _sweep(
     wx, state.wx = state.wx, None
     curr = objective(ds, state.w, cells, t, wx=wx)
     del wx
-    decision = check_convergence(state, ds, prev_objective, curr, cfg.epsilon, residuals)
+    decision = check_convergence(residuals, prev_objective, curr, cfg.epsilon)
+    h2 = h_seminorm_sq(start, state, residuals, basis, sigma)
     del residuals
-    # The sweep ran under the previous penalties; weight its step with them.
-    h2 = h_seminorm_sq(state_difference(state, start), ds, start.rho, sigma)
     return state, (
         curr,
         decision.residual_wx_z,

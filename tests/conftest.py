@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from alfs import Dataset
+from alfs import Dataset, l21_norm, nuclear_norm
 
 # property tests draw the same examples on every run, like the rest of the suite
 settings.register_profile("deterministic", derandomize=True, deadline=None)
@@ -110,6 +110,31 @@ def w_split_objective(ds: Dataset, state, sigma: float, w: np.ndarray) -> float:
         + float((state.lambda4 * rq).sum()) + 0.5 * sigma * float((rq**2).sum())
     )
 
+
+
+def augmented_lagrangian(ds: Dataset, state, params, t, sigma: float) -> float:
+    """Augmented Lagrangian of the split problem at the given state, with
+    ``state.rho`` the penalty of the W X = Z and W = W~ constraints and
+    ``sigma`` that of the W = P and W = Q constraints."""
+    x = ds.matrix
+    w = state.w
+    resid = (x @ w) @ x - x
+    coupling = 0.0
+    for lam, r, penalty in (
+        (state.lambda1, w @ x - state.z, state.rho),
+        (state.lambda2, w - state.w_tilde, state.rho),
+        (state.lambda3, w - state.p, sigma),
+        (state.lambda4, w - state.q, sigma),
+    ):
+        coupling += float((lam * r).sum()) + 0.5 * penalty * float((r * r).sum())
+    return (
+        float((resid * resid).sum())
+        + params.alpha * l21_norm(state.p)
+        + params.beta * l21_norm(state.q.T)
+        + params.gamma * nuclear_norm(state.w_tilde)
+        + params.eta * float(np.abs(t.t * state.z).sum())
+        + coupling
+    )
 
 def central_differences(f, w: np.ndarray, h: float) -> np.ndarray:
     """Entrywise central-difference gradient of a scalar function of W."""

@@ -69,9 +69,15 @@ class TestConfigDefaults:
     ("solve", {"solver": {"tau": "1.1"}}, "solver section"),
     ("solve", {"selection": {"m": 2.5}}, "selection budgets"),
     ("solve", {"selection": {"r": True}}, "selection budgets"),
+    # NaN, which JSON configs may hold, fails every comparison
+    ("solve", {"solver": {"tau": float("nan")}}, "solver section"),
+    ("solve", {"solver": {"epsilon": float("nan"), "max_outer_iters": 50}}, "solver section"),
+    ("solve", {"params": {"alpha": float("nan")}}, "params section"),
+    ("solve", {"params": {"varsigma": float("nan")}}, "params section"),
 ], ids=[
     "bench-repeats", "bench-rcur_rank", "bench-alfs_grid", "bench-max_outer_iters",
     "solve-max_outer_iters", "solve-tau", "solve-selection_m", "solve-selection_r",
+    "solve-tau-nan", "solve-epsilon-nan", "solve-alpha-nan", "solve-varsigma-nan",
 ])
 def test_mistyped_config_value_exits_2_naming_the_section(
     command, config, section, tiny_csv, tmp_path, capsys

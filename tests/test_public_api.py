@@ -24,13 +24,11 @@ def test_no_solver_internals_exported():
     internals = {
         "SolverState",
         "SpectralBasis",
-        "augmented_lagrangian",
         "check_convergence",
         "h_seminorm_sq",
         "pq_penalty",
         "solve_w_subproblem",
         "spectral_basis",
-        "state_difference",
         "update_duals_and_rho",
         "update_p_q",
         "update_w_tilde",
