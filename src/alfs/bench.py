@@ -11,6 +11,7 @@ budgets with a fixed sample budget (classifying in the selected subspace).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -93,8 +94,9 @@ class BenchSpec:
             if len(set(budgets)) != len(budgets):
                 raise ValueError(f"{name} must not repeat a budget, got {list(budgets)}")
         for value in self.alfs_grid or ():
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value >= 0:
-                raise ValueError(f"alfs_grid values must be numbers >= 0, got {value!r}")
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0 <= value < math.inf):
+                raise ValueError(f"alfs_grid values must be finite numbers >= 0, got {value!r}")
         if self.feature_budgets and len(self.sample_budgets) != 1:
             raise ValueError(
                 "a feature-budget curve needs exactly one sample budget"

@@ -240,6 +240,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     _write_json(out_path, document)
     print(f"solve: {report.stop_reason} after {report.iterations} iterations "
           f"({elapsed:.2f}s), result written to {out_path}", file=sys.stderr)
+    if report.stop_reason == "max_iters":
+        fixed = (f"; with tau = 1, rho stays at rho_init = {solver_cfg.rho_init!r}, "
+                 "which may be too small" if solver_cfg.tau == 1 else "")
+        print(f"solve: warning: not converged within max_outer_iters = "
+              f"{solver_cfg.max_outer_iters} sweeps{fixed}", file=sys.stderr)
     return EXIT_OK
 
 

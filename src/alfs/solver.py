@@ -25,7 +25,9 @@ stack: every iterate gets a leading cell axis, each step of a sweep runs
 once for all cells, and each cell is frozen at its own stopping sweep. The
 steps use only operations that act on each cell's matrices alone (matmul,
 SVD, elementwise maps, reductions within a matrix), so a cell's W and
-report are bit for bit those of its serial solve; the tests check this.
+report are bit for bit those of its serial solve; the tests check this. For
+the same reason a stack in which a value goes non-finite can be split: it
+is solved again from the start in halves, down to the lone cell that fails.
 """
 
 from __future__ import annotations
@@ -75,10 +77,10 @@ class RegularizationParams:
     def __post_init__(self) -> None:
         # written so that NaN, which fails every comparison, is rejected
         for name in ("alpha", "beta", "gamma", "eta"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
-        if not self.varsigma > 0:
-            raise ValueError("varsigma must be positive")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not 0 < self.varsigma < math.inf:
+            raise ValueError("varsigma must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -100,12 +102,12 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         # written so that NaN, which fails every comparison, is rejected
-        if not self.tau >= 1.0:
-            raise ValueError("tau must be >= 1")
-        if not (0.0 < self.rho_init <= self.rho_max):
-            raise ValueError("need 0 < rho_init <= rho_max")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 1.0 <= self.tau < math.inf:
+            raise ValueError("tau must be finite and >= 1")
+        if not 0.0 < self.rho_init <= self.rho_max < math.inf:
+            raise ValueError("need 0 < rho_init <= rho_max < inf")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and positive")
         _require_integer("max_outer_iters", self.max_outer_iters, 1)
 
 
@@ -159,15 +161,6 @@ class SolverState:
             **{f: getattr(self, f)[index] for f in _ARRAY_FIELDS},
         )
 
-    @classmethod
-    def concatenate(cls, parts: Sequence["SolverState"]) -> "SolverState":
-        """One stack of the cells of ``parts``, in order; they share the penalty."""
-        def joined(name):
-            arrays = [getattr(part, name) for part in parts]
-            return None if arrays[0] is None else np.concatenate(arrays)
-
-        return replace(parts[0], **{f: joined(f) for f in _ARRAY_FIELDS + ("wx",)})
-
     def all_finite(self) -> bool:
         return all(np.isfinite(getattr(self, f)).all() for f in _ARRAY_FIELDS)
 
@@ -206,8 +199,8 @@ class StackReport:
 
     ``cells[i]`` is cell i's :class:`ConvergenceReport`, or the
     :class:`SolverAbortError` its serial solve raises. ``iterations`` counts
-    the sweeps run: stacked sweeps, plus the single-cell re-runs of any
-    stacked sweep that raised.
+    the sweeps run, including those of a stack dropped because a cell
+    failed, which is solved again in halves.
     """
 
     cells: list[Union[ConvergenceReport, SolverAbortError]]
@@ -254,7 +247,11 @@ class _Cells:
            t: AngularWeights) -> "_Cells":
         weights = {name: np.array([getattr(c, name) for c in cells], dtype=float)
                    for name in ("alpha", "beta", "gamma", "eta")}
-        return cls(index=positions, eta_t=weights["eta"][:, None, None] * t.t, **weights)
+        # an eta so large that eta * T overflows makes the Z step or the
+        # objective report the non-finite value
+        with np.errstate(over="ignore"):
+            eta_t = weights["eta"][:, None, None] * t.t
+        return cls(index=positions, eta_t=eta_t, **weights)
 
     def __getitem__(self, index) -> "_Cells":
         return _Cells(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
@@ -410,7 +407,11 @@ def update_z(state: SolverState, eta_t: np.ndarray) -> np.ndarray:
     """
     if state.rho <= 0:
         raise ValueError("rho must be positive")
-    return soft_threshold(state.wx + state.lambda1 / state.rho, eta_t / state.rho)
+    # an overflowing threshold zeroes Z, as in update_w_tilde and update_p_q;
+    # the objective then reports the non-finite weighted term
+    with np.errstate(over="ignore"):
+        kappa = eta_t / state.rho
+    return soft_threshold(state.wx + state.lambda1 / state.rho, kappa)
 
 
 def update_w_tilde(state: SolverState, gamma: Union[float, np.ndarray]) -> np.ndarray:
@@ -567,16 +568,16 @@ def _sweep(
     basis: SpectralBasis,
     cfg: SolverConfig,
     prev_objective: np.ndarray,
-) -> tuple[SolverState, tuple[np.ndarray, ...]]:
+) -> tuple[SolverState, np.ndarray, list[IterationRecord], np.ndarray]:
     """One sweep of a stack from ``start``: the W step, then the Z, W~, P
     and Q proxes, then the multipliers and rho, then the stopping test.
 
-    Returns the new state and, one entry per cell, the objective, the three
-    residuals, the relative change, the seminorm step (from the residuals
-    the dual step used, and only the Z block's difference of n x n) and the
-    stop decision. Raises ValueError if a value of any cell goes non-finite
-    (or an SVD fails). No array is changed in place, so ``start`` stays
-    valid.
+    Returns the new state and, one entry per cell, the objective, the
+    :class:`IterationRecord` and whether the cell converged. The record's
+    seminorm step comes from the residuals the dual step used, and only
+    the Z block's difference is n x n; ``start`` is read again only for
+    the seminorm's differences of W, Z, W~, P and Q. Raises ValueError if
+    a value of any cell goes non-finite (or an SVD fails).
     """
     sigma = pq_penalty(basis, start.rho)
     w = solve_w_subproblem(ds, start, basis, sigma)
@@ -597,51 +598,12 @@ def _sweep(
     decision = check_convergence(residuals, prev_objective, curr, cfg.epsilon)
     h2 = h_seminorm_sq(start, state, residuals, basis, sigma)
     del residuals
-    return state, (
-        curr,
-        decision.residual_wx_z,
-        decision.residual_w_wtilde,
-        decision.residual_w_pq,
-        decision.rel_change,
-        h2,
-        decision.converged,
-    )
-
-
-def _stacked_or_by_cell(run: Callable, stack: tuple, size: int, merge: Callable):
-    """``run(*stack)`` on all ``size`` cells of a stack at once; if that
-    raises ValueError, on each cell alone from the same inputs.
-
-    ``stack`` holds the arguments with a cell axis. Returns the result
-    (``merge`` of the single-cell results, in order, if the stack raised),
-    the positions of the cells it covers, the errors by position, and the
-    number of runs. A lone cell's error is its own, so it is not run twice.
-    """
-    try:
-        return run(*stack), np.arange(size), {}, 1
-    except ValueError as exc:
-        if size == 1:
-            return None, np.arange(0), {0: exc}, 1
-    results, errors = [], {}
-    for i in range(size):
-        try:
-            results.append(run(*(part[i:i + 1] for part in stack)))
-        except ValueError as exc:
-            errors[i] = exc
-    kept = np.array([i for i in range(size) if i not in errors], dtype=int)
-    return (merge(results) if results else None), kept, errors, 1 + size
-
-
-def _abort(exc: ValueError, where: str) -> SolverAbortError:
-    err = SolverAbortError(f"{exc} {where}")
-    err.__cause__ = exc
-    return err
-
-
-def _merge_sweeps(results):
-    states, values = zip(*results)
-    return (SolverState.concatenate(states),
-            tuple(np.concatenate(column) for column in zip(*values)))
+    rows = zip(curr.tolist(), decision.residual_wx_z.tolist(),
+               decision.residual_w_wtilde.tolist(), decision.residual_w_pq.tolist(),
+               decision.rel_change.tolist(), h2.tolist())
+    records = [IterationRecord(value, r1, r2, r3, None if math.isnan(change) else change, step)
+               for value, r1, r2, r3, change, step in rows]
+    return state, curr, records, decision.converged
 
 
 def _solve_stack(
@@ -658,62 +620,49 @@ def _solve_stack(
     Fills in ``ws`` and ``outcomes`` at the cells' positions: the final W
     and the :class:`ConvergenceReport`, or None and the
     :class:`SolverAbortError` of a failed cell. A cell leaves the stack at
-    its own stopping sweep or failure; the others go on stacked. Returns
-    the number of sweeps run.
+    its own stopping sweep; the others go on stacked. If a value of any
+    cell goes non-finite, the stack drops its work and each half of it is
+    solved again from the start; a lone cell records its error. Returns
+    the number of sweeps run, those of dropped stacks included.
     """
     d, n = ds.matrix.shape
     state = SolverState.initial(d, n, cfg, cells=cells.index.size)
     for i in cells.index:
         outcomes[i] = ConvergenceReport()
-
-    def fail(errors: dict, where: str) -> None:
-        for i, exc in errors.items():
-            outcomes[cells.index[i]] = _abort(exc, where)
-
-    prev, kept, errors, _ = _stacked_or_by_cell(
-        lambda w, cells: objective(ds, w, cells, t),
-        (state.w, cells), cells.index.size, np.concatenate,
-    )
-    if errors:
-        # ||X||^2 overflowed, and with it the angular weights
-        fail(errors, "before outer iteration 1")
-        state, cells = state[kept], cells[kept]
-
+    going = cells
     sweeps = 0
-    for _ in range(cfg.max_outer_iters):
-        if not cells.index.size:
-            break
-        result, kept, errors, runs = _stacked_or_by_cell(
-            lambda start, cells, prev: _sweep(ds, start, cells, t, basis, cfg, prev),
-            (state, cells, prev), cells.index.size, _merge_sweeps,
-        )
-        sweeps += runs
-        if errors:
-            # in a sweep, the kernels and the objective raise ValueError
-            # only for non-finite values, and numpy only for an SVD that failed
-            fail(errors, f"at outer iteration {state.iter + 1}")
-            cells = cells[kept]
-        if result is None:
-            break
-        # The replaced state is freed one sweep late. Freed at once, it
-        # leaves the top of the heap free, glibc's malloc returns that to
-        # the system, and the next sweep faults it back in: at 30 x 120,
-        # about 15k page faults and a fifth of a solve's time.
-        replaced, (state, (curr, res1, res2, res3, rel, h2, converged)) = state, result
-        rows = zip(cells.index, curr.tolist(), res1.tolist(), res2.tolist(),
-                   res3.tolist(), rel.tolist(), h2.tolist())
-        for i, value, r1, r2, r3, change, step in rows:
-            outcomes[i].records.append(IterationRecord(
-                value, r1, r2, r3, None if math.isnan(change) else change, step))
-        for i, cell in enumerate(cells.index):
-            if converged[i]:
-                outcomes[cell].stop_reason = "converged"
-                ws[cell] = state.w[i].copy()
-        prev = curr
-        if converged.any():
-            going = ~converged
-            state, cells, prev = state[going], cells[going], curr[going]
-    for i, cell in enumerate(cells.index):
+    try:
+        prev = objective(ds, state.w, going, t)
+        for _ in range(cfg.max_outer_iters):
+            sweeps += 1
+            # The replaced state is freed one sweep late. Freed at once, it
+            # leaves the top of the heap free, glibc's malloc returns that to
+            # the system, and the next sweep faults it back in: at 30 x 120,
+            # about 15k page faults and a fifth of a solve's time.
+            replaced, (state, curr, records, converged) = (
+                state, _sweep(ds, state, going, t, basis, cfg, prev))
+            for i, cell in enumerate(going.index):
+                outcomes[cell].records.append(records[i])
+                if converged[i]:
+                    outcomes[cell].stop_reason = "converged"
+                    ws[cell] = state.w[i].copy()
+            prev = curr
+            if converged.all():
+                return sweeps
+            if converged.any():
+                state, going, prev = state[~converged], going[~converged], curr[~converged]
+    except ValueError as exc:
+        # the kernels and the objective raise ValueError only for non-finite
+        # values (||X||^2 itself at the start), and numpy for a failed SVD
+        if cells.index.size == 1:
+            where = f"at outer iteration {sweeps}" if sweeps else "before outer iteration 1"
+            outcomes[cells.index[0]] = SolverAbortError(f"{exc} {where}")
+            outcomes[cells.index[0]].__cause__ = exc
+            return sweeps
+        half = cells.index.size // 2
+        return sweeps + sum(_solve_stack(ds, part, t, basis, cfg, ws, outcomes)
+                            for part in (cells[:half], cells[half:]))
+    for i, cell in enumerate(going.index):
         ws[cell] = state.w[i].copy()
     return sweeps
 

@@ -74,16 +74,21 @@ class TestConfigDefaults:
     ("solve", {"solver": {"epsilon": float("nan"), "max_outer_iters": 50}}, "solver section"),
     ("solve", {"params": {"alpha": float("nan")}}, "params section"),
     ("solve", {"params": {"varsigma": float("nan")}}, "params section"),
+    # so may Infinity, and a number too large for a float reads as infinite
+    ("solve", {"solver": {"tau": float("inf")}}, "solver section"),
+    ("solve", '{"params": {"alpha": 1e999}}', "params section"),
+    ("bench", {"bench": {"alfs_grid": [0.1, float("inf")]}}, "bench section"),
 ], ids=[
     "bench-repeats", "bench-rcur_rank", "bench-alfs_grid", "bench-max_outer_iters",
     "solve-max_outer_iters", "solve-tau", "solve-selection_m", "solve-selection_r",
     "solve-tau-nan", "solve-epsilon-nan", "solve-alpha-nan", "solve-varsigma-nan",
+    "solve-tau-inf", "solve-alpha-1e999", "bench-alfs_grid-inf",
 ])
 def test_mistyped_config_value_exits_2_naming_the_section(
     command, config, section, tiny_csv, tmp_path, capsys
 ):
     cfg = tmp_path / "typo.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_text(config if isinstance(config, str) else json.dumps(config))
     out = tmp_path / "never.out"
     argv = [command, "--data", str(tiny_csv), "--label-column", "label",
             "--config", str(cfg), "--out", str(out)]
@@ -218,6 +223,27 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "numerical failure: objective is non-finite before outer iteration 1" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("solver, warning", [
+        ({}, None),
+        ({"max_outer_iters": 5},
+         "solve: warning: not converged within max_outer_iters = 5 sweeps\n"),
+        ({"tau": 1}, "solve: warning: not converged within max_outer_iters = 1000 "
+                     "sweeps; with tau = 1, rho stays at rho_init = 1e-06, "
+                     "which may be too small\n"),
+    ], ids=["converged", "max_iters", "fixed-rho"])
+    def test_a_solve_out_of_sweeps_warns(self, tiny_csv, tmp_path, capsys, solver, warning):
+        cfg = tmp_path / "solver.json"
+        cfg.write_text(json.dumps({"solver": solver}))
+        out = tmp_path / "result.json"
+        assert run_cli("solve", "--data", str(tiny_csv), "--label-column", "label",
+                       "--config", str(cfg), "--out", str(out)) == 0
+        err = capsys.readouterr().err
+        doc = json.loads(out.read_text())
+        if warning is None:
+            assert doc["stop_reason"] == "converged" and "warning" not in err
+        else:
+            assert doc["stop_reason"] == "max_iters" and err.endswith(warning)
 
     def test_timing_flag_embeds_wall_time(self, tiny_csv, tmp_path, fast_config):
         out = tmp_path / "timed.json"

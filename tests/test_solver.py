@@ -103,6 +103,17 @@ def test_nan_in_a_float_field_is_rejected(cls, name):
         cls(**{name: math.nan})
 
 
+@pytest.mark.parametrize("cls, name", [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls in (RegularizationParams, SolverConfig)
+    for f in dataclasses.fields(cls) if isinstance(f.default, float)
+])
+def test_an_infinite_float_field_is_rejected(cls, name):
+    # JSON configs may hold Infinity; no weight or setting makes sense there
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: math.inf})
+
+
 def exact_objective_recomputed(x, w, p, t):
     """Independent term-by-term recomputation with plain loops."""
     resid = x - x @ w @ x
@@ -494,7 +505,7 @@ class TestHSeminorm:
             basis = spectral_basis(ds)
             rho, sigma = start.rho, pq_penalty(basis, start.rho)
             cells = solver_mod._Cells.of([params], np.arange(1), t)
-            end, values = solver_mod._sweep(
+            end, _, records, _ = solver_mod._sweep(
                 ds, start[None], cells, t, basis, SolverConfig(), np.ones(1))
 
             basis_map = np.zeros((n * n, n * d))
@@ -529,7 +540,7 @@ class TestHSeminorm:
                 ]
             )
             expected = float(v @ big @ v)
-            reported = values[5][0]
+            reported = records[0].h_seminorm_sq
             assert reported == pytest.approx(expected, abs=1e-10)
             steps.append(reported)
         assert steps[0] > 0 and steps[1] > 0 and steps[2] == 0.0
@@ -618,6 +629,7 @@ class TestSolve:
         (1e110, RegularizationParams(),
          "soft_threshold input contains non-finite entries at outer iteration 1"),
         (1e155, RegularizationParams(), "objective is non-finite before outer iteration 1"),
+        (1.0, RegularizationParams(eta=1e308), "objective is non-finite at outer iteration 1"),
     ])
     def test_a_caught_overflow_prints_no_numpy_warning(self, scale, params, message):
         # the abort reports the overflow; numpy's own warnings would be noise
@@ -721,6 +733,18 @@ def grid_cells(**fixed):
             for a in GRID for b in GRID for e in GRID]
 
 
+def halving_sweeps(sweeps, failed):
+    """Sweeps a stack runs when each cell alone runs ``sweeps[i]`` and
+    ``failed[i]`` tells whether it fails: with a failing cell, the stack
+    runs to the first failure, then each half runs again."""
+    if len(sweeps) == 1 or not any(failed):
+        return max(sweeps)
+    half = len(sweeps) // 2
+    return (min(s for s, f in zip(sweeps, failed) if f)
+            + halving_sweeps(sweeps[:half], failed[:half])
+            + halving_sweeps(sweeps[half:], failed[half:]))
+
+
 class TestStackedSolve:
     def test_each_cell_is_bit_for_bit_its_serial_solve(self):
         # one ordinary cell, one that aborts in the first sweep, one that
@@ -751,8 +775,9 @@ class TestStackedSolve:
             serial_sweeps.append(serial.iterations)
         assert report.cells[2].stop_reason == "max_iters"
         assert report.cells[2].iterations == 1000
-        # the first stacked sweep raised and was re-run cell by cell
-        assert report.iterations == max(serial_sweeps) + len(cells)
+        # the first sweep of all four raises, so does that of cells 0-1;
+        # cell 0 alone takes 51, cell 1 alone raises in 1, cells 2-3 take 1000
+        assert report.iterations == 1 + 1 + 51 + 1 + 1000
         assert report.stop_reason == "aborted"
 
     def test_chunks_under_a_small_budget_give_the_same_cells(self, monkeypatch):
@@ -769,6 +794,60 @@ class TestStackedSolve:
         assert [c.records for c in chunked.cells] == [c.records for c in report.cells]
         sweeps = [c.iterations for c in report.cells]
         assert chunked.iterations == sum(max(sweeps[i:i + 2]) for i in (0, 2, 4))
+
+    @pytest.mark.parametrize("failing", [
+        pytest.param((0,), id="first"),
+        pytest.param((3,), id="middle"),
+        pytest.param((6,), id="last"),
+        pytest.param((1, 5), id="two"),
+    ])
+    def test_a_failing_cell_splits_the_stack_in_halves(self, failing):
+        ds = random_dataset(30, d=4, n=5)
+        cfg = SolverConfig(tau=1.5)
+        cells = grid_cells()[::9][:7]
+        for i in failing:
+            cells[i] = RegularizationParams(alpha=1e308)
+        with np.errstate(over="ignore"):
+            ws, report = solve(ds, cells, cfg)
+            serial = [solve(ds, [cell], cfg) for cell in cells]
+        for i, (serial_ws, serial_report) in enumerate(serial):
+            cell, own = report.cells[i], serial_report.cells[0]
+            if i in failing:
+                assert isinstance(cell, SolverAbortError) and ws[i] is None
+                assert str(cell) == str(own) == "objective is non-finite at outer iteration 1"
+            else:
+                assert np.array_equal(ws[i], serial_ws[0])
+                assert cell.stop_reason == own.stop_reason
+                assert cell.records == own.records  # exact float equality
+        sweeps = [serial_report.iterations for _, serial_report in serial]
+        assert report.iterations == halving_sweeps(sweeps, [i in failing for i in range(7)])
+        assert report.stop_reason == "aborted"
+
+    def test_a_cell_failing_late_drops_the_cells_already_converged(self, monkeypatch):
+        # a fault injected into the W~ step of every cell with gamma 0.5 at
+        # sweep 50, after cells of the stack have converged
+        update_w_tilde = solver_mod.update_w_tilde
+
+        def faulty(state, gamma):
+            if state.iter == 49 and (np.asarray(gamma) == 0.5).any():
+                raise ValueError("injected fault")
+            return update_w_tilde(state, gamma)
+
+        monkeypatch.setattr(solver_mod, "update_w_tilde", faulty)
+        ds = random_dataset(31, d=4, n=5)
+        cfg = SolverConfig(tau=1.5)
+        cells = grid_cells()[::9][:5]
+        cells[2] = RegularizationParams(gamma=0.5)
+        ws, report = solve(ds, cells, cfg)
+        serial = [solve(ds, [cell], cfg) for cell in cells]
+        assert min(serial[i][1].iterations for i in (0, 1, 3, 4)) < 50
+        assert str(report.cells[2]) == "injected fault at outer iteration 50" and ws[2] is None
+        assert str(report.cells[2]) == str(serial[2][1].cells[0])
+        for i in (0, 1, 3, 4):
+            assert np.array_equal(ws[i], serial[i][0][0])
+            assert report.cells[i].records == serial[i][1].cells[0].records
+        sweeps = [serial_report.iterations for _, serial_report in serial]
+        assert report.iterations == halving_sweeps(sweeps, [i == 2 for i in range(5)])
 
     def test_cells_must_share_varsigma(self):
         ds = random_dataset(29, d=3, n=4)
