@@ -34,6 +34,10 @@ GRID_DEFAULT = (0.1, 1.0, 10.0, 100.0)
 GRID_HOLDOUT_FRACTION = 0.2
 GRID_MIN_LABELED_FOR_HOLDOUT = 10
 
+# Bytes of one block of a 1-NN pass's distances (test columns x selected
+# training columns); the test set is split into blocks that fit.
+KNN_BLOCK_BYTES = 2**17
+
 SAMPLE_AXIS_METHODS = ("alfs", "random", "rcur")
 FEATURE_AXIS_METHODS = (
     "alfs",
@@ -145,28 +149,93 @@ class AccuracyCurve:
     failures: tuple[tuple[int, int, str], ...] = ()
 
 
+def _nearest_labels(
+    train: Dataset,
+    test: Dataset,
+    selections: Sequence[Sequence[int]],
+    features: Optional[Sequence[int]] = None,
+) -> list[tuple]:
+    """1-NN predictions of every test column, once per selection, in one pass.
+
+    Selection k classifies with the training columns ``selections[k]`` as
+    its training set; ``features`` (default: all) are the rows both sets are
+    compared on. Squared Euclidean distances to the union of the selected
+    columns are accumulated feature by feature in the order of ``features``
+    (ascending when all), so every selection sees the same sums. Each test
+    column takes the label of the first nearest column in the selection's
+    own order: ties go to the lowest index of the selection's training set.
+
+    The test columns are taken in blocks of :data:`KNN_BLOCK_BYTES` of
+    distances (one test column if a single one needs more); the pass holds
+    three such arrays (the block's distances, one feature's terms and one
+    selection's columns of the distances) and two copies of the compared
+    training values, never a table of every test column against every
+    training column.
+    """
+    rows = slice(None) if features is None else list(features)
+    chosen = [np.asarray(s, dtype=np.intp) for s in selections]
+    used = np.zeros(train.n_samples, dtype=bool)
+    for s in chosen:
+        used[s] = True
+    union = np.flatnonzero(used)
+    # where[k][i]: the distance column that holds training column chosen[k][i]
+    column_of = np.cumsum(used) - 1
+    where = [column_of[s] for s in chosen]
+    queries = test.matrix[rows]
+    n_test = test.n_samples
+    # one row per test column of the block, so every step runs along a row
+    height = max(1, min(n_test, KNN_BLOCK_BYTES // (8 * len(union))))
+    sums = np.empty((height, len(union)))
+    terms = np.empty_like(sums)
+    # test minus training values as the product [q, 1] @ [1; -p]: each entry
+    # is q*1 + 1*(-p), a sum of two exact products, so it is the rounded
+    # q - p; a matrix product forms it about three times as fast as numpy's
+    # broadcast subtraction
+    pair = np.ones((height, 2))
+    ones_and_negated = np.empty((len(queries), 2, len(union)))
+    ones_and_negated[:, 0] = 1.0
+    np.negative(train.matrix[rows][:, union], out=ones_and_negated[:, 1])
+    nearest = [np.empty(n_test, dtype=np.intp) for _ in chosen]
+    for start in range(0, n_test, height):
+        block = queries[:, start:start + height]
+        stop = start + block.shape[1]
+        dist, term, left = sums[:stop - start], terms[:stop - start], pair[:stop - start]
+        dist.fill(0.0)
+        for right, query_row in zip(ones_and_negated, block):
+            left[:, 0] = query_row
+            np.matmul(left, right, out=term)
+            np.multiply(term, term, out=term)
+            dist += term
+        for found, at in zip(nearest, where):
+            # argmin returns the first minimum: the lowest selection index
+            found[start:stop] = np.argmin(np.take(dist, at, axis=1), axis=1)
+    labels = train.labels
+    return [tuple(labels[j] for j in s[found].tolist()) for s, found in zip(chosen, nearest)]
+
+
+def _accuracy(predictions: tuple, labels: tuple) -> float:
+    hits = sum(1 for p, y in zip(predictions, labels) if p == y)
+    return hits / len(labels)
+
+
 def knn_classify(train: Dataset, test: Dataset) -> tuple[tuple, Optional[float]]:
     """1-NN: each test column takes the label of its nearest training column.
 
-    Distances are Euclidean and ties break by ascending training index. Test
-    columns are handled one at a time, so memory is O(n_train * d). Returns
-    the predictions and the accuracy (None when the test set is unlabeled).
+    Distances are Euclidean, summed feature by feature in ascending feature
+    order, and ties break by ascending training index. This is the pass
+    :func:`run_curve` scores its cells with, for a single selection of every
+    training column, so memory is O(d * (n_train + n_test)) plus the
+    bounded blocks of :data:`KNN_BLOCK_BYTES`. Returns the predictions and
+    the accuracy (None when the test set is unlabeled).
     """
     if train.labels is None:
         raise ValueError("training set has no labels")
     if train.n_features != test.n_features:
         raise ValueError("train and test feature dimensions differ")
-    points = train.matrix.T
-    predictions = []
-    for col in test.matrix.T:
-        diff = col - points
-        # argmin returns the first minimum: the lowest training index
-        predictions.append(train.labels[int(np.argmin((diff * diff).sum(axis=1)))])
-    predictions = tuple(predictions)
+    [predictions] = _nearest_labels(train, test, [range(train.n_samples)])
     if test.labels is None:
         return predictions, None
-    hits = sum(1 for p, y in zip(predictions, test.labels) if p == y)
-    return predictions, hits / test.n_samples
+    return predictions, _accuracy(predictions, test.labels)
 
 
 def _auto_rcur_rank(ds: Dataset) -> int:
@@ -243,9 +312,18 @@ def run_curve(train: Dataset, test: Dataset, spec: BenchSpec) -> AccuracyCurve:
     The method sees only the unlabeled training matrix; labels are revealed
     for selected samples only. Cells that fail keep the rest of the curve
     alive and are reported in ``failures``; if every cell fails a
-    :class:`BenchMethodError` is raised. 1-NN is deterministic, so a
-    selection that recurs (every repeat at the full budget) is classified
-    once.
+    :class:`BenchMethodError` is raised.
+
+    Cells run in two phases. First every (budget, repeat) cell selects; a
+    selection that fails fails its cell. Then the distinct selections are
+    grouped by feature set (one set per feature budget, or all features on
+    a sample curve), and one 1-NN pass over the test columns scores each
+    group: a selection that recurs (every repeat at the full budget) is
+    scored once, and a pass that fails fails exactly the cells it scores.
+    The pass sums squared distances feature by feature in the feature
+    set's order, breaks ties by the lowest index in the selection's own
+    order, and holds at most three blocks of :data:`KNN_BLOCK_BYTES`,
+    never a table of every test column against every training column.
     """
     if train.labels is None:
         raise ValueError("training set has no labels to reveal")
@@ -276,27 +354,38 @@ def run_curve(train: Dataset, test: Dataset, spec: BenchSpec) -> AccuracyCurve:
         ).best_params
     runner = _MethodRunner(unlabeled, spec, params)
 
-    per_repeat: dict[int, list[Optional[float]]] = {b: [] for b in budgets}
-    failures: list[tuple[int, int, str]] = []
-    accuracy: dict[tuple, Optional[float]] = {}
-    for budget in budgets:
+    # phase 1: every cell's selection, or the reason it has none
+    cells = [(budget, t) for budget in budgets for t in range(spec.repeats)]
+    chosen: dict[tuple[int, int], tuple] = {}
+    failed: dict[tuple[int, int], str] = {}
+    for budget, t in cells:
         m = fixed_m if feature_axis else budget
         r = budget if feature_axis else None
-        for t in range(spec.repeats):
-            try:
-                samples, feats = runner.select(m, r, spec.seed + t)
-                if (samples, feats) not in accuracy:
-                    labeled = train.restrict(samples=list(samples))
-                    test_view = test
-                    if feature_axis:
-                        labeled = labeled.restrict(features=list(feats))
-                        test_view = test.restrict(features=list(feats))
-                    _, accuracy[samples, feats] = knn_classify(labeled, test_view)
-                acc = accuracy[samples, feats]
-            except Exception as exc:  # a failed cell must not kill the curve
-                failures.append((budget, t, f"{type(exc).__name__}: {exc}"))
-                acc = None
-            per_repeat[budget].append(acc)
+        try:
+            chosen[budget, t] = runner.select(m, r, spec.seed + t)
+        except Exception as exc:  # a failed cell must not kill the curve
+            failed[budget, t] = f"{type(exc).__name__}: {exc}"
+
+    # phase 2: one 1-NN pass per feature set scores its distinct selections
+    groups: dict[Optional[tuple[int, ...]], dict[tuple[int, ...], None]] = {}
+    for samples, feats in chosen.values():
+        groups.setdefault(feats, {})[samples] = None
+    accuracy: dict[tuple, float] = {}
+    for feats, selections in groups.items():
+        try:
+            predicted = _nearest_labels(train, test, list(selections), feats)
+        except Exception as exc:  # fails the cells this pass scores, no others
+            for cell, (_, cell_feats) in chosen.items():
+                if cell_feats == feats:
+                    failed[cell] = f"{type(exc).__name__}: {exc}"
+            continue
+        for samples, predictions in zip(selections, predicted):
+            accuracy[samples, feats] = _accuracy(predictions, test.labels)
+
+    per_repeat: dict[int, list[Optional[float]]] = {b: [] for b in budgets}
+    for budget, t in cells:
+        per_repeat[budget].append(accuracy.get(chosen.get((budget, t))))
+    failures = [(budget, t, failed[budget, t]) for budget, t in cells if (budget, t) in failed]
 
     kept = {b: [v for v in per_repeat[b] if v is not None] for b in budgets}
     empty = [b for b in budgets if not kept[b]]

@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,18 @@ from alfs.bench import GRID_DEFAULT
 from conftest import make_clusters, random_dataset
 
 FAST_SOLVER = SolverConfig(tau=1.5)
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def per_column_knn_accuracy(train, test):
+    """1-NN accuracy with one test column at a time and ties to the lowest
+    training index: the per-cell classifier curves were once scored with."""
+    points = train.matrix.T
+    hits = 0
+    for col, label in zip(test.matrix.T, test.labels):
+        diff = col - points
+        hits += train.labels[int(np.argmin((diff * diff).sum(axis=1)))] == label
+    return hits / test.n_samples
 
 
 class TestKnnClassify:
@@ -95,6 +108,37 @@ class TestKnnClassify:
         assert preds == tuple(expected)
         assert acc is None
 
+    @given(st.data())
+    def test_a_pass_classifies_each_selection_in_its_own_order(self, data):
+        d = data.draw(st.integers(1, 3), label="d")
+        coords = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+        distinct = data.draw(st.lists(coords, min_size=1, max_size=3), label="distinct")
+        picks = data.draw(
+            st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=8), label="picks"
+        )
+        train_cols = [distinct[i] for i in picks]
+        test_cols = data.draw(st.lists(coords, min_size=1, max_size=7), label="test")
+        # unsorted selections and feature sets, as ranked selections give them
+        index = st.lists(st.integers(0, len(picks) - 1), min_size=1, unique=True)
+        selections = data.draw(st.lists(index, min_size=1, max_size=4), label="selections")
+        features = data.draw(
+            st.none() | st.lists(st.integers(0, d - 1), min_size=1, unique=True), label="features"
+        )
+        rows = range(d) if features is None else features
+        train = Dataset(np.array(train_cols, dtype=float).T, labels=tuple(range(len(picks))))
+        test = Dataset(np.array(test_cols, dtype=float).T)
+        block_bytes = data.draw(st.integers(8, 8 * 2 * len(picks)), label="block bytes")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bench_mod, "KNN_BLOCK_BYTES", block_bytes)
+            predicted = bench_mod._nearest_labels(train, test, selections, features)
+
+        for chosen, predictions in zip(selections, predicted):
+            expected = []
+            for t in test_cols:
+                d2 = [sum((t[f] - train_cols[j][f]) ** 2 for f in rows) for j in chosen]
+                expected.append(chosen[d2.index(min(d2))])
+            assert predictions == tuple(expected)
+
     def test_memory_does_not_grow_with_the_test_set(self):
         rng = np.random.default_rng(7)
         d, n_train, n_test = 20, 800, 400
@@ -134,42 +178,166 @@ class TestRunCurve:
             curve.per_repeat[0]
         ) == {full_acc}
 
-    @pytest.mark.parametrize("method", ["random", "rcur"])
-    def test_a_recurring_selection_is_classified_once(self, monkeypatch, method):
+    @pytest.mark.parametrize("method, budgets", [
+        ("random", {"sample_budgets": (5, 40)}),
+        ("rcur", {"sample_budgets": (5, 40)}),
+        ("variance+random", {"sample_budgets": (40,), "feature_budgets": (3, 10)}),
+    ], ids=["random", "rcur", "variance+random"])
+    def test_each_distinct_selection_is_scored_once_in_one_pass_per_feature_set(
+        self, monkeypatch, method, budgets
+    ):
         # at the full budget every repeat selects every sample
         train, test = small_clusters()
-        calls = []
-        original = bench_mod.knn_classify
+        passes = []
+        original = bench_mod._nearest_labels
 
-        def counting_knn(labeled, test_view):
-            calls.append(labeled.n_samples)
-            return original(labeled, test_view)
+        def counting_pass(train_ds, test_ds, selections, features=None):
+            passes.append((features, list(selections)))
+            return original(train_ds, test_ds, selections, features)
 
-        monkeypatch.setattr(bench_mod, "knn_classify", counting_knn)
-        spec = BenchSpec(method=method, sample_budgets=(5, train.n_samples), repeats=3, seed=2)
+        monkeypatch.setattr(bench_mod, "_nearest_labels", counting_pass)
+        spec = BenchSpec(method=method, repeats=3, seed=2, rcur_rank=3, **budgets)
         curve = run_curve(train, test, spec)
-        assert calls.count(train.n_samples) == 1
-        full = curve.per_repeat[1]
-        assert full == (full[0],) * 3 and full[0] == original(train, test)[1]
 
-    def test_a_failed_classification_is_not_reused(self, monkeypatch):
+        runner = bench_mod._MethodRunner(train.without_labels(), spec)
+        cells = [
+            runner.select(40, b, 2 + t) if spec.feature_budgets else runner.select(b, None, 2 + t)
+            for b in curve.budgets for t in range(3)
+        ]
+        feature_sets = list(dict.fromkeys(feats for _, feats in cells))
+        assert [features for features, _ in passes] == feature_sets
+        for features, selections in passes:
+            assert selections == list(dict.fromkeys(s for s, f in cells if f == features))
+        scored = [s for _, selections in passes for s in selections]
+        if not spec.feature_budgets:
+            assert scored.count(tuple(range(40))) == 1
+            full = curve.per_repeat[1]
+            assert full == (full[0],) * 3 and full[0] == knn_classify(train, test)[1]
+
+    def test_a_failing_pass_fails_exactly_the_cells_it_scores(self, monkeypatch):
         train, test = small_clusters()
+        spec = BenchSpec(method="variance+random", sample_budgets=(10,),
+                         feature_budgets=(3, 5), repeats=3, seed=0)
+        clean = run_curve(train, test, spec)
         calls = {"count": 0}
-        original = bench_mod.knn_classify
+        original = bench_mod._nearest_labels
 
-        def flaky_knn(labeled, test_view):
+        def flaky_pass(*args):
             calls["count"] += 1
             if calls["count"] == 1:
                 raise RuntimeError("boom")
-            return original(labeled, test_view)
+            return original(*args)
 
-        monkeypatch.setattr(bench_mod, "knn_classify", flaky_knn)
-        spec = BenchSpec(method="random", sample_budgets=(train.n_samples,), repeats=3, seed=0)
-        curve = run_curve(train, test, spec)
-        assert [f[:2] for f in curve.failures] == [(train.n_samples, 0)]
-        assert curve.per_repeat[0][0] is None
-        assert curve.per_repeat[0][1] == curve.per_repeat[0][2] is not None
+        monkeypatch.setattr(bench_mod, "_nearest_labels", flaky_pass)
+        with pytest.raises(bench_mod.BenchMethodError, match="budget 3") as exc_info:
+            run_curve(train, test, spec)
+        partial = exc_info.value.partial
+        assert partial.failures == tuple((3, t, "RuntimeError: boom") for t in range(3))
+        assert partial.per_repeat == ((None,) * 3, clean.per_repeat[1])
         assert calls["count"] == 2
+
+    def test_a_failing_pass_keeps_the_failures_in_cell_order(self, monkeypatch):
+        # a selection failure (cell 1) and a pass failure (every cell) interleave
+        train, test = small_clusters()
+        original = bench_mod.random_sampling
+        calls = {"count": 0}
+
+        def flaky_select(n, m, seed):
+            calls["count"] += 1
+            if calls["count"] == 2:
+                raise RuntimeError("no selection")
+            return original(n, m, seed)
+
+        def broken_pass(*args):
+            raise RuntimeError("no pass")
+
+        monkeypatch.setattr(bench_mod, "random_sampling", flaky_select)
+        monkeypatch.setattr(bench_mod, "_nearest_labels", broken_pass)
+        spec = BenchSpec(method="random", sample_budgets=(3,), repeats=3, seed=0)
+        with pytest.raises(bench_mod.BenchMethodError) as exc_info:
+            run_curve(train, test, spec)
+        assert exc_info.value.partial.failures == (
+            (3, 0, "RuntimeError: no pass"),
+            (3, 1, "RuntimeError: no selection"),
+            (3, 2, "RuntimeError: no pass"),
+        )
+
+    @given(st.data())
+    def test_every_accuracy_equals_per_cell_classification(self, data):
+        # integer coordinates drawn from a few distinct columns (and their
+        # mirror images) make exact distance ties common; a small block size
+        # splits the test set unevenly
+        d = data.draw(st.integers(1, 3), label="d")
+        coords = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+        distinct = data.draw(st.lists(coords, min_size=1, max_size=4), label="distinct")
+        if data.draw(st.booleans(), label="mirror"):
+            distinct += [[-v for v in col] for col in distinct]
+        picks = data.draw(
+            st.lists(st.integers(0, len(distinct) - 1), min_size=2, max_size=10), label="picks"
+        )
+        n_train = len(picks)
+        train = Dataset(
+            np.array([distinct[i] for i in picks], dtype=float).T,
+            labels=tuple(data.draw(st.lists(st.integers(0, 2), min_size=n_train, max_size=n_train),
+                                   label="train labels")),
+        )
+        n_test = data.draw(st.integers(1, 9), label="n_test")
+        test = Dataset(
+            np.array(data.draw(st.lists(coords, min_size=n_test, max_size=n_test), label="test"),
+                     dtype=float).T,
+            labels=tuple(data.draw(st.lists(st.integers(0, 2), min_size=n_test, max_size=n_test),
+                                   label="test labels")),
+        )
+        budget = st.lists(st.integers(1, n_train), min_size=1, max_size=3, unique=True)
+        if data.draw(st.booleans(), label="feature curve"):
+            spec = BenchSpec(
+                method="variance+random",
+                sample_budgets=(data.draw(st.integers(1, n_train), label="m"),),
+                feature_budgets=tuple(data.draw(
+                    st.lists(st.integers(1, d), min_size=1, max_size=d, unique=True),
+                    label="feature budgets")),
+                repeats=data.draw(st.integers(1, 3), label="repeats"),
+                seed=data.draw(st.integers(0, 5), label="seed"),
+            )
+        else:
+            spec = BenchSpec(
+                method="random",
+                sample_budgets=tuple(data.draw(budget, label="sample budgets")),
+                repeats=data.draw(st.integers(1, 3), label="repeats"),
+                seed=data.draw(st.integers(0, 5), label="seed"),
+            )
+        block_bytes = data.draw(st.integers(8, 8 * 3 * n_train), label="block bytes")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bench_mod, "KNN_BLOCK_BYTES", block_bytes)
+            curve = run_curve(train, test, spec)
+
+        runner = bench_mod._MethodRunner(train.without_labels(), spec)
+        for i, b in enumerate(curve.budgets):
+            for t in range(spec.repeats):
+                if spec.feature_budgets:
+                    samples, feats = runner.select(spec.sample_budgets[0], b, spec.seed + t)
+                    labeled = train.restrict(samples=list(samples), features=list(feats))
+                    test_view = test.restrict(features=list(feats))
+                else:
+                    samples, _ = runner.select(b, None, spec.seed + t)
+                    labeled, test_view = train.restrict(samples=list(samples)), test
+                assert curve.per_repeat[i][t] == per_column_knn_accuracy(labeled, test_view)
+
+    def test_memory_stays_below_a_test_by_train_table(self):
+        rng = np.random.default_rng(8)
+        d, n_train, n_test = 4, 2000, 1000
+        train = Dataset(rng.normal(size=(d, n_train)), labels=tuple(rng.integers(0, 3, n_train)))
+        test = Dataset(rng.normal(size=(d, n_test)), labels=tuple(rng.integers(0, 3, n_test)))
+        table = 8 * n_test * n_train
+        assert table >= 10 * bench_mod.KNN_BLOCK_BYTES
+        spec = BenchSpec(method="random", sample_budgets=(10, n_train), repeats=2, seed=0)
+        tracemalloc.start()
+        try:
+            run_curve(train, test, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table
 
     def test_variance_features_are_restricted_once_per_budget(self, monkeypatch):
         train, test = small_clusters()
@@ -428,6 +596,21 @@ class TestWriteCurvesCsv:
         assert lines[0] == "method,budget,repeat,accuracy"
         assert len(lines) == 1 + 4  # 2 budgets x 2 repeats
         assert lines[1].startswith("random,2,0,")
+
+    def test_bytes_match_the_recorded_curves(self, tmp_path):
+        ds = make_clusters(n=90, d=12, n_classes=3, sep=2.5, noise=1.0, seed=5)
+        train, test = split(ds, SplitSpec(n_train=60, seed=3))
+        sample_axis = dict(sample_budgets=(3, 8, 60), repeats=3, seed=1)
+        feature_axis = dict(sample_budgets=(12,), feature_budgets=(3, 6, 12), repeats=3, seed=1)
+        curves = [
+            run_curve(train, test, BenchSpec(method=m, **sample_axis)) for m in ("random", "rcur")
+        ] + [
+            run_curve(train, test, BenchSpec(method=m, **feature_axis))
+            for m in ("variance+random", "variance+rcur")
+        ]
+        out = tmp_path / "curves.csv"
+        write_curves_csv(curves, out)
+        assert out.read_bytes() == (GOLDEN / "bench-curves.csv").read_bytes()
 
 
 class TestGridSearch:
