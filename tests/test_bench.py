@@ -178,6 +178,24 @@ class TestRunCurve:
             curve.per_repeat[0]
         ) == {full_acc}
 
+    @pytest.mark.parametrize("method", ["random", "rcur"])
+    def test_a_recurring_selection_is_classified_once(self, monkeypatch, method):
+        # at the full budget every repeat selects every sample
+        train, test = small_clusters()
+        scored = []
+        original = bench_mod._nearest_labels
+
+        def counting_pass(train_ds, test_ds, selections, features=None):
+            scored.extend(len(s) for s in selections)
+            return original(train_ds, test_ds, selections, features)
+
+        monkeypatch.setattr(bench_mod, "_nearest_labels", counting_pass)
+        spec = BenchSpec(method=method, sample_budgets=(5, train.n_samples), repeats=3, seed=2)
+        curve = run_curve(train, test, spec)
+        assert scored.count(train.n_samples) == 1
+        full = curve.per_repeat[1]
+        assert full == (full[0],) * 3 and full[0] == knn_classify(train, test)[1]
+
     @pytest.mark.parametrize("method, budgets", [
         ("random", {"sample_budgets": (5, 40)}),
         ("rcur", {"sample_budgets": (5, 40)}),
