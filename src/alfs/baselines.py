@@ -57,9 +57,16 @@ class RcurResult:
     svd_err_k: float
 
 
+def _thin_svd(ds: Dataset):
+    """Thin SVD ``(u, s, vt)`` of the data matrix, memoized on ``ds``."""
+    return _memo(ds, "svd", lambda: np.linalg.svd(ds.matrix, full_matrices=False))
+
+
 def _matrix_rank(ds: Dataset) -> int:
-    """Numerical rank of the data matrix, memoized on ``ds``."""
-    return _memo(ds, "rank", lambda: int(np.linalg.matrix_rank(ds.matrix)))
+    """Numerical rank of the data matrix by numpy's default rule: the
+    singular values above ``s[0] * max(d, n) * eps``."""
+    s = _thin_svd(ds)[1]
+    return int((s > s[0] * max(ds.matrix.shape) * np.finfo(float).eps).sum())
 
 
 def random_sampling(n: int, m: int, seed: int) -> tuple[int, ...]:
@@ -93,7 +100,7 @@ def leverage_scores(ds: Dataset, k: int) -> tuple[np.ndarray, np.ndarray]:
     x = ds.matrix
     if not 1 <= k <= min(x.shape):
         raise ValueError(f"k={k} outside 1..{min(x.shape)}")
-    u, s, vt = _memo(ds, "svd", lambda: np.linalg.svd(x, full_matrices=False))
+    u, s, vt = _thin_svd(ds)
     if k < s.size and s[0] > 0 and (s[k - 1] - s[k]) <= 1e-10 * s[0]:
         warnings.warn(
             f"leverage scores for k={k} are not unique: sigma_k ~= sigma_k+1",
@@ -119,7 +126,7 @@ def cur_from_indices(
     cols = _index_set(column_indices, ds.n_samples, "column")
     rows = _index_set(row_indices, ds.n_features, "row")
     c, u, r, err = _cur_core(ds, cols, rows)
-    s = _memo(ds, "singular_values", lambda: np.linalg.svd(ds.matrix, compute_uv=False))
+    s = _thin_svd(ds)[1]
     svd_err_k = float((s[k:] ** 2).sum())
     q = min(len(cols), len(rows))
     svd_err_q = float((s[q:] ** 2).sum())

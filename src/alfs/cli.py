@@ -38,11 +38,7 @@ from .data import (
     standardize_features,
     validate,
 )
-from .selection import (
-    LOW_SCORE_THRESHOLD,
-    oracle_best_subsets,
-    rank_and_select,
-)
+from .selection import _low_scores_selected, oracle_best_subsets, rank_and_select
 from .solver import (
     ConvergenceReport,
     RegularizationParams,
@@ -266,9 +262,6 @@ def _cmd_select(args: argparse.Namespace) -> int:
         req.check_against(n, d)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    low = any(s < LOW_SCORE_THRESHOLD for s in document["sample_scores"][: req.m]) or any(
-        s < LOW_SCORE_THRESHOLD for s in document["feature_scores"][: req.r]
-    )
     out_doc = {
         "tool_version": __version__,
         "source_result": str(path),
@@ -276,7 +269,8 @@ def _cmd_select(args: argparse.Namespace) -> int:
         "r": req.r,
         "selected_samples": document["sample_ranking"][: req.m],
         "selected_features": document["feature_ranking"][: req.r],
-        "low_score_warning": low,
+        "low_score_warning": _low_scores_selected(
+            document["sample_scores"], document["feature_scores"], req),
     }
     if args.out:
         _write_json(_check_writable(args.out), out_doc)

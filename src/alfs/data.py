@@ -403,7 +403,9 @@ def validate(ds: Dataset) -> ValidationReport:
     """
     m = ds.matrix
     zero_cols = tuple(int(j) for j in np.where(~m.any(axis=0))[0])
-    zero_var = tuple(int(i) for i in np.where(m.var(axis=1) == 0.0)[0])
+    # exact equality: a variance of equal entries may round above zero
+    # (0.1, 0.1, 0.1), and on huge data it overflows
+    zero_var = tuple(int(i) for i in np.where((m == m[:, :1]).all(axis=1))[0])
     seen: dict[bytes, int] = {}
     dups: list[tuple[int, int]] = []
     for j in range(ds.n_samples):

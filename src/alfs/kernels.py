@@ -161,16 +161,13 @@ def angular_weights(ds: Dataset, varsigma: float = DEFAULT_VARSIGMA) -> AngularW
     if varsigma <= 0:
         raise ValueError("varsigma must be positive")
     x = ds.matrix
-    # on data too large to square, the weights come out non-finite and the
-    # solver aborts on its non-finite starting objective
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(x, axis=0)
-        zero = np.where(norms == 0.0)[0]
-        if zero.size:
-            raise ValueError(
-                f"angular weights undefined: zero column(s) at {zero.tolist()}"
-            )
-        cos = (x.T @ x) / np.outer(norms, norms)
+    norms = np.linalg.norm(x, axis=0)
+    zero = np.where(norms == 0.0)[0]
+    if zero.size:
+        raise ValueError(
+            f"angular weights undefined: zero column(s) at {zero.tolist()}"
+        )
+    cos = (x.T @ x) / np.outer(norms, norms)
     np.clip(cos, -1.0, 1.0, out=cos)
     t = 1.0 / (np.abs(cos) + varsigma)
     t = 0.5 * (t + t.T)  # exact symmetry despite rounding

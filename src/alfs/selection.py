@@ -55,6 +55,16 @@ def _ranked(scores: np.ndarray) -> tuple[tuple[int, ...], tuple[float, ...]]:
     return tuple(int(i) for i in order), tuple(float(scores[i]) for i in order)
 
 
+def _low_scores_selected(
+    sample_scores: Sequence[float], feature_scores: Sequence[float], req: SelectionRequest
+) -> bool:
+    """Whether a budget prefix of the ranked scores holds a score below
+    :data:`LOW_SCORE_THRESHOLD`, i.e. reaches below W's effective sparsity."""
+    return any(s < LOW_SCORE_THRESHOLD for s in sample_scores[: req.m]) or any(
+        s < LOW_SCORE_THRESHOLD for s in feature_scores[: req.r]
+    )
+
+
 def rank_and_select(w: np.ndarray, req: SelectionRequest) -> SelectionResult:
     """Rank samples by row norms and features by column norms of W."""
     w = np.asarray(w, dtype=float)
@@ -66,9 +76,6 @@ def rank_and_select(w: np.ndarray, req: SelectionRequest) -> SelectionResult:
     col_scores = np.linalg.norm(w, axis=0)
     sample_ranking, sample_scores = _ranked(row_scores)
     feature_ranking, feature_scores = _ranked(col_scores)
-    low = any(
-        s < LOW_SCORE_THRESHOLD for s in sample_scores[: req.m]
-    ) or any(s < LOW_SCORE_THRESHOLD for s in feature_scores[: req.r])
     return SelectionResult(
         sample_ranking=sample_ranking,
         sample_scores=sample_scores,
@@ -76,7 +83,7 @@ def rank_and_select(w: np.ndarray, req: SelectionRequest) -> SelectionResult:
         feature_scores=feature_scores,
         m=req.m,
         r=req.r,
-        low_score_warning=low,
+        low_score_warning=_low_scores_selected(sample_scores, feature_scores, req),
     )
 
 

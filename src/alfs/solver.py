@@ -28,6 +28,11 @@ SVD, elementwise maps, reductions within a matrix), so a cell's W and
 report are bit for bit those of its serial solve; the tests check this. For
 the same reason a stack in which a value goes non-finite can be split: it
 is solved again from the start in halves, down to the lone cell that fails.
+
+Overflow has one policy, set in :func:`solve`: numpy does not warn of it
+there, and the first non-finite value a check meets becomes a
+:class:`SolverAbortError` that names its sweep. The steps and
+:func:`objective` called on their own warn as numpy does.
 """
 
 from __future__ import annotations
@@ -118,14 +123,13 @@ _ARRAY_FIELDS = ("w", "z", "w_tilde", "p", "q",
 @dataclass
 class SolverState:
     """All ADMM iterates: primal W and its copies Z, W~, P, Q, their
-    multipliers, and the penalty rho.
+    multipliers, and the penalty rho. Nothing else: what a sweep derives
+    from them, such as W X, it holds as a local.
 
     ``z`` stands for W X, ``w_tilde``, ``p`` and ``q`` for W; ``lambda1`` to
     ``lambda4`` are the multipliers of these four constraints, in order.
-    ``wx`` is W X formed once for the current W, or None when not formed;
-    whoever rebinds ``w`` rebinds ``wx`` with it. Every array may carry a
-    leading cell axis: a stack of cells sharing the penalty and the sweep
-    count.
+    Every array may carry a leading cell axis: a stack of cells sharing the
+    penalty and the sweep count.
     """
 
     w: np.ndarray        # n x d
@@ -138,8 +142,6 @@ class SolverState:
     lambda3: np.ndarray  # n x d
     lambda4: np.ndarray  # n x d
     rho: float
-    iter: int = 0
-    wx: Optional[np.ndarray] = None  # n x n
 
     @classmethod
     def initial(
@@ -155,11 +157,7 @@ class SolverState:
 
     def __getitem__(self, index) -> "SolverState":
         """The cells ``index`` (any numpy index of the cell axis) of a stack."""
-        return replace(
-            self,
-            wx=None if self.wx is None else self.wx[index],
-            **{f: getattr(self, f)[index] for f in _ARRAY_FIELDS},
-        )
+        return replace(self, **{f: getattr(self, f)[index] for f in _ARRAY_FIELDS})
 
     def all_finite(self) -> bool:
         return all(np.isfinite(getattr(self, f)).all() for f in _ARRAY_FIELDS)
@@ -247,10 +245,7 @@ class _Cells:
            t: AngularWeights) -> "_Cells":
         weights = {name: np.array([getattr(c, name) for c in cells], dtype=float)
                    for name in ("alpha", "beta", "gamma", "eta")}
-        # an eta so large that eta * T overflows makes the Z step or the
-        # objective report the non-finite value
-        with np.errstate(over="ignore"):
-            eta_t = weights["eta"][:, None, None] * t.t
+        eta_t = weights["eta"][:, None, None] * t.t
         return cls(index=positions, eta_t=eta_t, **weights)
 
     def __getitem__(self, index) -> "_Cells":
@@ -283,16 +278,14 @@ def objective(
         raise ValueError(f"angular weights must be {n}x{n}, got {t.t.shape}")
     if wx is None:
         wx = w @ x
-    # an overflow here is reported by the finiteness test below
-    with np.errstate(over="ignore", invalid="ignore"):
-        resid = (x @ w) @ x - x
-        value = (
-            _sum2(resid * resid)
-            + params.alpha * l21_norm(w)
-            + params.beta * l21_norm(np.swapaxes(w, -1, -2))
-            + params.gamma * nuclear_norm(w)
-            + params.eta * _sum2(np.abs(t.t * wx))
-        )
+    resid = (x @ w) @ x - x
+    value = (
+        _sum2(resid * resid)
+        + params.alpha * l21_norm(w)
+        + params.beta * l21_norm(np.swapaxes(w, -1, -2))
+        + params.gamma * nuclear_norm(w)
+        + params.eta * _sum2(np.abs(t.t * wx))
+    )
     if not np.isfinite(value).all():
         raise ValueError("objective is non-finite")
     return _per_stack(value)
@@ -317,10 +310,8 @@ def spectral_basis(ds: Dataset) -> SpectralBasis:
     """Thin SVD of the data and the constant term of the W step."""
     x = ds.matrix
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    # overflow on huge data surfaces as the solver's non-finite objective
-    with np.errstate(over="ignore", invalid="ignore"):
-        xtx = x.T @ x
-        return SpectralBasis(u=u, s2=s * s, v=vt.T, g=2.0 * (xtx @ x.T))
+    xtx = x.T @ x
+    return SpectralBasis(u=u, s2=s * s, v=vt.T, g=2.0 * (xtx @ x.T))
 
 
 def pq_penalty(basis: SpectralBasis, rho: float) -> float:
@@ -354,10 +345,7 @@ def _shifted_inverse(
     projection, so no n x n basis is formed.
     """
     u, v, s2 = basis.u, basis.v, basis.s2
-    # on huge data the weights underflow to 0 and the W step goes
-    # non-finite, which the Z step's finiteness check reports
-    with np.errstate(over="ignore"):
-        inv_inside = 1.0 / (2.0 * np.outer(s2, s2) + rho * s2[None, :] + rho + shift)
+    inv_inside = 1.0 / (2.0 * np.outer(s2, s2) + rho * s2[None, :] + rho + shift)
     inv_outside_v = 1.0 / (rho * s2 + rho + shift)
     inv_outside_u = 1.0 / (rho + shift)
     thin_u = u.shape[0] > u.shape[1]  # more features than samples
@@ -389,29 +377,23 @@ def solve_w_subproblem(
     :func:`pq_penalty` of the sweep.
     """
     rho = state.rho
-    # minus the linear term of the quadratic: its gradient is (H + 2 sigma)W - b;
-    # a non-finite b (huge data) is reported by the Z step's finiteness check
-    with np.errstate(over="ignore", invalid="ignore"):
-        b = (basis.g + (rho * state.z - state.lambda1) @ ds.matrix.T
-             + rho * state.w_tilde - state.lambda2
-             + sigma * (state.p + state.q) - state.lambda3 - state.lambda4)
+    # minus the linear term of the quadratic: its gradient is (H + 2 sigma)W - b
+    b = (basis.g + (rho * state.z - state.lambda1) @ ds.matrix.T
+         + rho * state.w_tilde - state.lambda2
+         + sigma * (state.p + state.q) - state.lambda3 - state.lambda4)
     return _shifted_inverse(basis, rho, 2.0 * sigma)(b)
 
 
-def update_z(state: SolverState, eta_t: np.ndarray) -> np.ndarray:
+def update_z(state: SolverState, wx: np.ndarray, eta_t: np.ndarray) -> np.ndarray:
     """Closed-form Z update: weighted entrywise shrinkage of WX + L1/rho.
 
-    The thresholds are ``eta_t / rho``, with ``eta_t`` the array ``eta * T``
-    of the angular weights T (one matrix per cell for a stack), which
-    :func:`solve` builds once. ``state.wx`` must be formed.
+    ``wx`` is W X for the state's W. The thresholds are ``eta_t / rho``,
+    with ``eta_t`` the array ``eta * T`` of the angular weights T (one
+    matrix per cell for a stack), which :func:`solve` builds once.
     """
     if state.rho <= 0:
         raise ValueError("rho must be positive")
-    # an overflowing threshold zeroes Z, as in update_w_tilde and update_p_q;
-    # the objective then reports the non-finite weighted term
-    with np.errstate(over="ignore"):
-        kappa = eta_t / state.rho
-    return soft_threshold(state.wx + state.lambda1 / state.rho, kappa)
+    return soft_threshold(wx + state.lambda1 / state.rho, eta_t / state.rho)
 
 
 def update_w_tilde(state: SolverState, gamma: Union[float, np.ndarray]) -> np.ndarray:
@@ -421,10 +403,7 @@ def update_w_tilde(state: SolverState, gamma: Union[float, np.ndarray]) -> np.nd
     """
     if state.rho <= 0:
         raise ValueError("rho must be positive")
-    # an overflowing threshold zeroes the spectrum, as in update_p_q
-    with np.errstate(over="ignore"):
-        mu = gamma / state.rho
-    return svt(state.w + state.lambda2 / state.rho, mu)
+    return svt(state.w + state.lambda2 / state.rho, gamma / state.rho)
 
 
 def update_p_q(
@@ -435,23 +414,19 @@ def update_p_q(
     """Closed-form P and Q updates: row group shrinkage of W + L3/sigma and
     column group shrinkage of W + L4/sigma. For a stacked state ``params``
     holds one ``alpha`` and ``beta`` per cell."""
-    # a weight so large that its threshold overflows to inf zeroes the
-    # groups; the objective then reports the non-finite weighted term
-    with np.errstate(over="ignore"):
-        alpha, beta = params.alpha / sigma, params.beta / sigma
-    p = group_shrink(state.w + state.lambda3 / sigma, alpha, axis=1)
-    q = group_shrink(state.w + state.lambda4 / sigma, beta, axis=0)
+    p = group_shrink(state.w + state.lambda3 / sigma, params.alpha / sigma, axis=1)
+    q = group_shrink(state.w + state.lambda4 / sigma, params.beta / sigma, axis=0)
     return p, q
 
 
 def primal_residuals(
-    state: SolverState,
+    state: SolverState, wx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The four constraint residuals ``WX - Z``, ``W - W~``, ``W - P`` and
     ``W - Q``, which the dual step, the stopping test and the seminorm
-    share. ``state.wx`` must be formed."""
+    share. ``wx`` is W X for the state's W."""
     w = state.w
-    return state.wx - state.z, w - state.w_tilde, w - state.p, w - state.q
+    return wx - state.z, w - state.w_tilde, w - state.p, w - state.q
 
 
 def update_duals_and_rho(
@@ -472,7 +447,6 @@ def update_duals_and_rho(
         lambda3=state.lambda3 + sigma * r3,
         lambda4=state.lambda4 + sigma * r4,
         rho=min(cfg.tau * rho, cfg.rho_max),
-        iter=state.iter + 1,
     )
 
 
@@ -581,18 +555,18 @@ def _sweep(
     """
     sigma = pq_penalty(basis, start.rho)
     w = solve_w_subproblem(ds, start, basis, sigma)
-    state = replace(start, w=w, wx=w @ ds.matrix)
-    z = update_z(state, cells.eta_t)
+    wx = w @ ds.matrix
+    state = replace(start, w=w)
+    z = update_z(state, wx, cells.eta_t)
     w_tilde = update_w_tilde(state, cells.gamma)
     p, q = update_p_q(state, cells, sigma)
     state.z, state.w_tilde, state.p, state.q = z, w_tilde, p, q
-    residuals = primal_residuals(state)
+    residuals = primal_residuals(state, wx)
     state = update_duals_and_rho(state, cfg, sigma, residuals)
     if not state.all_finite():
         raise ValueError("non-finite iterate")
-    # W X and the residuals go at their last use, and W X stays out of the
-    # next sweep: every n x n array held longer raises each sweep's peak
-    wx, state.wx = state.wx, None
+    # W X and the residuals go at their last use: every n x n array held
+    # longer raises each sweep's peak
     curr = objective(ds, state.w, cells, t, wx=wx)
     del wx
     decision = check_convergence(residuals, prev_objective, curr, cfg.epsilon)
@@ -693,8 +667,9 @@ def solve(
         or cells with different ``varsigma``.
     SolverAbortError
         For one cell: a non-finite value appeared, at the start or in a
-        sweep (overflow, for data too large). In a sequence the error is
-        that cell's entry of the report instead.
+        sweep (overflow of the data, a weight or rho); numpy warns of none
+        of it. In a sequence the error is that cell's entry of the report
+        instead.
     """
     single = isinstance(params, RegularizationParams)
     cells = [params] if single else list(params)
@@ -702,16 +677,22 @@ def solve(
         raise ValueError("solve needs at least one RegularizationParams")
     if len({c.varsigma for c in cells}) > 1:
         raise ValueError("the cells of one solve must share varsigma")
-    t = angular_weights(ds, cells[0].varsigma)
-    basis = spectral_basis(ds)
     d, n = ds.matrix.shape
     size = _cells_per_stack(d, n)
     ws: list[Optional[np.ndarray]] = [None] * len(cells)
     outcomes: list = [None] * len(cells)
     sweeps = 0
-    for lo in range(0, len(cells), size):
-        stack = _Cells.of(cells[lo:lo + size], np.arange(lo, min(lo + size, len(cells))), t)
-        sweeps += _solve_stack(ds, stack, t, basis, cfg, ws, outcomes)
+    # Values that overflow (huge data, weights or penalties) are not warned
+    # of here but reported, each as a SolverAbortError naming its sweep: by
+    # the kernels' _require_finite on their inputs, by
+    # SolverState.all_finite after the dual step, and by the objective's
+    # finiteness test.
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = angular_weights(ds, cells[0].varsigma)
+        basis = spectral_basis(ds)
+        for lo in range(0, len(cells), size):
+            stack = _Cells.of(cells[lo:lo + size], np.arange(lo, min(lo + size, len(cells))), t)
+            sweeps += _solve_stack(ds, stack, t, basis, cfg, ws, outcomes)
     if not single:
         return ws, StackReport(cells=outcomes, iterations=sweeps)
     if isinstance(outcomes[0], SolverAbortError):

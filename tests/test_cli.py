@@ -15,6 +15,7 @@ from alfs import (
     SolverConfig,
     load_csv,
     oracle_best_subsets,
+    rank_and_select,
     write_csv,
 )
 from alfs.cli import main
@@ -202,8 +203,7 @@ class TestSolveCommand:
         data = tmp_path / "huge.csv"
         np.savetxt(data, x, delimiter=",", header="a,b,c,d", comments="")
         out = tmp_path / "never.json"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run_cli("solve", "--data", str(data), "--out", str(out))
+        code = run_cli("solve", "--data", str(data), "--out", str(out))
         assert code == 3
         assert not out.exists()
         err = capsys.readouterr().err
@@ -216,13 +216,26 @@ class TestSolveCommand:
         data = tmp_path / "huge.csv"
         np.savetxt(data, x, delimiter=",", header="a,b,c,d", comments="")
         out = tmp_path / "never.json"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run_cli("solve", "--data", str(data), "--out", str(out))
+        code = run_cli("solve", "--data", str(data), "--out", str(out))
         assert code == 3
         assert not out.exists()
-        err = capsys.readouterr().err
-        assert "numerical failure: objective is non-finite before outer iteration 1" in err
-        assert "Traceback" not in err
+        # the error alone: no numpy warning from loading or checking the data
+        assert capsys.readouterr().err == (
+            "numerical failure: objective is non-finite before outer iteration 1\n")
+
+    def test_an_overflowing_penalty_exits_3_with_its_error_alone(
+        self, tiny_csv, tmp_path, capsys
+    ):
+        cfg = tmp_path / "big-rho.json"
+        cfg.write_text(json.dumps({"solver": {"rho_init": 1e307, "rho_max": 1e307, "tau": 1}}))
+        out = tmp_path / "never.json"
+        code = run_cli("solve", "--data", str(tiny_csv), "--label-column", "label",
+                       "--config", str(cfg), "--out", str(out))
+        assert code == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "numerical failure: soft_threshold input contains non-finite entries "
+            "at outer iteration 1\n")
 
     @pytest.mark.parametrize("solver, warning", [
         ({}, None),
@@ -328,6 +341,23 @@ class TestSelectCommand:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["selected_samples"]) == 2
+
+    def test_select_flags_low_scores_as_solve_does(self, tmp_path, capsys):
+        # row norms 1, 1e-7, 0 and column norms 1, 1e-7
+        w = np.array([[1.0, 0.0], [0.0, 1e-7], [0.0, 0.0]])
+        full = rank_and_select(w, SelectionRequest(3, 2))
+        result = tmp_path / "result.json"
+        result.write_text(json.dumps({
+            "sample_ranking": full.sample_ranking, "sample_scores": full.sample_scores,
+            "feature_ranking": full.feature_ranking, "feature_scores": full.feature_scores,
+        }))
+        for m in (1, 2, 3):
+            for r in (1, 2):
+                assert run_cli("select", "--result", str(result),
+                               "--m", str(m), "--r", str(r)) == 0
+                doc = json.loads(capsys.readouterr().out)
+                expected = rank_and_select(w, SelectionRequest(m, r)).low_score_warning
+                assert doc["low_score_warning"] == expected == (m > 1 or r > 1)
 
     def test_overbudget_exits_2(self, tiny_csv, tmp_path, fast_config):
         result = self.make_result(tiny_csv, tmp_path, fast_config)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,18 @@ class TestValidate:
     def test_zero_variance_feature(self):
         m = np.array([[5.0, 5.0, 5.0], [1.0, 2.0, 3.0]])
         report = validate(Dataset(m))
+        assert report.zero_variance_features == (0,)
+
+    def test_equal_entries_are_zero_variance_exactly(self):
+        # the variance of (0.1, 0.1, 0.1) rounds to 1.9e-34, not zero
+        m = np.array([[0.1, 0.1, 0.1], [1.0, 2.0, 3.0], [0.1, 0.1, 0.1 + 2**-56]])
+        assert validate(Dataset(m)).zero_variance_features == (0,)
+
+    def test_huge_entries_do_not_overflow(self):
+        m = np.array([[1e300, 1e300, 1e300], [1e300, -1e300, 1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate(Dataset(m))
         assert report.zero_variance_features == (0,)
 
     def test_clean_random_matrix(self):

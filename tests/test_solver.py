@@ -88,8 +88,7 @@ def single_entry_state(w, w_tilde=0.0, p=0.0, q=0.0, rho=1.0):
 
 def residuals_of(state, ds):
     """The state's primal residuals, with its W X formed first."""
-    state.wx = state.w @ ds.matrix
-    return primal_residuals(state)
+    return primal_residuals(state, state.w @ ds.matrix)
 
 
 @pytest.mark.parametrize("cls, name", [
@@ -345,36 +344,33 @@ class TestUpdateZ:
         rng = np.random.default_rng(13)
         ds = random_dataset(13, d=3, n=4)
         state = random_state(rng, 3, 4)
-        state.wx = state.w @ ds.matrix
+        wx = state.w @ ds.matrix
         t = angular_weights(ds)
-        z = update_z(state, 0.0 * t.t)
-        assert np.array_equal(z, state.wx + state.lambda1 / state.rho)
+        z = update_z(state, wx, 0.0 * t.t)
+        assert np.array_equal(z, wx + state.lambda1 / state.rho)
 
     def test_single_entry_shrinkage(self):
         ds = Dataset(np.array([[1.0]]))
         state = single_entry_state(2.0)
-        state.wx = state.w @ ds.matrix
         t = AngularWeights(t=np.array([[0.5]]), varsigma=1e-8)
-        z = update_z(state, 1.0 * t.t)
+        z = update_z(state, state.w @ ds.matrix, 1.0 * t.t)
         assert z[0, 0] == pytest.approx(1.5, abs=1e-15)
 
     def test_huge_eta_zeroes_everything(self):
         rng = np.random.default_rng(14)
         ds = random_dataset(14, d=3, n=4)
         state = random_state(rng, 3, 4)
-        state.wx = state.w @ ds.matrix
         t = angular_weights(ds)
-        z = update_z(state, 1e12 * t.t)
+        z = update_z(state, state.w @ ds.matrix, 1e12 * t.t)
         assert np.array_equal(z, np.zeros((4, 4)))
 
     def test_prox_optimality_certificate(self):
         rng = np.random.default_rng(15)
         ds = random_dataset(15, d=4, n=6)
         state = random_state(rng, 4, 6)
-        state.wx = state.w @ ds.matrix
         t = angular_weights(ds)
         eta = 0.8
-        z = update_z(state, eta * t.t)
+        z = update_z(state, state.w @ ds.matrix, eta * t.t)
         anchor = state.w @ ds.matrix + state.lambda1 / state.rho
         resid = anchor - z
         thr = eta * t.t / state.rho
@@ -422,7 +418,6 @@ class TestUpdateDualsAndRho:
         assert out.lambda2[0, 0] == pytest.approx(0.0)
         assert out.lambda3[0, 0] == pytest.approx(3.0)  # sigma * (W - P) = 3*1
         assert out.lambda4[0, 0] == pytest.approx(0.0)
-        assert out.iter == 1
 
     def test_rho_growth(self):
         ds = Dataset(np.array([[1.0]]))
@@ -592,7 +587,7 @@ class TestSolve:
     def test_abort_on_non_finite(self, monkeypatch):
         ds = random_dataset(24, d=3, n=4)
 
-        def poisoned_update_z(state, eta_t):
+        def poisoned_update_z(state, wx, eta_t):
             z = np.full((4, 4), np.inf)
             return z
 
@@ -606,20 +601,18 @@ class TestSolve:
     ])
     def test_overflow_aborts_naming_the_outer_iteration(self, scale, message):
         x = np.random.default_rng(0).normal(size=(12, 4)) * scale
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(SolverAbortError, match=f"^{message} at outer iteration 1$"):
-                solve(Dataset(x.T))
+        with pytest.raises(SolverAbortError, match=f"^{message} at outer iteration 1$"):
+            solve(Dataset(x.T))
 
     @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
     def test_overflow_at_the_start_aborts_before_the_first_sweep(self, scale):
         # ||X||^2 itself overflows: the starting objective is already inf
         x = np.random.default_rng(0).normal(size=(12, 4)) * scale
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(
-                SolverAbortError,
-                match="^objective is non-finite before outer iteration 1$",
-            ):
-                solve(Dataset(x.T))
+        with pytest.raises(
+            SolverAbortError,
+            match="^objective is non-finite before outer iteration 1$",
+        ):
+            solve(Dataset(x.T))
 
     @pytest.mark.parametrize("scale, params, message", [
         (1.0, RegularizationParams(alpha=1e308), "objective is non-finite at outer iteration 1"),
@@ -630,15 +623,20 @@ class TestSolve:
          "soft_threshold input contains non-finite entries at outer iteration 1"),
         (1e155, RegularizationParams(), "objective is non-finite before outer iteration 1"),
         (1.0, RegularizationParams(eta=1e308), "objective is non-finite at outer iteration 1"),
+        # weights and a solver config: rho s^2 overflows in the W step's
+        # weights (s^2 reaches 1.9e3 on this data)
+        (10.0, (RegularizationParams(), SolverConfig(rho_init=1e307, rho_max=1e307, tau=1)),
+         "soft_threshold input contains non-finite entries at outer iteration 1"),
     ])
     def test_a_caught_overflow_prints_no_numpy_warning(self, scale, params, message):
         # the abort reports the overflow; numpy's own warnings would be noise
+        params, cfg = params if isinstance(params, tuple) else (params, SolverConfig())
         x = np.random.default_rng(0).normal(size=(5, 6)) if scale == 1.0 else (
             np.random.default_rng(0).normal(size=(12, 4)).T * scale)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(SolverAbortError) as info:
-                solve(Dataset(x), params)
+                solve(Dataset(x), params, cfg)
         assert str(info.value) == message
         assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
@@ -706,9 +704,9 @@ class TestBlockDescent:
 
         w, sigma = w_step(ds, state)
         values = [augmented_lagrangian(ds, state, p, t, sigma)]
-        state.w, state.wx = w, w @ ds.matrix
+        state.w = w
         values.append(augmented_lagrangian(ds, state, p, t, sigma))
-        state.z = update_z(state, p.eta * t.t)
+        state.z = update_z(state, w @ ds.matrix, p.eta * t.t)
         values.append(augmented_lagrangian(ds, state, p, t, sigma))
         state.w_tilde = update_w_tilde(state, p.gamma)
         values.append(augmented_lagrangian(ds, state, p, t, sigma))
@@ -757,10 +755,9 @@ class TestStackedSolve:
             RegularizationParams(eta=1e300),
             RegularizationParams(alpha=10.0, beta=10.0),
         ]
-        with np.errstate(over="ignore"):
-            ws, report = solve(ds, cells, cfg)
-            with pytest.raises(SolverAbortError) as aborted:
-                solve(ds, cells[1], cfg)
+        ws, report = solve(ds, cells, cfg)
+        with pytest.raises(SolverAbortError) as aborted:
+            solve(ds, cells[1], cfg)
         assert isinstance(report, StackReport)
         assert str(aborted.value) == "objective is non-finite at outer iteration 1"
         assert ws[1] is None and str(report.cells[1]) == str(aborted.value)
@@ -807,9 +804,8 @@ class TestStackedSolve:
         cells = grid_cells()[::9][:7]
         for i in failing:
             cells[i] = RegularizationParams(alpha=1e308)
-        with np.errstate(over="ignore"):
-            ws, report = solve(ds, cells, cfg)
-            serial = [solve(ds, [cell], cfg) for cell in cells]
+        ws, report = solve(ds, cells, cfg)
+        serial = [solve(ds, [cell], cfg) for cell in cells]
         for i, (serial_ws, serial_report) in enumerate(serial):
             cell, own = report.cells[i], serial_report.cells[0]
             if i in failing:
@@ -825,17 +821,21 @@ class TestStackedSolve:
 
     def test_a_cell_failing_late_drops_the_cells_already_converged(self, monkeypatch):
         # a fault injected into the W~ step of every cell with gamma 0.5 at
-        # sweep 50, after cells of the stack have converged
+        # sweep 50, after cells of the stack have converged; rho grows
+        # every sweep, so the penalty of sweep 50 names that sweep
         update_w_tilde = solver_mod.update_w_tilde
+        cfg = SolverConfig(tau=1.5)
+        rho_50 = cfg.rho_init
+        for _ in range(49):
+            rho_50 = min(cfg.tau * rho_50, cfg.rho_max)
 
         def faulty(state, gamma):
-            if state.iter == 49 and (np.asarray(gamma) == 0.5).any():
+            if state.rho == rho_50 and (np.asarray(gamma) == 0.5).any():
                 raise ValueError("injected fault")
             return update_w_tilde(state, gamma)
 
         monkeypatch.setattr(solver_mod, "update_w_tilde", faulty)
         ds = random_dataset(31, d=4, n=5)
-        cfg = SolverConfig(tau=1.5)
         cells = grid_cells()[::9][:5]
         cells[2] = RegularizationParams(gamma=0.5)
         ws, report = solve(ds, cells, cfg)
@@ -848,6 +848,10 @@ class TestStackedSolve:
             assert report.cells[i].records == serial[i][1].cells[0].records
         sweeps = [serial_report.iterations for _, serial_report in serial]
         assert report.iterations == halving_sweeps(sweeps, [i == 2 for i in range(5)])
+
+    def test_the_state_holds_only_its_iterates(self):
+        names = [f.name for f in dataclasses.fields(SolverState)]
+        assert names == list(solver_mod._ARRAY_FIELDS) + ["rho"]
 
     def test_cells_must_share_varsigma(self):
         ds = random_dataset(29, d=3, n=4)
