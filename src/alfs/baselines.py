@@ -145,13 +145,11 @@ def cur_from_indices(
     )
 
 
-def rcur(ds: Dataset, cfg: RcurConfig) -> RcurResult:
-    """Leverage-score randomized CUR.
+def _rcur_indices(ds: Dataset, cfg: RcurConfig) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The distinct column and row indices :func:`rcur` draws, each sorted.
 
-    Columns are drawn with probability proportional to their top-k leverage
-    scores, rows likewise (column draws first, then rows, from one seeded
-    generator). With replacement the realized counts can fall below the
-    requested ones after deduplication.
+    Forms no CUR factor, so a caller that needs only the selection (the
+    benchmark harness) leaves no per-set entry in the memo.
     """
     n, d = ds.n_samples, ds.n_features
     if cfg.m > n or cfg.r > d:
@@ -168,4 +166,16 @@ def rcur(ds: Dataset, cfg: RcurConfig) -> RcurResult:
     replace = not cfg.exact_counts
     cols = rng.choice(n, size=cfg.m, replace=replace, p=p_col)
     rows = rng.choice(d, size=cfg.r, replace=replace, p=p_row)
-    return cur_from_indices(ds, cols.tolist(), rows.tolist(), cfg.k)
+    return tuple(sorted(set(cols.tolist()))), tuple(sorted(set(rows.tolist())))
+
+
+def rcur(ds: Dataset, cfg: RcurConfig) -> RcurResult:
+    """Leverage-score randomized CUR.
+
+    Columns are drawn with probability proportional to their top-k leverage
+    scores, rows likewise (column draws first, then rows, from one seeded
+    generator). With replacement the realized counts can fall below the
+    requested ones after deduplication.
+    """
+    cols, rows = _rcur_indices(ds, cfg)
+    return cur_from_indices(ds, cols, rows, cfg.k)

@@ -22,8 +22,8 @@ import numpy as np
 from .baselines import (
     RcurConfig,
     _matrix_rank,
+    _rcur_indices,
     random_sampling,
-    rcur,
     variance_feature_select,
 )
 from .data import Dataset, SelectionRequest, _require_integer
@@ -297,8 +297,7 @@ class _MethodRunner:
         elif method == "rcur":
             k = self.spec.rcur_rank or _auto_rcur_rank(ds)
             cfg = RcurConfig(k=k, m=m, r=r or d, seed=seed, exact_counts=True)
-            result = rcur(ds, cfg)
-            samples, features = result.column_indices, result.row_indices
+            samples, features = _rcur_indices(ds, cfg)
         else:
             raise ValueError(f"unknown method {self.spec.method!r}")
         if variance_features is not None:

@@ -22,9 +22,14 @@ ROWS_ARE_SAMPLES = "rows-are-samples"
 ROWS_ARE_FEATURES = "rows-are-features"
 _ORIENTATIONS = (ROWS_ARE_SAMPLES, ROWS_ARE_FEATURES)
 
-# Array bytes of derived values (pseudoinverses, SVDs) one Dataset keeps;
+# Array bytes of derived values (SVDs, CUR factors) one Dataset keeps;
 # past it the least recently used are dropped.
 MEMO_BYTES = 16 * 2**20
+
+# The std of equal entries is rounding noise, under 3 ulps of their magnitude
+# in numpy's pairwise sums up to 3e5 samples; standardization treats a feature
+# whose std is at most this many ulps as constant.
+_CONSTANT_STD_ULPS = 8
 
 _T = TypeVar("_T")
 
@@ -53,7 +58,7 @@ class Dataset:
         Provenance note (file path, generator description, ...).
 
     Factorizations of the matrix that the evaluation code needs (the rank,
-    SVDs, pseudoinverses of column and row subsets) are memoized on the
+    SVDs, the CUR factors of column and row subsets) are memoized on the
     instance, at most ``MEMO_BYTES`` of arrays per dataset.
     """
 
@@ -309,16 +314,28 @@ def load_csv(
                 "label_column is only supported with rows-are-samples orientation"
             )
 
-    values = np.empty((len(data_rows), width - (1 if label_idx is not None else 0)))
     labels: list[str] = []
-    for i, row in enumerate(data_rows):
-        k = 0
-        for j, cell in enumerate(row):
-            if j == label_idx:
-                labels.append(cell.strip())
-                continue
-            values[i, k] = _parse_cell(cell.strip(), first_data_line + i, j + 1)
-            k += 1
+    cells = data_rows
+    if label_idx is not None:
+        labels = [row[label_idx].strip() for row in data_rows]
+        cells = [row[:label_idx] + row[label_idx + 1 :] for row in data_rows]
+    values = np.empty((len(cells), len(cells[0])))
+    # float() skips the whitespace str.strip() does, bar \x1c-\x1f, which
+    # it rejects; such a cell, like a bad one, takes the per-cell loop
+    try:
+        for i, row in enumerate(cells):
+            values[i] = list(map(float, row))
+        parsed = np.isfinite(values).all()
+    except ValueError:
+        parsed = False
+    if not parsed:
+        # cell by cell, naming the first bad cell's line and column
+        for i, row in enumerate(data_rows):
+            k = 0
+            for j, cell in enumerate(row):
+                if j != label_idx:
+                    values[i, k] = _parse_cell(cell.strip(), first_data_line + i, j + 1)
+                    k += 1
 
     if orientation == ROWS_ARE_SAMPLES:
         matrix = values.T
@@ -420,11 +437,14 @@ def validate(ds: Dataset) -> ValidationReport:
 def standardize_features(ds: Dataset) -> Dataset:
     """Per-feature standardization: subtract the mean, divide by the std.
 
-    Zero-variance features are centered only. Opt-in (the objective is stated
-    on the raw matrix), exposed through the CLI ``--standardize`` flag.
+    A feature constant up to rounding (its std at most a few ulps of its
+    largest magnitude) becomes zero. Opt-in (the objective is stated on the
+    raw matrix), exposed through the CLI ``--standardize`` flag.
     """
     m = ds.matrix
-    mu = m.mean(axis=1, keepdims=True)
     sd = m.std(axis=1, keepdims=True)
-    sd[sd == 0.0] = 1.0
-    return Dataset((m - mu) / sd, ds.feature_names, ds.labels, ds.source + "#standardized")
+    constant = sd <= _CONSTANT_STD_ULPS * np.finfo(float).eps * np.abs(m).max(axis=1, keepdims=True)
+    sd[constant] = 1.0
+    out = (m - m.mean(axis=1, keepdims=True)) / sd
+    out[constant[:, 0]] = 0.0
+    return Dataset(out, ds.feature_names, ds.labels, ds.source + "#standardized")

@@ -88,7 +88,7 @@ def rank_and_select(w: np.ndarray, req: SelectionRequest) -> SelectionResult:
 
 
 def _index_set(indices: Iterable[int], bound: int, what: str) -> list[int]:
-    out = sorted(set(int(i) for i in indices))
+    out = sorted(set(map(int, indices)))
     if not out:
         raise ValueError(f"{what} index set is empty")
     if out[0] < 0 or out[-1] >= bound:
@@ -101,14 +101,22 @@ def _cur_core(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """C, the core ``U = C+ X R+``, R and ``||X - C U R||_F^2`` at checked indices.
 
-    ``C+`` and ``R+`` are memoized on ``ds`` per index set.
+    ``(C, C+ X)`` is memoized on ``ds`` per sample set and ``(R, R+)`` per
+    feature set, so a call on known sets costs three small products.
     """
     x = ds.matrix
-    c = x[:, samples]
-    r = x[features, :]
-    c_pinv = _memo(ds, ("pinv_c", tuple(samples)), lambda: np.linalg.pinv(c, rcond=PINV_RCOND))
-    r_pinv = _memo(ds, ("pinv_r", tuple(features)), lambda: np.linalg.pinv(r, rcond=PINV_RCOND))
-    u = c_pinv @ x @ r_pinv
+
+    def sample_factors():
+        c = x[:, samples]
+        return c, np.linalg.pinv(c, rcond=PINV_RCOND) @ x
+
+    def feature_factors():
+        r = x[features, :]
+        return r, np.linalg.pinv(r, rcond=PINV_RCOND)
+
+    c, c_pinv_x = _memo(ds, ("cur_c", tuple(samples)), sample_factors)
+    r, r_pinv = _memo(ds, ("cur_r", tuple(features)), feature_factors)
+    u = c_pinv_x @ r_pinv
     resid = x - c @ u @ r
     return c, u, r, float((resid * resid).sum())
 

@@ -155,6 +155,14 @@ class TestCur:
             with pytest.raises(RuntimeError, match="lower bound"):
                 cur_from_indices(ds, [0, 1], [0, 1], k=1)
 
+    def test_rcur_still_raises_below_the_lower_bound(self, monkeypatch):
+        ds = random_dataset(17, d=5, n=7)
+        core = baselines_mod._cur_core
+        monkeypatch.setattr(baselines_mod, "_cur_core", lambda *a: (*core(*a)[:3], 0.0))
+        for exact_counts in (False, True):
+            with pytest.raises(RuntimeError, match="lower bound"):
+                rcur(ds, RcurConfig(k=1, m=3, r=3, seed=0, exact_counts=exact_counts))
+
     def test_exact_counts_mode(self):
         ds = random_dataset(7, d=6, n=9)
         res = rcur(ds, RcurConfig(k=2, m=4, r=3, seed=2, exact_counts=True))

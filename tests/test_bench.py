@@ -456,6 +456,38 @@ class TestRunCurve:
             expected = rcur(reduced, cfg).column_indices
         assert samples == expected
 
+    def test_rcur_cells_select_the_indices_of_rcur(self):
+        unlabeled = make_clusters(n=1000, d=80, n_classes=8, sep=4.0, seed=5).without_labels()
+        runner = bench_mod._MethodRunner(unlabeled, BenchSpec(method="rcur", sample_budgets=(10,)))
+        k = bench_mod._auto_rcur_rank(unlabeled)
+        for seed in range(10):
+            for m, r in ((10, None), (160, None), (40, 5), (40, 40)):
+                cfg = RcurConfig(k=k, m=m, r=r or 80, seed=seed, exact_counts=True)
+                res = rcur(unlabeled, cfg)
+                samples, features = runner.select(m, r, seed)
+                assert samples == res.column_indices
+                assert features == (res.row_indices if r else None)
+
+    @pytest.mark.parametrize("method, budgets", [
+        ("rcur", {"sample_budgets": (5, 10, 40)}),
+        ("variance+rcur", {"sample_budgets": (10,), "feature_budgets": (4, 6, 10)}),
+    ], ids=["rcur", "variance+rcur"])
+    def test_an_rcur_curve_memoizes_no_cur_factors(self, monkeypatch, method, budgets):
+        # a drawn index set recurs only by chance, so its pinv would never be read
+        runners = []
+
+        class Recorded(bench_mod._MethodRunner):
+            def __init__(self, *args):
+                super().__init__(*args)
+                runners.append(self)
+
+        monkeypatch.setattr(bench_mod, "_MethodRunner", Recorded)
+        train, test = small_clusters()
+        run_curve(train, test, BenchSpec(method=method, repeats=3, rcur_rank=3, **budgets))
+        (runner,) = runners
+        seen = [runner.unlabeled] + [kept for _, kept in runner._variance_cache.values()]
+        assert {key for ds in seen for key in ds._derived} == {"svd"}
+
     def test_budget_above_the_training_set_rejected(self):
         train, test = small_clusters()
         spec = BenchSpec(method="random", sample_budgets=(3, 41), repeats=1)
@@ -492,7 +524,7 @@ class TestRunCurve:
             seen.append(ds.labels)
             return original_solve(ds, params, cfg)
 
-        original_rcur = bench_mod.rcur
+        original_rcur = bench_mod._rcur_indices
 
         def spying_rcur(ds, cfg):
             seen.append(ds.labels)
@@ -505,7 +537,7 @@ class TestRunCurve:
             return original_var(ds, r)
 
         monkeypatch.setattr(bench_mod, "solve", spying_solve)
-        monkeypatch.setattr(bench_mod, "rcur", spying_rcur)
+        monkeypatch.setattr(bench_mod, "_rcur_indices", spying_rcur)
         monkeypatch.setattr(bench_mod, "variance_feature_select", spying_var)
 
         for spec in (

@@ -114,6 +114,34 @@ class TestLoadCsv:
         assert np.array_equal(back.matrix, ds.matrix)
         assert back.labels == ("u", "v")
 
+    @pytest.mark.parametrize("pad", [" \t", " \x1f"], ids=["blanks", "unit-separator"])
+    def test_values_are_float_of_each_stripped_cell(self, tmp_path, pad):
+        # float() itself skips blanks but rejects \x1c-\x1f, which strip() drops
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(6, 5)) * 10.0 ** rng.integers(-300, 300, size=(6, 5))
+        x[0, 0] = -0.0
+        rows = []
+        for i, sample in enumerate(x):
+            cells = [pad[: rng.integers(0, 3)] + repr(float(v)) + pad[: rng.integers(0, 3)]
+                     for v in sample]
+            rows.append(",".join(cells[:2] + [f" c{i % 2} "] + cells[2:]))
+        p = write(tmp_path, "a,b,label,c,d,e\n" + "\n".join(rows) + "\n")
+        ds = load_csv(p, label_column="label")
+        want = np.array([[float(cell.strip()) for j, cell in enumerate(row.split(",")) if j != 2]
+                         for row in rows]).T
+        assert ds.matrix.tobytes() == want.tobytes()
+        assert ds.labels == ("c0", "c1") * 3
+        assert ds.feature_names == ("a", "b", "c", "d", "e")
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,y,2,3\n4,y,x,nan\n5,y,inf,6\n", "line 3, column 3 is not numeric: 'x'"),
+        ("1,y,2,3\n4,y,5,inf\n5,y,x,nan\n", "line 3, column 4 is not finite: 'inf'"),
+    ], ids=["non-numeric-first", "non-finite-first"])
+    def test_several_bad_cells_name_the_first(self, tmp_path, text, message):
+        p = write(tmp_path, "a,label,b,c\n" + text)
+        with pytest.raises(ValueError, match=message):
+            load_csv(p, label_column="label")
+
 
 class TestSplit:
     def test_libras_shaped_split(self):
@@ -198,3 +226,12 @@ def test_standardize_features():
     out = standardize_features(ds)
     assert np.allclose(out.matrix.mean(axis=1), 0.0, atol=1e-12)
     assert np.allclose(out.matrix.std(axis=1), 1.0, atol=1e-12)
+
+
+def test_standardize_zeroes_a_feature_constant_up_to_rounding():
+    # the std of (0.1, 0.1, 0.1) rounds to 1.4e-17, not 0
+    out = standardize_features(Dataset([[0.1, 0.1, 0.1], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
+    assert out.matrix[0].tolist() == [0.0, 0.0, 0.0]
+    assert out.matrix[2].tolist() == [0.0, 0.0, 0.0]
+    row = np.array([1.0, 2.0, 3.0])
+    assert out.matrix[1].tolist() == ((row - row.mean()) / row.std()).tolist()

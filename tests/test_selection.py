@@ -161,8 +161,9 @@ class TestMemo:
 
     def test_bytes_stay_within_the_bound_and_eviction_is_lru(self, monkeypatch):
         ds = random_dataset(1, d=4, n=6)
-        # pinv(C) of two samples is 2x4 (64 bytes), pinv(R) of two features 6x2 (96)
-        monkeypatch.setattr(data_mod, "MEMO_BYTES", 3 * 64 + 96)
+        # two samples keep C (4x2, 64 bytes) and C+ X (2x6, 96); two features
+        # keep R (2x6, 96) and R+ (6x2, 96)
+        monkeypatch.setattr(data_mod, "MEMO_BYTES", 3 * (64 + 96) + (96 + 96))
         memo = ds._derived
         f = (0, 1)
         calls = [(0, 1), (0, 2), (0, 3), (0, 1), (0, 4), (0, 2)]
@@ -171,9 +172,9 @@ class TestMemo:
             assert memo.nbytes == sum(size for _, size in memo.values()) <= data_mod.MEMO_BYTES
         # (0, 2) was the least recently used when (0, 4) arrived, then (0, 3)
         assert list(memo) == [
-            ("pinv_c", (0, 1)), ("pinv_c", (0, 4)), ("pinv_c", (0, 2)), ("pinv_r", f),
+            ("cur_c", (0, 1)), ("cur_c", (0, 4)), ("cur_c", (0, 2)), ("cur_r", f),
         ]
-        assert all(not value.flags.writeable for value, _ in memo.values())
+        assert all(not a.flags.writeable for value, _ in memo.values() for a in value)
 
     def test_a_value_above_the_bound_is_returned_but_not_kept(self, monkeypatch):
         ds = random_dataset(2, d=4, n=6)
