@@ -9,8 +9,10 @@ normalized implicitly; standardization is an explicit, opt-in step.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import numbers
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -236,6 +238,28 @@ def _parse_cell(text: str, line_no: int, col_no: int) -> float:
     return value
 
 
+def _label_index(
+    header: Optional[list[str]], width: int, label_column: Optional[str], orientation: str
+) -> Optional[int]:
+    """Column index of the label, after checking the header against the data."""
+    if header is not None and len(header) != width:
+        raise ValueError(
+            f"header has {len(header)} cells but data rows have {width}"
+        )
+    if label_column is None:
+        return None
+    assert header is not None
+    if label_column not in header:
+        raise ValueError(
+            f"label column {label_column!r} not found in header {header}"
+        )
+    if orientation == ROWS_ARE_FEATURES:
+        raise ValueError(
+            "label_column is only supported with rows-are-samples orientation"
+        )
+    return header.index(label_column)
+
+
 def load_csv(
     path: str | Path,
     has_header: bool = True,
@@ -243,6 +267,10 @@ def load_csv(
     orientation: str = ROWS_ARE_SAMPLES,
 ) -> Dataset:
     """Load a UTF-8, comma-separated file into the internal d x n orientation.
+
+    The file is read in one pass that holds the text of one row at a time:
+    each row's floats go straight into a flat buffer, so memory stays within
+    a few times the matrix bytes. Blank lines are skipped.
 
     Parameters
     ----------
@@ -262,8 +290,11 @@ def load_csv(
     FileNotFoundError
         Missing file.
     ValueError
-        Non-numeric or non-finite cell (reported with its line/column),
-        ragged rows, unknown label column, or an empty table.
+        In this order of precedence: an empty table; the first ragged row;
+        a header whose width differs from the data's; an unknown label
+        column, or one with rows-are-features; the first non-numeric or
+        non-finite cell in row-major order.
+        Lines are the file's physical lines, blank ones counted.
     """
     if orientation not in _ORIENTATIONS:
         raise ValueError(f"orientation must be one of {_ORIENTATIONS}, got {orientation!r}")
@@ -274,77 +305,72 @@ def load_csv(
         raise FileNotFoundError(f"no such file: {path}")
 
     with path.open("r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [row for row in rows if row]  # ignore blank lines
-    if not rows:
-        raise ValueError(f"{path} is empty")
-
-    header: Optional[list[str]] = None
-    data_rows = rows
-    first_data_line = 1
-    if has_header:
-        header = [c.strip() for c in rows[0]]
-        data_rows = rows[1:]
-        first_data_line = 2
-        if not data_rows:
-            raise ValueError(f"{path} has a header but no data rows")
-
-    width = len(data_rows[0])
-    for i, row in enumerate(data_rows):
-        if len(row) != width:
+        reader = csv.reader(fh)
+        rows = filter(None, reader)  # a blank line reads as []
+        header = next(rows, None) if has_header else None
+        first = next(rows, None)
+        if first is None:
             raise ValueError(
-                f"ragged row at line {first_data_line + i}: "
-                f"{len(row)} cells, expected {width}"
+                f"{path} has a header but no data rows" if header else f"{path} is empty"
             )
-    if header is not None and len(header) != width:
-        raise ValueError(
-            f"header has {len(header)} cells but data rows have {width}"
-        )
+        if header is not None:
+            header = [c.strip() for c in header]
 
-    label_idx: Optional[int] = None
-    if label_column is not None:
-        assert header is not None
-        if label_column not in header:
-            raise ValueError(
-                f"label column {label_column!r} not found in header {header}"
-            )
-        label_idx = header.index(label_column)
-        if orientation == ROWS_ARE_FEATURES:
-            raise ValueError(
-                "label_column is only supported with rows-are-samples orientation"
-            )
+        width = len(first)
+        # the first error of lower precedence than a ragged row; once it is
+        # known, the remaining rows are only checked for raggedness
+        error: Optional[ValueError] = None
+        try:
+            label_idx = _label_index(header, width, label_column, orientation)
+        except ValueError as exc:
+            label_idx, error = None, exc
+        values = array("d")
+        labels: list[str] = []
+        n_rows = 0
+        for row in itertools.chain([first], rows):
+            if len(row) != width:
+                raise ValueError(
+                    f"ragged row at line {reader.line_num}: "
+                    f"{len(row)} cells, expected {width}"
+                )
+            if error is not None:
+                continue
+            cells = row
+            if label_idx is not None:
+                labels.append(row[label_idx].strip())
+                cells = row[:label_idx] + row[label_idx + 1 :]
+            # float() skips the whitespace str.strip() does, bar \x1c-\x1f,
+            # which it rejects; such a row, like one with a bad or non-finite
+            # cell (a non-finite sum), takes the per-cell loop
+            try:
+                floats = list(map(float, cells))
+                parsed = math.isfinite(sum(floats))
+            except ValueError:
+                parsed = False
+            if not parsed:
+                try:
+                    floats = [
+                        _parse_cell(cell.strip(), reader.line_num, j + 1)
+                        for j, cell in enumerate(row)
+                        if j != label_idx
+                    ]
+                except ValueError as exc:
+                    error = exc
+                    continue
+            values.extend(floats)
+            n_rows += 1
+    if error is not None:
+        raise error
 
-    labels: list[str] = []
-    cells = data_rows
-    if label_idx is not None:
-        labels = [row[label_idx].strip() for row in data_rows]
-        cells = [row[:label_idx] + row[label_idx + 1 :] for row in data_rows]
-    values = np.empty((len(cells), len(cells[0])))
-    # float() skips the whitespace str.strip() does, bar \x1c-\x1f, which
-    # it rejects; such a cell, like a bad one, takes the per-cell loop
-    try:
-        for i, row in enumerate(cells):
-            values[i] = list(map(float, row))
-        parsed = np.isfinite(values).all()
-    except ValueError:
-        parsed = False
-    if not parsed:
-        # cell by cell, naming the first bad cell's line and column
-        for i, row in enumerate(data_rows):
-            k = 0
-            for j, cell in enumerate(row):
-                if j != label_idx:
-                    values[i, k] = _parse_cell(cell.strip(), first_data_line + i, j + 1)
-                    k += 1
-
+    table = np.frombuffer(values).reshape(n_rows, width - (label_idx is not None))
     if orientation == ROWS_ARE_SAMPLES:
-        matrix = values.T
+        matrix = table.T
         if header is not None:
             names = [h for j, h in enumerate(header) if j != label_idx]
         else:
             names = None
     else:
-        matrix = values
+        matrix = table
         names = None  # feature names per row are not representable in the header
 
     return Dataset(
@@ -441,9 +467,13 @@ def standardize_features(ds: Dataset) -> Dataset:
     largest magnitude) becomes zero. Opt-in (the objective is stated on the
     raw matrix), exposed through the CLI ``--standardize`` flag.
     """
-    m = ds.matrix
+    # each feature scaled by an exact power of two to a largest magnitude in
+    # [0.5, 1), so the squares of the std neither overflow nor underflow;
+    # the standardized values do not depend on the scale
+    peak, exp = np.frexp(np.abs(ds.matrix).max(axis=1, keepdims=True))
+    m = np.ldexp(ds.matrix, -exp)
     sd = m.std(axis=1, keepdims=True)
-    constant = sd <= _CONSTANT_STD_ULPS * np.finfo(float).eps * np.abs(m).max(axis=1, keepdims=True)
+    constant = sd <= _CONSTANT_STD_ULPS * np.finfo(float).eps * peak
     sd[constant] = 1.0
     out = (m - m.mean(axis=1, keepdims=True)) / sd
     out[constant[:, 0]] = 0.0

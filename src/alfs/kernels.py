@@ -160,7 +160,10 @@ def angular_weights(ds: Dataset, varsigma: float = DEFAULT_VARSIGMA) -> AngularW
     """
     if varsigma <= 0:
         raise ValueError("varsigma must be positive")
-    x = ds.matrix
+    # each column scaled by an exact power of two near its largest entry, so
+    # the squares neither underflow nor overflow; cosines are scale-free
+    _, exp = np.frexp(np.abs(ds.matrix).max(axis=0))
+    x = np.ldexp(ds.matrix, -exp)
     norms = np.linalg.norm(x, axis=0)
     zero = np.where(norms == 0.0)[0]
     if zero.size:

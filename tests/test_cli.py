@@ -223,6 +223,27 @@ class TestSolveCommand:
         assert capsys.readouterr().err == (
             "numerical failure: objective is non-finite before outer iteration 1\n")
 
+    def test_data_too_small_to_square_solves(self, tmp_path, capsys):
+        # squares of 1e-170 underflow; the angular weights used to call
+        # every sample a zero column
+        x = np.random.default_rng(0).normal(size=(12, 4)) * 1e-170
+        data = tmp_path / "tiny.csv"
+        np.savetxt(data, x, delimiter=",", header="a,b,c,d", comments="")
+        out = tmp_path / "result.json"
+        assert run_cli("solve", "--data", str(data), "--out", str(out)) == 0
+        assert json.loads(out.read_text())["stop_reason"] == "converged"
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_standardize_on_huge_data_solves(self, tmp_path, capsys):
+        # squares of 1e200 overflow; the std used to be inf and the
+        # standardized features zeros
+        x = np.random.default_rng(0).normal(size=(12, 4)) * 1e200
+        data = tmp_path / "huge.csv"
+        np.savetxt(data, x, delimiter=",", header="a,b,c,d", comments="")
+        out = tmp_path / "result.json"
+        assert run_cli("solve", "--data", str(data), "--standardize", "--out", str(out)) == 0
+        assert "all-zero" not in capsys.readouterr().err
+
     def test_an_overflowing_penalty_exits_3_with_its_error_alone(
         self, tiny_csv, tmp_path, capsys
     ):

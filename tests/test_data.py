@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -120,6 +122,7 @@ class TestLoadCsv:
         rng = np.random.default_rng(11)
         x = rng.normal(size=(6, 5)) * 10.0 ** rng.integers(-300, 300, size=(6, 5))
         x[0, 0] = -0.0
+        x[1] = 1e308  # finite cells whose sum overflows take the per-cell loop
         rows = []
         for i, sample in enumerate(x):
             cells = [pad[: rng.integers(0, 3)] + repr(float(v)) + pad[: rng.integers(0, 3)]
@@ -130,6 +133,7 @@ class TestLoadCsv:
         want = np.array([[float(cell.strip()) for j, cell in enumerate(row.split(",")) if j != 2]
                          for row in rows]).T
         assert ds.matrix.tobytes() == want.tobytes()
+        assert ds.matrix.strides == want.strides
         assert ds.labels == ("c0", "c1") * 3
         assert ds.feature_names == ("a", "b", "c", "d", "e")
 
@@ -141,6 +145,68 @@ class TestLoadCsv:
         p = write(tmp_path, "a,label,b,c\n" + text)
         with pytest.raises(ValueError, match=message):
             load_csv(p, label_column="label")
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2\n\n\n3,x\n", "cell at line 5, column 2 is not numeric: 'x'"),
+        ("a,b\n1,2\n\n3,4,5\n", "ragged row at line 4: 3 cells, expected 2"),
+        ("\na,b\n\n1,2\n3,inf\n", "cell at line 5, column 2 is not finite: 'inf'"),
+    ], ids=["bad-cell", "ragged-row", "blank-before-header"])
+    def test_errors_name_the_physical_line(self, tmp_path, text, message):
+        p = write(tmp_path, text)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_csv(p)
+
+    @pytest.mark.parametrize("text, kwargs, message", [
+        ("\n\n", {}, "is empty"),
+        ("a,b\n\n", {"label_column": "zz"}, "has a header but no data rows"),
+        ("a,b\n1,x\n3\n", {}, "ragged row at line 3: 1 cells, expected 2"),
+        ("a,b,c\n1,2\n3\n", {}, "ragged row at line 3: 1 cells, expected 2"),
+        ("a,b\n1,2\n3\n", {"label_column": "zz"}, "ragged row at line 3"),
+        ("a,b\n1,2\n3\n", {"label_column": "a", "orientation": ROWS_ARE_FEATURES},
+         "ragged row at line 3"),
+        ("a,b,c\n1,2\n3,4\n", {"label_column": "zz"},
+         "header has 3 cells but data rows have 2"),
+        ("a,b,c\n1,x\n3,4\n", {}, "header has 3 cells but data rows have 2"),
+        ("a,b\nx,2\n3,4\n", {"label_column": "zz"}, "label column 'zz' not found"),
+        ("a,b\nx,2\n3,4\n", {"label_column": "a", "orientation": ROWS_ARE_FEATURES},
+         "label_column is only supported with rows-are-samples orientation"),
+    ], ids=["empty", "header-only", "ragged-after-bad-cell", "ragged-over-header",
+            "ragged-over-unknown-label", "ragged-over-label-orientation",
+            "header-over-unknown-label", "header-over-bad-cell",
+            "unknown-label-over-bad-cell", "label-orientation-over-bad-cell"])
+    def test_errors_keep_their_precedence(self, tmp_path, text, kwargs, message):
+        p = write(tmp_path, text)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_csv(p, **kwargs)
+
+    def test_rows_are_features_matrix_is_that_of_a_cell_by_cell_parse(self, tmp_path):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(4, 7)) * 10.0 ** rng.integers(-30, 30, size=(4, 7))
+        rows = [[repr(float(v)) for v in feature] for feature in x]
+        rows[1][:4] = ["1e308", "1e308", "-1e308", "1.5e308"]
+        rows[3][2] = "\x1f" + rows[3][2]
+        p = write(tmp_path, "\n".join(",".join(row) for row in rows) + "\n")
+        ds = load_csv(p, has_header=False, orientation=ROWS_ARE_FEATURES)
+        want = np.array([[float(cell.strip()) for cell in row] for row in rows])
+        assert ds.matrix.tobytes() == want.tobytes()
+        assert ds.matrix.strides == want.strides
+        assert ds.labels is None
+        assert ds.feature_names == ("f0", "f1", "f2", "f3")
+
+    def test_parse_memory_stays_within_a_few_matrices(self, tmp_path):
+        # the parse holds one row of text at a time, not every cell
+        x = np.random.default_rng(3).normal(size=(60, 2000))
+        ds = Dataset(x, labels=tuple(f"c{j % 5}" for j in range(2000)))
+        p = tmp_path / "big.csv"
+        write_csv(ds, p, label_column="label")
+        tracemalloc.start()
+        try:
+            back = load_csv(p, label_column="label")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.matrix.tobytes() == ds.matrix.tobytes()
+        assert peak <= 4 * x.nbytes
 
 
 class TestSplit:
@@ -235,3 +301,19 @@ def test_standardize_zeroes_a_feature_constant_up_to_rounding():
     assert out.matrix[2].tolist() == [0.0, 0.0, 0.0]
     row = np.array([1.0, 2.0, 3.0])
     assert out.matrix[1].tolist() == ((row - row.mean()) / row.std()).tolist()
+
+
+def test_standardize_huge_features_as_unscaled_ones():
+    # squares of 1e200 overflow; the std used to be inf and the features zeros
+    x = np.random.default_rng(0).normal(size=(3, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = standardize_features(Dataset(x * 1e200)).matrix
+    np.testing.assert_allclose(huge, standardize_features(Dataset(x)).matrix, rtol=1e-12)
+
+
+def test_standardize_is_exact_under_power_of_two_scaling():
+    x = np.random.default_rng(1).normal(size=(4, 9))
+    want = standardize_features(Dataset(x)).matrix.tobytes()
+    for k in (-1000, -560, -3, 5, 600, 1000):
+        assert standardize_features(Dataset(np.ldexp(x, k))).matrix.tobytes() == want

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -305,6 +307,17 @@ class TestAngularWeights:
         ds = Dataset(np.array([[1.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(ValueError, match="zero column"):
             angular_weights(ds)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e200, 2.0**-1070], ids=str)
+    def test_any_finite_scale_gives_the_weights_of_its_power_of_two(self, scale):
+        # squares of these columns underflow or overflow; the weights are
+        # those of the data scaled back by an exact power of two
+        x = np.random.default_rng(0).normal(size=(4, 12))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            aw = angular_weights(Dataset(x * scale))
+        unit = np.ldexp(x * scale, -np.frexp(scale)[1])
+        assert aw.t.tobytes() == angular_weights(Dataset(unit)).t.tobytes()
 
     def test_invariants_on_random_data(self):
         for seed in range(10):
