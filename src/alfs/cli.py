@@ -119,6 +119,14 @@ def _build(make: Callable[..., Any], what: str, **values: Any) -> Any:
 
 def _apply_data_flags(cfg: dict, args: argparse.Namespace) -> dict:
     data = dict(cfg["data"])
+    # a string such as "false" is truthy; load_csv checks the orientation
+    for key in ("has_header", "standardize"):
+        if not isinstance(data[key], bool):
+            raise CliError(f"invalid data section: {key} must be true or false, "
+                           f"got {data[key]!r}")
+    if not isinstance(data["label_column"], (str, type(None))):
+        raise CliError("invalid data section: label_column must be a string or null, "
+                       f"got {data['label_column']!r}")
     if getattr(args, "no_header", False):
         data["has_header"] = False
     if getattr(args, "label_column", None) is not None:
@@ -252,9 +260,20 @@ def _cmd_select(args: argparse.Namespace) -> int:
         document = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed result document: {exc}") from None
+    if not isinstance(document, dict):
+        raise CliError("malformed result document: not a JSON object")
     for key in ("sample_ranking", "sample_scores", "feature_ranking", "feature_scores"):
         if key not in document:
             raise CliError(f"result document lacks {key!r}; was it written by 'solve'?")
+    for axis in ("sample", "feature"):
+        ranking, scores = document[f"{axis}_ranking"], document[f"{axis}_scores"]
+        # bool is a subclass of int, and JSON's true is no index
+        if not (isinstance(ranking, list) and all(type(i) is int for i in ranking)
+                and isinstance(scores, list)
+                and all(type(s) in (int, float) for s in scores)
+                and len(ranking) == len(scores)):
+            raise CliError(f"malformed result document: {axis}_ranking must be a list of "
+                           f"integers and {axis}_scores a list of numbers of its length")
     n = len(document["sample_ranking"])
     d = len(document["feature_ranking"])
     try:

@@ -268,6 +268,8 @@ def load_csv(
 ) -> Dataset:
     """Load a UTF-8, comma-separated file into the internal d x n orientation.
 
+    A leading byte-order mark, as spreadsheet programs write, is dropped.
+
     The file is read in one pass that holds the text of one row at a time:
     each row's floats go straight into a flat buffer, so memory stays within
     a few times the matrix bytes. Blank lines are skipped.
@@ -304,7 +306,7 @@ def load_csv(
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
 
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         rows = filter(None, reader)  # a blank line reads as []
         header = next(rows, None) if has_header else None

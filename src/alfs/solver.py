@@ -26,8 +26,8 @@ once for all cells, and each cell is frozen at its own stopping sweep. The
 steps use only operations that act on each cell's matrices alone (matmul,
 SVD, elementwise maps, reductions within a matrix), so a cell's W and
 report are bit for bit those of its serial solve; the tests check this. For
-the same reason a stack in which a value goes non-finite can be split: it
-is solved again from the start in halves, down to the lone cell that fails.
+the same reason a sweep in which a value goes non-finite is replayed cell
+by cell from its start, and the cells that fail alone leave the stack.
 
 Overflow has one policy, set in :func:`solve`: numpy does not warn of it
 there, and the first non-finite value a check meets becomes a
@@ -197,8 +197,7 @@ class StackReport:
 
     ``cells[i]`` is cell i's :class:`ConvergenceReport`, or the
     :class:`SolverAbortError` its serial solve raises. ``iterations`` counts
-    the sweeps run, including those of a stack dropped because a cell
-    failed, which is solved again in halves.
+    the sweeps run, each once: one that fails stacked and its lone replays too.
     """
 
     cells: list[Union[ConvergenceReport, SolverAbortError]]
@@ -229,8 +228,8 @@ class ConvergenceDecision:
 
 @dataclass(frozen=True)
 class _Cells:
-    """The cells of a stack: their positions among the solve's cells and
-    their weights, one entry per cell. Stands in for
+    """The cells of a stack: their positions in the stack and their
+    weights, one entry per cell. Stands in for
     :class:`RegularizationParams` in the steps of a stacked sweep."""
 
     index: np.ndarray
@@ -241,12 +240,11 @@ class _Cells:
     eta_t: np.ndarray  # eta * T, the Z step's weights
 
     @classmethod
-    def of(cls, cells: Sequence[RegularizationParams], positions: np.ndarray,
-           t: AngularWeights) -> "_Cells":
+    def of(cls, cells: Sequence[RegularizationParams], t: AngularWeights) -> "_Cells":
         weights = {name: np.array([getattr(c, name) for c in cells], dtype=float)
                    for name in ("alpha", "beta", "gamma", "eta")}
         eta_t = weights["eta"][:, None, None] * t.t
-        return cls(index=positions, eta_t=eta_t, **weights)
+        return cls(index=np.arange(len(cells)), eta_t=eta_t, **weights)
 
     def __getitem__(self, index) -> "_Cells":
         return _Cells(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
@@ -581,64 +579,64 @@ def _sweep(
 
 
 def _solve_stack(
-    ds: Dataset,
-    cells: _Cells,
-    t: AngularWeights,
-    basis: SpectralBasis,
-    cfg: SolverConfig,
-    ws: list,
-    outcomes: list,
-) -> int:
+    ds: Dataset, cells: _Cells, t: AngularWeights, basis: SpectralBasis, cfg: SolverConfig,
+) -> tuple[list[Optional[np.ndarray]], list, int]:
     """The ADMM loop on one stack of cells from the all-zero start.
 
-    Fills in ``ws`` and ``outcomes`` at the cells' positions: the final W
-    and the :class:`ConvergenceReport`, or None and the
-    :class:`SolverAbortError` of a failed cell. A cell leaves the stack at
-    its own stopping sweep; the others go on stacked. If a value of any
-    cell goes non-finite, the stack drops its work and each half of it is
-    solved again from the start; a lone cell records its error. Returns
-    the number of sweeps run, those of dropped stacks included.
+    Returns the cells' final Ws and reports, None and the
+    :class:`SolverAbortError` for a failed cell, and the number of
+    :func:`_sweep` calls. A cell leaves at the sweep where it converges,
+    fails or runs out of sweeps. A sweep that raises is replayed for each
+    cell alone from its start, which it leaves unchanged: the cells that
+    raise alone leave, and the others run the sweep again, stacked.
     """
-    d, n = ds.matrix.shape
-    state = SolverState.initial(d, n, cfg, cells=cells.index.size)
-    for i in cells.index:
-        outcomes[i] = ConvergenceReport()
+    ws: list[Optional[np.ndarray]] = [None] * cells.index.size
+    state = SolverState.initial(*ds.matrix.shape, cfg, cells=len(ws))
+    try:
+        # W is zero: the start depends on the data alone, the same for every cell
+        prev = objective(ds, state.w, cells, t)
+    except ValueError as exc:
+        return ws, [SolverAbortError(f"{exc} before outer iteration 1") for _ in ws], 0
+    outcomes: list = [ConvergenceReport() for _ in ws]
     going = cells
     sweeps = 0
-    try:
-        prev = objective(ds, state.w, going, t)
-        for _ in range(cfg.max_outer_iters):
-            sweeps += 1
+    k = 1
+    while going.index.size:
+        sweeps += 1
+        try:
             # The replaced state is freed one sweep late. Freed at once, it
             # leaves the top of the heap free, glibc's malloc returns that to
             # the system, and the next sweep faults it back in: at 30 x 120,
             # about 15k page faults and a fifth of a solve's time.
             replaced, (state, curr, records, converged) = (
                 state, _sweep(ds, state, going, t, basis, cfg, prev))
+        except ValueError:
+            # the kernels and the objective raise ValueError only for
+            # non-finite values, and numpy for a failed SVD
+            failed = np.zeros(going.index.size, dtype=bool)
             for i, cell in enumerate(going.index):
-                outcomes[cell].records.append(records[i])
-                if converged[i]:
-                    outcomes[cell].stop_reason = "converged"
-                    ws[cell] = state.w[i].copy()
-            prev = curr
-            if converged.all():
-                return sweeps
-            if converged.any():
-                state, going, prev = state[~converged], going[~converged], curr[~converged]
-    except ValueError as exc:
-        # the kernels and the objective raise ValueError only for non-finite
-        # values (||X||^2 itself at the start), and numpy for a failed SVD
-        if cells.index.size == 1:
-            where = f"at outer iteration {sweeps}" if sweeps else "before outer iteration 1"
-            outcomes[cells.index[0]] = SolverAbortError(f"{exc} {where}")
-            outcomes[cells.index[0]].__cause__ = exc
-            return sweeps
-        half = cells.index.size // 2
-        return sweeps + sum(_solve_stack(ds, part, t, basis, cfg, ws, outcomes)
-                            for part in (cells[:half], cells[half:]))
-    for i, cell in enumerate(going.index):
-        ws[cell] = state.w[i].copy()
-    return sweeps
+                sweeps += 1
+                try:
+                    _sweep(ds, state[i:i + 1], going[i:i + 1], t, basis, cfg, prev[i:i + 1])
+                except ValueError as exc:
+                    outcomes[cell] = SolverAbortError(f"{exc} at outer iteration {k}")
+                    failed[i] = True
+            if not failed.any():
+                raise  # each cell's sweep passes alone: the cells are not independent
+            state, going, prev = state[~failed], going[~failed], prev[~failed]
+            continue
+        done = converged | (k == cfg.max_outer_iters)
+        for i, cell in enumerate(going.index):
+            outcomes[cell].records.append(records[i])
+            if converged[i]:
+                outcomes[cell].stop_reason = "converged"
+            if done[i]:
+                ws[cell] = state.w[i].copy()
+        if done.any():
+            state, going, curr = state[~done], going[~done], curr[~done]
+        prev = curr
+        k += 1
+    return ws, outcomes, sweeps
 
 
 def solve(
@@ -679,9 +677,7 @@ def solve(
         raise ValueError("the cells of one solve must share varsigma")
     d, n = ds.matrix.shape
     size = _cells_per_stack(d, n)
-    ws: list[Optional[np.ndarray]] = [None] * len(cells)
-    outcomes: list = [None] * len(cells)
-    sweeps = 0
+    ws, outcomes, sweeps = [], [], 0
     # Values that overflow (huge data, weights or penalties) are not warned
     # of here but reported, each as a SolverAbortError naming its sweep: by
     # the kernels' _require_finite on their inputs, by
@@ -691,8 +687,11 @@ def solve(
         t = angular_weights(ds, cells[0].varsigma)
         basis = spectral_basis(ds)
         for lo in range(0, len(cells), size):
-            stack = _Cells.of(cells[lo:lo + size], np.arange(lo, min(lo + size, len(cells))), t)
-            sweeps += _solve_stack(ds, stack, t, basis, cfg, ws, outcomes)
+            stack = _Cells.of(cells[lo:lo + size], t)
+            stack_ws, stack_outcomes, stack_sweeps = _solve_stack(ds, stack, t, basis, cfg)
+            ws += stack_ws
+            outcomes += stack_outcomes
+            sweeps += stack_sweeps
     if not single:
         return ws, StackReport(cells=outcomes, iterations=sweeps)
     if isinstance(outcomes[0], SolverAbortError):

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from alfs import (
     SplitSpec,
     grid_search,
     knn_classify,
+    load_csv,
     random_sampling,
     rank_and_select,
     rcur,
@@ -29,10 +31,25 @@ from alfs import (
 )
 from alfs.bench import GRID_DEFAULT
 
-from conftest import make_clusters, random_dataset
+from conftest import TINY_CSV, make_clusters, random_dataset
 
 FAST_SOLVER = SolverConfig(tau=1.5)
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def failing_grid_document() -> str:
+    """``grid_search`` on the bundled data over (0.1, 1e308), where every cell
+    with a weight of 1e308 fails: each cell's weights and score ``repr``, or
+    its failure text, as JSON."""
+    train = load_csv(TINY_CSV, label_column="label")
+    result = grid_search(train, GridProtocol(m=3), grid=(0.1, 1e308))
+    failures = dict(result.failures)
+    cells = [
+        {"alpha": params.alpha, "beta": params.beta, "eta": params.eta,
+         **({"failure": failures[params]} if score is None else {"score": repr(score)})}
+        for params, score in result.scores
+    ]
+    return json.dumps(cells, indent=1, sort_keys=True) + "\n"
 
 
 def per_column_knn_accuracy(train, test):
@@ -803,6 +820,10 @@ class TestGridSearch:
             solver_cfg=FAST_SOLVER,
         )
         assert 0.0 <= result.best_score <= 1.0  # an accuracy, not -error
+
+    def test_failing_cells_leave_the_other_scores_as_recorded(self):
+        expected = (GOLDEN / "tiny-failing-grid.json").read_bytes()
+        assert failing_grid_document().encode("utf-8") == expected
 
     def test_all_failures_raise_with_diagnostics(self):
         train = random_dataset(34, d=3, n=5)

@@ -79,11 +79,18 @@ class TestConfigDefaults:
     ("solve", {"solver": {"tau": float("inf")}}, "solver section"),
     ("solve", '{"params": {"alpha": 1e999}}', "params section"),
     ("bench", {"bench": {"alfs_grid": [0.1, float("inf")]}}, "bench section"),
+    # a string is truthy, so "false" would standardize or read a header
+    ("solve", {"data": {"standardize": "false"}}, "data section"),
+    ("solve", {"data": {"has_header": "false"}}, "data section"),
+    ("bench", {"data": {"has_header": 1}}, "data section"),
+    ("solve", {"data": {"label_column": 4}}, "data section"),
 ], ids=[
     "bench-repeats", "bench-rcur_rank", "bench-alfs_grid", "bench-max_outer_iters",
     "solve-max_outer_iters", "solve-tau", "solve-selection_m", "solve-selection_r",
     "solve-tau-nan", "solve-epsilon-nan", "solve-alpha-nan", "solve-varsigma-nan",
     "solve-tau-inf", "solve-alpha-1e999", "bench-alfs_grid-inf",
+    "solve-standardize-string", "solve-has_header-string", "bench-has_header-int",
+    "solve-label_column-int",
 ])
 def test_mistyped_config_value_exits_2_naming_the_section(
     command, config, section, tiny_csv, tmp_path, capsys
@@ -383,6 +390,33 @@ class TestSelectCommand:
     def test_overbudget_exits_2(self, tiny_csv, tmp_path, fast_config):
         result = self.make_result(tiny_csv, tmp_path, fast_config)
         assert run_cli("select", "--result", str(result), "--m", "99", "--r", "1") == 2
+
+    @pytest.mark.parametrize("change", [
+        {"sample_ranking": None},
+        {"feature_scores": None},
+        {"sample_ranking": [0, "1", 2]},
+        {"feature_ranking": [True, 0]},
+        {"sample_scores": [1.0, "0.5", 0.0]},
+        {"sample_scores": [1.0, 0.5]},
+        {"feature_ranking": [1, 0, 2]},
+    ], ids=["null-ranking", "null-scores", "string-index", "bool-index", "string-score",
+            "short-scores", "long-ranking"])
+    def test_a_malformed_document_exits_2(self, tmp_path, capsys, change):
+        result = tmp_path / "result.json"
+        result.write_text(json.dumps({
+            "sample_ranking": [0, 1, 2], "sample_scores": [1.0, 0.5, 0.0],
+            "feature_ranking": [1, 0], "feature_scores": [2, 1.0], **change,
+        }))
+        assert run_cli("select", "--result", str(result), "--m", "1", "--r", "1") == 2
+        err = capsys.readouterr().err
+        assert "malformed result document" in err
+        assert "Traceback" not in err
+
+    def test_a_document_that_is_no_object_exits_2(self, tmp_path, capsys):
+        result = tmp_path / "result.json"
+        result.write_text("[0, 1, 2]")
+        assert run_cli("select", "--result", str(result), "--m", "1", "--r", "1") == 2
+        assert "malformed result document" in capsys.readouterr().err
 
 
 class TestBenchCommand:

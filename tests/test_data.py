@@ -95,6 +95,18 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="label column"):
             load_csv(p, label_column="target")
 
+    def test_a_byte_order_mark_is_dropped_without_a_header(self, tmp_path):
+        plain = load_csv(write(tmp_path, "1,2\n3,4\n"), has_header=False)
+        ds = load_csv(write(tmp_path, "\ufeff1,2\n3,4\n", name="bom.csv"), has_header=False)
+        assert np.array_equal(ds.matrix, plain.matrix)
+
+    def test_a_byte_order_mark_is_dropped_from_the_first_name(self, tmp_path):
+        p = write(tmp_path, "\ufefflabel,a,b\nx,1,2\ny,3,4\n")
+        ds = load_csv(p, label_column="label")
+        assert ds.feature_names == ("a", "b")
+        assert ds.labels == ("x", "y")
+        assert ds.matrix.tolist() == [[1.0, 3.0], [2.0, 4.0]]
+
     def test_rows_are_features(self, tmp_path):
         p = write(tmp_path, "1,2,3\n4,5,6\n", name="feat.csv")
         ds = load_csv(p, has_header=False, orientation=ROWS_ARE_FEATURES)

@@ -499,7 +499,7 @@ class TestHSeminorm:
             t = angular_weights(ds)
             basis = spectral_basis(ds)
             rho, sigma = start.rho, pq_penalty(basis, start.rho)
-            cells = solver_mod._Cells.of([params], np.arange(1), t)
+            cells = solver_mod._Cells.of([params], t)
             end, _, records, _ = solver_mod._sweep(
                 ds, start[None], cells, t, basis, SolverConfig(), np.ones(1))
 
@@ -731,16 +731,16 @@ def grid_cells(**fixed):
             for a in GRID for b in GRID for e in GRID]
 
 
-def halving_sweeps(sweeps, failed):
-    """Sweeps a stack runs when each cell alone runs ``sweeps[i]`` and
-    ``failed[i]`` tells whether it fails: with a failing cell, the stack
-    runs to the first failure, then each half runs again."""
-    if len(sweeps) == 1 or not any(failed):
-        return max(sweeps)
-    half = len(sweeps) // 2
-    return (min(s for s, f in zip(sweeps, failed) if f)
-            + halving_sweeps(sweeps[:half], failed[:half])
-            + halving_sweeps(sweeps[half:], failed[half:]))
+def replay_sweeps(ends, failed):
+    """Sweeps a stack runs when cell i stops at sweep ``ends[i]``, failing in
+    it if ``failed[i]``: a sweep in which cells fail runs stacked, then once
+    for each live cell alone, then stacked again if any cell is left."""
+    total = 0
+    for k in range(1, max(ends) + 1):
+        live = [(end, fails) for end, fails in zip(ends, failed) if end >= k]
+        failing = sum(fails and end == k for end, fails in live)
+        total += (len(live) > failing) + (1 + len(live) if failing else 0)
+    return total
 
 
 class TestStackedSolve:
@@ -772,9 +772,12 @@ class TestStackedSolve:
             serial_sweeps.append(serial.iterations)
         assert report.cells[2].stop_reason == "max_iters"
         assert report.cells[2].iterations == 1000
-        # the first sweep of all four raises, so does that of cells 0-1;
-        # cell 0 alone takes 51, cell 1 alone raises in 1, cells 2-3 take 1000
-        assert report.iterations == 1 + 1 + 51 + 1 + 1000
+        # the first sweep of all four raises and is replayed for each cell
+        # alone; cell 1 leaves, and the other three run sweep 1 again, stacked,
+        # until cell 2 runs out of sweeps
+        assert report.iterations == 1 + 4 + 1000
+        assert report.iterations == replay_sweeps(
+            [serial_sweeps[0], 1, *serial_sweeps[1:]], [False, True, False, False])
         assert report.stop_reason == "aborted"
 
     def test_chunks_under_a_small_budget_give_the_same_cells(self, monkeypatch):
@@ -798,7 +801,7 @@ class TestStackedSolve:
         pytest.param((6,), id="last"),
         pytest.param((1, 5), id="two"),
     ])
-    def test_a_failing_cell_splits_the_stack_in_halves(self, failing):
+    def test_a_failing_cell_leaves_the_stack_at_its_sweep(self, failing):
         ds = random_dataset(30, d=4, n=5)
         cfg = SolverConfig(tau=1.5)
         cells = grid_cells()[::9][:7]
@@ -815,14 +818,16 @@ class TestStackedSolve:
                 assert np.array_equal(ws[i], serial_ws[0])
                 assert cell.stop_reason == own.stop_reason
                 assert cell.records == own.records  # exact float equality
-        sweeps = [serial_report.iterations for _, serial_report in serial]
-        assert report.iterations == halving_sweeps(sweeps, [i in failing for i in range(7)])
+        ends = [1 if i in failing else serial_report.cells[0].iterations
+                for i, (_, serial_report) in enumerate(serial)]
+        assert report.iterations == replay_sweeps(ends, [i in failing for i in range(7)])
         assert report.stop_reason == "aborted"
 
     def test_a_cell_failing_late_drops_the_cells_already_converged(self, monkeypatch):
         # a fault injected into the W~ step of every cell with gamma 0.5 at
-        # sweep 50, after cells of the stack have converged; rho grows
-        # every sweep, so the penalty of sweep 50 names that sweep
+        # sweep 50, after cells of the stack have converged and left it, so
+        # they keep their results; rho grows every sweep, so the penalty of
+        # sweep 50 names that sweep
         update_w_tilde = solver_mod.update_w_tilde
         cfg = SolverConfig(tau=1.5)
         rho_50 = cfg.rho_init
@@ -846,8 +851,32 @@ class TestStackedSolve:
         for i in (0, 1, 3, 4):
             assert np.array_equal(ws[i], serial[i][0][0])
             assert report.cells[i].records == serial[i][1].cells[0].records
-        sweeps = [serial_report.iterations for _, serial_report in serial]
-        assert report.iterations == halving_sweeps(sweeps, [i == 2 for i in range(5)])
+        ends = [50 if i == 2 else serial_report.cells[0].iterations
+                for i, (_, serial_report) in enumerate(serial)]
+        assert report.iterations == replay_sweeps(ends, [i == 2 for i in range(5)])
+
+    def test_two_cells_failing_at_the_first_sweep_cost_one_replay(self):
+        # 17 cells, two failing in sweep 1: the halving this replaced re-solved
+        # the stack's halves from the start and ran 1193 sweeps
+        ds = Dataset(np.random.default_rng(0).normal(size=(5, 6)))
+        cells = grid_cells()[:17]
+        cells[3] = RegularizationParams(alpha=1e308)
+        cells[11] = RegularizationParams(gamma=1e308)
+        ws, report = solve(ds, cells)
+        ends = []
+        for i, cell in enumerate(cells):
+            serial_ws, serial = solve(ds, [cell])
+            assert str(report.cells[i]) == str(serial.cells[0])
+            if i in (3, 11):
+                assert ws[i] is None
+                assert str(report.cells[i]) == "objective is non-finite at outer iteration 1"
+                ends.append(1)
+            else:
+                assert np.array_equal(ws[i], serial_ws[0])
+                assert report.cells[i].records == serial.cells[0].records
+                ends.append(serial.cells[0].iterations)
+        assert report.iterations == replay_sweeps(ends, [i in (3, 11) for i in range(17)])
+        assert report.iterations <= 232
 
     def test_the_state_holds_only_its_iterates(self):
         names = [f.name for f in dataclasses.fields(SolverState)]
