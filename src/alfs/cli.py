@@ -119,11 +119,15 @@ def _build(make: Callable[..., Any], what: str, **values: Any) -> Any:
 
 def _apply_data_flags(cfg: dict, args: argparse.Namespace) -> dict:
     data = dict(cfg["data"])
-    # a string such as "false" is truthy; load_csv checks the orientation
+    # a string such as "false" is truthy
     for key in ("has_header", "standardize"):
         if not isinstance(data[key], bool):
             raise CliError(f"invalid data section: {key} must be true or false, "
                            f"got {data[key]!r}")
+    orientations = (ROWS_ARE_SAMPLES, ROWS_ARE_FEATURES)
+    if data["orientation"] not in orientations:
+        raise CliError(f"invalid data section: orientation must be one of {orientations}, "
+                       f"got {data['orientation']!r}")
     if not isinstance(data["label_column"], (str, type(None))):
         raise CliError("invalid data section: label_column must be a string or null, "
                        f"got {data['label_column']!r}")
@@ -274,6 +278,9 @@ def _cmd_select(args: argparse.Namespace) -> int:
                 and len(ranking) == len(scores)):
             raise CliError(f"malformed result document: {axis}_ranking must be a list of "
                            f"integers and {axis}_scores a list of numbers of its length")
+        if sorted(ranking) != list(range(len(ranking))):
+            raise CliError(f"malformed result document: {axis}_ranking must be a "
+                           f"permutation of 0..{len(ranking) - 1}")
     n = len(document["sample_ranking"])
     d = len(document["feature_ranking"])
     try:

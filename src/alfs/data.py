@@ -42,6 +42,16 @@ def _require_integer(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+class _Adopted:
+    """A float64 array that alfs has just built and that nothing else holds:
+    a :class:`Dataset` given one freezes the array itself instead of a copy."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An immutable d x n data matrix (features x samples) with optional labels.
@@ -50,7 +60,10 @@ class Dataset:
     ----------
     matrix : ndarray
         Real d x n matrix, one feature per row and one sample per column.
-        Copied and frozen on construction; every entry must be finite.
+        Copied and frozen on construction; every entry must be finite. The
+        datasets alfs derives from one (by loading, splitting, restricting,
+        dropping labels or standardizing) take their freshly built or
+        already frozen arrays without a copy.
     feature_names : sequence of str, optional
         Length-d names. Auto-generated as ``f0..f{d-1}`` when omitted.
     labels : sequence, optional
@@ -70,7 +83,10 @@ class Dataset:
     source: str = "memory"
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=float, copy=True)
+        if isinstance(self.matrix, _Adopted):
+            m = self.matrix.array
+        else:
+            m = np.array(self.matrix, dtype=float, copy=True)
         if m.ndim != 2:
             raise ValueError(f"matrix must be 2-dimensional, got ndim={m.ndim}")
         d, n = m.shape
@@ -117,7 +133,7 @@ class Dataset:
         """Label-free view of the same data (what selection methods receive)."""
         if self.labels is None:
             return self
-        return Dataset(self.matrix, self.feature_names, None, self.source)
+        return Dataset(_Adopted(self.matrix), self.feature_names, None, self.source)
 
     def restrict(
         self,
@@ -140,7 +156,8 @@ class Dataset:
             m = m[:, samples]
             if labels is not None:
                 labels = tuple(labels[j] for j in samples)
-        return Dataset(m, names, labels, self.source)
+        # indexing copied the matrix; with no index it is this frozen one
+        return Dataset(_Adopted(m), names, labels, self.source)
 
 
 class _Memo(OrderedDict):
@@ -376,7 +393,7 @@ def load_csv(
         names = None  # feature names per row are not representable in the header
 
     return Dataset(
-        matrix,
+        _Adopted(matrix),  # a view of the parse buffer, which nothing else holds
         tuple(names) if names else None,
         tuple(labels) if labels else None,
         source=str(path),
@@ -479,4 +496,4 @@ def standardize_features(ds: Dataset) -> Dataset:
     sd[constant] = 1.0
     out = (m - m.mean(axis=1, keepdims=True)) / sd
     out[constant[:, 0]] = 0.0
-    return Dataset(out, ds.feature_names, ds.labels, ds.source + "#standardized")
+    return Dataset(_Adopted(out), ds.feature_names, ds.labels, ds.source + "#standardized")

@@ -9,6 +9,7 @@ would alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -18,6 +19,10 @@ DEFAULT_VARSIGMA = 1e-8
 # Finite group norms at or above this are exact to rounding when computed
 # from squares; smaller ones may have lost entries to underflow.
 _TINY_GROUP_NORM = 1e-150
+# A matrix whose Frobenius norm is below its SVT threshold by this relative
+# margin has every singular value below it: the margin covers the rounding
+# of the norm and the backward error of the SVD, about n d eps.
+_SVT_ZERO_MARGIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -98,12 +103,27 @@ def nuclear_norm(m: np.ndarray):
     return _per_stack(np.linalg.svd(m, compute_uv=False).sum(axis=-1))
 
 
-def soft_threshold(k: np.ndarray, mu) -> np.ndarray:
+def _shrink(k: np.ndarray, mu, out: np.ndarray) -> np.ndarray:
+    """``sign(k) * max(|k| - mu, 0)`` written into ``out``, which may be ``k``.
+
+    The arithmetic of :func:`soft_threshold`, one pass per operation. The
+    signs are kept in one byte an entry before ``out`` is overwritten, so
+    the only temporary is an eighth of ``k``'s bytes.
+    """
+    sign = np.sign(k, out=np.empty(k.shape, dtype=np.int8), casting="unsafe")
+    np.abs(k, out=out)
+    np.subtract(out, mu, out=out)
+    np.maximum(out, 0.0, out=out)
+    return np.multiply(sign, out, out=out)
+
+
+def soft_threshold(k: np.ndarray, mu, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Entrywise shrinkage ``max(|k| - mu, 0) * sign(k)``.
 
     ``mu`` may be a nonnegative scalar, an array of per-entry thresholds of
     the same shape as ``k`` (the weighted case needs per-entry values), or
-    for a stack of matrices one threshold per matrix.
+    for a stack of matrices one threshold per matrix. The result goes to
+    ``out`` if given (an array of ``k``'s shape, ``k`` itself included).
     """
     k = _require_finite(k, "soft_threshold input")
     mu = np.asarray(mu, dtype=float)
@@ -115,7 +135,7 @@ def soft_threshold(k: np.ndarray, mu) -> np.ndarray:
         raise ValueError(
             f"threshold shape {mu.shape} does not match input shape {k.shape}"
         )
-    return np.sign(k) * np.maximum(np.abs(k) - mu, 0.0)
+    return _shrink(k, mu, np.empty_like(k) if out is None else out)
 
 
 def group_shrink(k: np.ndarray, mu, axis: int) -> np.ndarray:
@@ -137,18 +157,38 @@ def group_shrink(k: np.ndarray, mu, axis: int) -> np.ndarray:
     return k * np.divide(shrunk, norms, out=np.zeros_like(norms), where=shrunk > 0)
 
 
+def _svt_decomposed(k: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    u, s, vt = np.linalg.svd(k, full_matrices=False)
+    s = np.maximum(s - mu[..., 0], 0.0)
+    return (u * s[..., None, :]) @ vt
+
+
 def svt(k: np.ndarray, mu) -> np.ndarray:
     """Singular value thresholding: soft-threshold the spectrum of ``k``.
 
     Computes the thin SVD ``k = U diag(s) Vt`` and returns
     ``U diag(max(s - mu, 0)) Vt``, the proximal map of ``mu * ||.||_*``. For
     a stack of matrices ``mu`` may hold one threshold per matrix.
+
+    A matrix whose Frobenius norm, an upper bound on its top singular
+    value, is below its threshold by :data:`_SVT_ZERO_MARGIN` thresholds
+    to exactly zero, so it is not decomposed: the result is the +0.0 the
+    SVD would give. Only the other matrices of a stack are decomposed.
     """
     k = _require_finite(k, "svt input")
     mu = _per_matrix(mu, k, "svt")
-    u, s, vt = np.linalg.svd(k, full_matrices=False)
-    s = np.maximum(s - mu[..., 0], 0.0)
-    return (u * s[..., None, :]) @ vt
+    with np.errstate(over="ignore", under="ignore"):
+        fro = np.sqrt(np.einsum("...ij,...ij->...", k, k))
+    # an overflowing norm is no bound, and one below _TINY_GROUP_NORM may
+    # have lost entries whose squares underflowed
+    zero = (_TINY_GROUP_NORM <= fro) & (fro < mu[..., 0, 0] * (1.0 - _SVT_ZERO_MARGIN))
+    if not zero.any():
+        return _svt_decomposed(k, mu)
+    out = np.zeros_like(k)
+    if not zero.all():
+        live = ~zero
+        out[live] = _svt_decomposed(k[live], np.broadcast_to(mu, live.shape + (1, 1))[live])
+    return out
 
 
 def angular_weights(ds: Dataset, varsigma: float = DEFAULT_VARSIGMA) -> AngularWeights:

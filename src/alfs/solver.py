@@ -29,6 +29,12 @@ report are bit for bit those of its serial solve; the tests check this. For
 the same reason a sweep in which a value goes non-finite is replayed cell
 by cell from its start, and the cells that fail alone leave the stack.
 
+A stack's state lives in two sets of arrays, allocated once: a sweep reads
+one and writes the other, and they swap. The n x n blocks (Z, its
+multiplier and W X) are updated in place, so the only n x n arrays a
+sweep allocates are short-lived temporaries of its steps, and the start it
+read stays whole for the seminorm and for a replay.
+
 Overflow has one policy, set in :func:`solve`: numpy does not warn of it
 there, and the first non-finite value a check meets becomes a
 :class:`SolverAbortError` that names its sweep. The steps and
@@ -118,6 +124,7 @@ class SolverConfig:
 
 _ARRAY_FIELDS = ("w", "z", "w_tilde", "p", "q",
                  "lambda1", "lambda2", "lambda3", "lambda4")
+_MULTIPLIERS = _ARRAY_FIELDS[5:]
 
 
 @dataclass
@@ -237,14 +244,12 @@ class _Cells:
     beta: np.ndarray
     gamma: np.ndarray
     eta: np.ndarray
-    eta_t: np.ndarray  # eta * T, the Z step's weights
 
     @classmethod
-    def of(cls, cells: Sequence[RegularizationParams], t: AngularWeights) -> "_Cells":
+    def of(cls, cells: Sequence[RegularizationParams]) -> "_Cells":
         weights = {name: np.array([getattr(c, name) for c in cells], dtype=float)
                    for name in ("alpha", "beta", "gamma", "eta")}
-        eta_t = weights["eta"][:, None, None] * t.t
-        return cls(index=np.arange(len(cells)), eta_t=eta_t, **weights)
+        return cls(index=np.arange(len(cells)), **weights)
 
     def __getitem__(self, index) -> "_Cells":
         return _Cells(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
@@ -277,12 +282,13 @@ def objective(
     if wx is None:
         wx = w @ x
     resid = (x @ w) @ x - x
+    local = t.t * wx
     value = (
         _sum2(resid * resid)
         + params.alpha * l21_norm(w)
         + params.beta * l21_norm(np.swapaxes(w, -1, -2))
         + params.gamma * nuclear_norm(w)
-        + params.eta * _sum2(np.abs(t.t * wx))
+        + params.eta * _sum2(np.abs(local, out=local))
     )
     if not np.isfinite(value).all():
         raise ValueError("objective is non-finite")
@@ -382,16 +388,25 @@ def solve_w_subproblem(
     return _shifted_inverse(basis, rho, 2.0 * sigma)(b)
 
 
-def update_z(state: SolverState, wx: np.ndarray, eta_t: np.ndarray) -> np.ndarray:
+def update_z(
+    state: SolverState,
+    wx: np.ndarray,
+    eta_t: np.ndarray,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Closed-form Z update: weighted entrywise shrinkage of WX + L1/rho.
 
     ``wx`` is W X for the state's W. The thresholds are ``eta_t / rho``,
     with ``eta_t`` the array ``eta * T`` of the angular weights T (one
-    matrix per cell for a stack), which :func:`solve` builds once.
+    matrix per cell for a stack). The shrinkage runs in place in ``out``
+    if given, an n x n array (one per cell) that neither ``wx`` nor
+    ``eta_t`` may share.
     """
     if state.rho <= 0:
         raise ValueError("rho must be positive")
-    return soft_threshold(wx + state.lambda1 / state.rho, eta_t / state.rho)
+    k = np.divide(state.lambda1, state.rho, out=out)
+    np.add(wx, k, out=k)
+    return soft_threshold(k, eta_t / state.rho, out=k)
 
 
 def update_w_tilde(state: SolverState, gamma: Union[float, np.ndarray]) -> np.ndarray:
@@ -418,13 +433,15 @@ def update_p_q(
 
 
 def primal_residuals(
-    state: SolverState, wx: np.ndarray
+    state: SolverState, wx: np.ndarray, out: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The four constraint residuals ``WX - Z``, ``W - W~``, ``W - P`` and
     ``W - Q``, which the dual step, the stopping test and the seminorm
-    share. ``wx`` is W X for the state's W."""
+    share. ``wx`` is W X for the state's W; ``WX - Z`` goes to ``out`` if
+    given, which may be ``wx`` itself."""
     w = state.w
-    return wx - state.z, w - state.w_tilde, w - state.p, w - state.q
+    return (np.subtract(wx, state.z, out=out),
+            w - state.w_tilde, w - state.p, w - state.q)
 
 
 def update_duals_and_rho(
@@ -432,20 +449,25 @@ def update_duals_and_rho(
     cfg: SolverConfig,
     sigma: float,
     residuals: tuple[np.ndarray, ...],
+    out: Optional[SolverState] = None,
 ) -> SolverState:
     """Dual ascent on all four multipliers by the state's
     :func:`primal_residuals`, then rho grows by ``cfg.tau`` up to
-    ``cfg.rho_max``."""
-    r1, r2, r3, r4 = residuals
+    ``cfg.rho_max``.
+
+    Returns a copy of ``state`` with the new multipliers and rho, or, if
+    given, ``out`` with its multipliers overwritten and its rho set; its
+    other arrays are left as they are. ``out`` shares no array with
+    ``state`` or the residuals.
+    """
     rho = state.rho
-    return replace(
-        state,
-        lambda1=state.lambda1 + rho * r1,
-        lambda2=state.lambda2 + rho * r2,
-        lambda3=state.lambda3 + sigma * r3,
-        lambda4=state.lambda4 + sigma * r4,
-        rho=min(cfg.tau * rho, cfg.rho_max),
-    )
+    if out is None:
+        out = replace(state, **{f: np.empty_like(getattr(state, f)) for f in _MULTIPLIERS})
+    for name, penalty, r in zip(_MULTIPLIERS, (rho, rho, sigma, sigma), residuals):
+        step = np.multiply(penalty, r, out=getattr(out, name))
+        np.add(getattr(state, name), step, out=step)
+    out.rho = min(cfg.tau * rho, cfg.rho_max)
+    return out
 
 
 def _max_abs(m: np.ndarray):
@@ -508,28 +530,43 @@ def h_seminorm_sq(
     def fro2(m: np.ndarray):
         return _sum2(m * m)
 
+    def fro2_in_place(diff: np.ndarray):
+        # a difference the caller made for this: squared where it is
+        return _sum2(np.multiply(diff, diff, out=diff))
+
     dw = end.w - start.w
     dwu = dw @ basis.u
     return _per_stack(
         rho * _sum2(dwu * dwu * basis.s2)
-        + rho * fro2(dw)
-        + rho * fro2(end.z - start.z)
-        + rho * fro2(end.w_tilde - start.w_tilde)
+        + rho * fro2_in_place(dw)
+        + rho * fro2_in_place(end.z - start.z)
+        + rho * fro2_in_place(end.w_tilde - start.w_tilde)
         + rho * (fro2(r1) + fro2(r2))
-        + sigma * (fro2(end.p - start.p) + fro2(end.q - start.q))
+        + sigma * (fro2_in_place(end.p - start.p) + fro2_in_place(end.q - start.q))
         + sigma * (fro2(r3) + fro2(r4))
     )
 
 
-def _cells_per_stack(d: int, n: int) -> int:
-    """How many cells one stack holds within :data:`STACK_BYTES`, at least one.
+def _cell_bytes(d: int, n: int) -> int:
+    """Memory one cell of a stack may take at the peak of a sweep.
 
-    At the peak of a sweep a cell holds, counted generously, 16 float64
-    arrays of n x n (eta T, W X, Z and L1 at the sweep's end, start and the
-    sweep before, the residual, the seminorm's Z difference and the Z
-    step's temporaries) and 32 of n x d. About 12.4 of n x n were measured.
+    Counted generously: 8 float64 arrays of n x n (Z and L1 at the sweep's
+    start and end, W X, one temporary of a step, and a share of the angular
+    weights) and 32 of n x d. One cell alone measured 7.8-7.9 arrays of
+    n x n in all, its n x d arrays and the weights included, at d = n / 30.
     """
-    return max(1, STACK_BYTES // (8 * (16 * n * n + 32 * n * d)))
+    return 8 * (8 * n * n + 32 * n * d)
+
+
+def _cells_per_stack(d: int, n: int) -> int:
+    """How many cells one stack holds within :data:`STACK_BYTES`, at least one."""
+    return max(1, STACK_BYTES // _cell_bytes(d, n))
+
+
+def _buffers(start: SolverState) -> tuple[SolverState, np.ndarray]:
+    """Arrays for a sweep from ``start``: an end state and the W X block."""
+    end = replace(start, **{f: np.empty_like(getattr(start, f)) for f in _ARRAY_FIELDS})
+    return end, np.empty_like(start.z)
 
 
 def _sweep(
@@ -540,42 +577,69 @@ def _sweep(
     basis: SpectralBasis,
     cfg: SolverConfig,
     prev_objective: np.ndarray,
+    end: Optional[SolverState] = None,
+    wx: Optional[np.ndarray] = None,
 ) -> tuple[SolverState, np.ndarray, list[IterationRecord], np.ndarray]:
     """One sweep of a stack from ``start``: the W step, then the Z, W~, P
     and Q proxes, then the multipliers and rho, then the stopping test.
 
+    The new state is written into ``end`` and W X into ``wx``, arrays of
+    the shapes of ``start`` and its Z (fresh ones if not given): the Z and
+    multiplier blocks in place, W, W~, P and Q as the steps return them.
+    ``start`` is only read, so a sweep that raises can be run again from
+    it. The n x n work stays in those arrays: eta T is formed in ``end``'s
+    L1 until the dual step writes L1 there, and W X - Z overwrites W X once
+    the objective has read it.
+
     Returns the new state and, one entry per cell, the objective, the
     :class:`IterationRecord` and whether the cell converged. The record's
-    seminorm step comes from the residuals the dual step used, and only
-    the Z block's difference is n x n; ``start`` is read again only for
-    the seminorm's differences of W, Z, W~, P and Q. Raises ValueError if
-    a value of any cell goes non-finite (or an SVD fails).
+    seminorm step comes from the residuals the dual step used. Raises
+    ValueError if a value of any cell goes non-finite (or an SVD fails),
+    with the text of the first failing step in the order above.
     """
+    if end is None:
+        end, wx = _buffers(start)
     sigma = pq_penalty(basis, start.rho)
     w = solve_w_subproblem(ds, start, basis, sigma)
-    wx = w @ ds.matrix
+    wx = np.matmul(w, ds.matrix, out=wx)
     state = replace(start, w=w)
-    z = update_z(state, wx, cells.eta_t)
-    w_tilde = update_w_tilde(state, cells.gamma)
-    p, q = update_p_q(state, cells, sigma)
-    state.z, state.w_tilde, state.p, state.q = z, w_tilde, p, q
-    residuals = primal_residuals(state, wx)
-    state = update_duals_and_rho(state, cfg, sigma, residuals)
-    if not state.all_finite():
+    eta_t = np.multiply(cells.eta[:, None, None], t.t, out=end.lambda1)
+    end.z = update_z(state, wx, eta_t, out=end.z)
+    end.w_tilde = update_w_tilde(state, cells.gamma)
+    end.p, end.q = update_p_q(state, cells, sigma)
+    end.w = w
+    # the objective reads W X before the residual overwrites it; its error
+    # is raised after the dual step's, as that step comes first
+    try:
+        curr, failure = objective(ds, w, cells, t, wx=wx), None
+    except ValueError as exc:
+        curr, failure = None, exc
+    residuals = primal_residuals(end, wx, out=wx)
+    update_duals_and_rho(start, cfg, sigma, residuals, out=end)
+    if not end.all_finite():
         raise ValueError("non-finite iterate")
-    # W X and the residuals go at their last use: every n x n array held
-    # longer raises each sweep's peak
-    curr = objective(ds, state.w, cells, t, wx=wx)
-    del wx
+    if failure is not None:
+        raise failure
     decision = check_convergence(residuals, prev_objective, curr, cfg.epsilon)
-    h2 = h_seminorm_sq(start, state, residuals, basis, sigma)
-    del residuals
+    h2 = h_seminorm_sq(start, end, residuals, basis, sigma)
     rows = zip(curr.tolist(), decision.residual_wx_z.tolist(),
                decision.residual_w_wtilde.tolist(), decision.residual_w_pq.tolist(),
                decision.rel_change.tolist(), h2.tolist())
     records = [IterationRecord(value, r1, r2, r3, None if math.isnan(change) else change, step)
                for value, r1, r2, r3, change, step in rows]
-    return state, curr, records, decision.converged
+    return end, curr, records, decision.converged
+
+
+def _keep(state: SolverState, keep: np.ndarray) -> SolverState:
+    """The cells ``keep`` (a mask) of a stack, moved to its front in place:
+    a view of the first ``keep.sum()`` cells, with no new array."""
+    kept = np.flatnonzero(keep)
+    for f in _ARRAY_FIELDS:
+        m = getattr(state, f)
+        for to, cell in enumerate(kept):
+            if to != cell:
+                m[to] = m[cell]
+    return state[:kept.size]
 
 
 def _solve_stack(
@@ -585,10 +649,13 @@ def _solve_stack(
 
     Returns the cells' final Ws and reports, None and the
     :class:`SolverAbortError` for a failed cell, and the number of
-    :func:`_sweep` calls. A cell leaves at the sweep where it converges,
-    fails or runs out of sweeps. A sweep that raises is replayed for each
-    cell alone from its start, which it leaves unchanged: the cells that
-    raise alone leave, and the others run the sweep again, stacked.
+    :func:`_sweep` calls. The stack's state lives in two sets of arrays,
+    allocated once: a sweep reads one and writes the other, and they swap.
+    A cell leaves at the sweep where it converges, fails or runs out of
+    sweeps, and the cells that stay move to the front of the arrays. A
+    sweep that raises is replayed for each cell alone from its start,
+    which it leaves unchanged: the cells that raise alone leave, and the
+    others run the sweep again, stacked.
     """
     ws: list[Optional[np.ndarray]] = [None] * cells.index.size
     state = SolverState.initial(*ds.matrix.shape, cfg, cells=len(ws))
@@ -597,6 +664,7 @@ def _solve_stack(
         prev = objective(ds, state.w, cells, t)
     except ValueError as exc:
         return ws, [SolverAbortError(f"{exc} before outer iteration 1") for _ in ws], 0
+    spare, wx = _buffers(state)
     outcomes: list = [ConvergenceReport() for _ in ws]
     going = cells
     sweeps = 0
@@ -604,12 +672,8 @@ def _solve_stack(
     while going.index.size:
         sweeps += 1
         try:
-            # The replaced state is freed one sweep late. Freed at once, it
-            # leaves the top of the heap free, glibc's malloc returns that to
-            # the system, and the next sweep faults it back in: at 30 x 120,
-            # about 15k page faults and a fifth of a solve's time.
-            replaced, (state, curr, records, converged) = (
-                state, _sweep(ds, state, going, t, basis, cfg, prev))
+            new, curr, records, converged = _sweep(
+                ds, state, going, t, basis, cfg, prev, end=spare, wx=wx)
         except ValueError:
             # the kernels and the objective raise ValueError only for
             # non-finite values, and numpy for a failed SVD
@@ -623,8 +687,11 @@ def _solve_stack(
                     failed[i] = True
             if not failed.any():
                 raise  # each cell's sweep passes alone: the cells are not independent
-            state, going, prev = state[~failed], going[~failed], prev[~failed]
+            live = int((~failed).sum())
+            state, spare, wx = _keep(state, ~failed), spare[:live], wx[:live]
+            going, prev = going[~failed], prev[~failed]
             continue
+        state, spare = new, state
         done = converged | (k == cfg.max_outer_iters)
         for i, cell in enumerate(going.index):
             outcomes[cell].records.append(records[i])
@@ -633,7 +700,9 @@ def _solve_stack(
             if done[i]:
                 ws[cell] = state.w[i].copy()
         if done.any():
-            state, going, curr = state[~done], going[~done], curr[~done]
+            live = int((~done).sum())
+            state, spare, wx = _keep(state, ~done), spare[:live], wx[:live]
+            going, curr = going[~done], curr[~done]
         prev = curr
         k += 1
     return ws, outcomes, sweeps
@@ -687,7 +756,7 @@ def solve(
         t = angular_weights(ds, cells[0].varsigma)
         basis = spectral_basis(ds)
         for lo in range(0, len(cells), size):
-            stack = _Cells.of(cells[lo:lo + size], t)
+            stack = _Cells.of(cells[lo:lo + size])
             stack_ws, stack_outcomes, stack_sweeps = _solve_stack(ds, stack, t, basis, cfg)
             ws += stack_ws
             outcomes += stack_outcomes

@@ -21,7 +21,7 @@ from alfs import (
 from alfs.cli import main
 from alfs.solver import SolverAbortError
 
-from conftest import make_clusters, random_dataset
+from conftest import REPO_ROOT, make_clusters, random_dataset
 
 
 def run_cli(*argv):
@@ -84,13 +84,14 @@ class TestConfigDefaults:
     ("solve", {"data": {"has_header": "false"}}, "data section"),
     ("bench", {"data": {"has_header": 1}}, "data section"),
     ("solve", {"data": {"label_column": 4}}, "data section"),
+    ("solve", {"data": {"orientation": 5}}, "data section"),
 ], ids=[
     "bench-repeats", "bench-rcur_rank", "bench-alfs_grid", "bench-max_outer_iters",
     "solve-max_outer_iters", "solve-tau", "solve-selection_m", "solve-selection_r",
     "solve-tau-nan", "solve-epsilon-nan", "solve-alpha-nan", "solve-varsigma-nan",
     "solve-tau-inf", "solve-alpha-1e999", "bench-alfs_grid-inf",
     "solve-standardize-string", "solve-has_header-string", "bench-has_header-int",
-    "solve-label_column-int",
+    "solve-label_column-int", "solve-orientation-int",
 ])
 def test_mistyped_config_value_exits_2_naming_the_section(
     command, config, section, tiny_csv, tmp_path, capsys
@@ -107,6 +108,16 @@ def test_mistyped_config_value_exits_2_naming_the_section(
     err = capsys.readouterr().err
     assert f"invalid {section}" in err
     assert "Traceback" not in err
+
+
+def test_the_bundled_solve_document_is_the_recorded_one(tmp_path, monkeypatch):
+    # the bytes CI's console-script step compares; the document names its
+    # data path as given, so it is written from the repository root
+    monkeypatch.chdir(REPO_ROOT)
+    out = tmp_path / "tiny-solve.json"
+    assert run_cli("solve", "--data", "data/tiny.csv", "--label-column", "label",
+                   "--out", str(out)) == 0
+    assert out.read_bytes() == (REPO_ROOT / "tests" / "golden" / "tiny-solve.json").read_bytes()
 
 
 class TestSolveCommand:
@@ -399,8 +410,14 @@ class TestSelectCommand:
         {"sample_scores": [1.0, "0.5", 0.0]},
         {"sample_scores": [1.0, 0.5]},
         {"feature_ranking": [1, 0, 2]},
+        # a ranking must be a permutation of the scored indices
+        {"sample_ranking": [7, 7, 7]},
+        {"sample_ranking": [0, 1, 1]},
+        {"sample_ranking": [0, 1, 3]},
+        {"feature_ranking": [-1, 0]},
     ], ids=["null-ranking", "null-scores", "string-index", "bool-index", "string-score",
-            "short-scores", "long-ranking"])
+            "short-scores", "long-ranking", "repeat-out-of-range", "repeat",
+            "out-of-range", "negative"])
     def test_a_malformed_document_exits_2(self, tmp_path, capsys, change):
         result = tmp_path / "result.json"
         result.write_text(json.dumps({

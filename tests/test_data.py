@@ -46,7 +46,17 @@ class TestDataset:
     def test_without_labels(self):
         ds = Dataset(np.ones((2, 3)), labels=("a", "b", "a"))
         assert ds.without_labels().labels is None
-        assert np.array_equal(ds.without_labels().matrix, ds.matrix)
+        assert ds.without_labels().matrix is ds.matrix  # frozen: shared, not copied
+
+    def test_the_given_matrix_is_copied_and_derived_ones_are_frozen(self):
+        x = np.ones((2, 3))
+        ds = Dataset(x)
+        x[0, 0] = 5.0
+        assert ds.matrix[0, 0] == 1.0
+        for derived in (ds.restrict(samples=[1]), ds.restrict(), ds.without_labels(),
+                        standardize_features(ds)):
+            with pytest.raises(ValueError):
+                derived.matrix[0, 0] = 5.0
 
     def test_restrict(self):
         ds = Dataset(np.arange(6.0).reshape(2, 3), labels=("a", "b", "c"))
@@ -54,6 +64,7 @@ class TestDataset:
         assert sub.matrix.tolist() == [[5.0, 3.0]]
         assert sub.labels == ("c", "a")
         assert sub.feature_names == ("f1",)
+        assert ds.matrix.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
 
 
 class TestLoadCsv:
@@ -218,7 +229,8 @@ class TestLoadCsv:
         finally:
             tracemalloc.stop()
         assert back.matrix.tobytes() == ds.matrix.tobytes()
-        assert peak <= 4 * x.nbytes
+        # the dataset keeps the parse buffer itself, not a copy of it
+        assert peak <= 1.5 * x.nbytes
 
 
 class TestSplit:

@@ -16,6 +16,9 @@ from alfs import (
     svt,
 )
 
+import alfs.kernels as kernels_mod
+from alfs.kernels import _SVT_ZERO_MARGIN
+
 from conftest import random_dataset
 
 
@@ -27,6 +30,49 @@ def matrices(max_side=6):
 
 thresholds = st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False)
 axes = st.sampled_from([0, 1])
+
+
+def svt_reference(k, mu):
+    """Singular value thresholding through the SVD of every matrix: the
+    arithmetic svt had before it skipped any."""
+    mu = np.asarray(mu, dtype=float)
+    u, s, vt = np.linalg.svd(k, full_matrices=False)
+    s = np.maximum(s - (mu[..., None] if mu.ndim else mu), 0.0)
+    return (u * s[..., None, :]) @ vt
+
+
+def nudged(value, ulps):
+    """``value`` moved ``ulps`` representable floats up (or down), not below 0."""
+    for _ in range(abs(ulps)):
+        value = np.nextafter(value, np.inf if ulps > 0 else -np.inf)
+    return max(float(value), 0.0)
+
+
+@st.composite
+def rank_one_near_its_threshold(draw):
+    """A rank-1 matrix and a threshold a few ulps from its top singular
+    value, from its Frobenius norm, or from the norm at which svt skips
+    the SVD."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    k = np.outer(draw(arrays(np.float64, n, elements=entries)),
+                 draw(arrays(np.float64, d, elements=entries)))
+    top = np.linalg.svd(k, compute_uv=False)[0]
+    fro = np.sqrt((k * k).sum())
+    base = draw(st.sampled_from([top, fro, fro / (1.0 - _SVT_ZERO_MARGIN)]))
+    return k, nudged(base, draw(st.integers(-4, 4)))
+
+
+@st.composite
+def stacks_partly_below_their_thresholds(draw):
+    """A stack of matrices, each with a threshold a factor from its
+    Frobenius norm: above it the matrix is provably zero, below it not."""
+    cells, n, d = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    k = draw(arrays(np.float64, (cells, n, d), elements=entries))
+    factors = draw(arrays(np.float64, cells, elements=st.sampled_from(
+        [0.0, 0.3, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.0 + 2e-8, 2.0, 1e3])))
+    return k, np.sqrt((k * k).sum(axis=(1, 2))) * factors
 
 
 class TestL21Norm:
@@ -91,6 +137,17 @@ class TestSoftThreshold:
     def test_matrix_threshold_shape_mismatch(self):
         with pytest.raises(ValueError):
             soft_threshold(np.ones((2, 2)), np.ones((3, 2)))
+
+    @settings(max_examples=100)
+    @given(k=matrices(), data=st.data())
+    def test_matches_the_closed_form_bit_for_bit_in_place_too(self, k, data):
+        k[data.draw(arrays(bool, k.shape))] *= -0.0  # signed zeros among the entries
+        mu = data.draw(st.one_of(thresholds, arrays(np.float64, k.shape, elements=thresholds)))
+        want = np.sign(k) * np.maximum(np.abs(k) - mu, 0.0)
+        assert soft_threshold(k, mu).tobytes() == want.tobytes()
+        inplace = k.copy()
+        assert soft_threshold(inplace, mu, out=inplace) is inplace
+        assert inplace.tobytes() == want.tobytes()
 
     def test_magnitude_never_grows(self):
         rng = np.random.default_rng(0)
@@ -275,6 +332,48 @@ class TestSvt:
         kept = s > mu
         assert np.all(np.abs(resid @ vt[kept].T - mu * u[:, kept]) <= slack)
         assert np.all(np.abs(u[:, kept].T @ resid - mu * vt[kept]) <= slack)
+
+    @settings(max_examples=200)
+    @given(pair=rank_one_near_its_threshold())
+    def test_rank_one_at_its_threshold_matches_the_svd_bit_for_bit(self, pair):
+        k, mu = pair
+        assert svt(k, mu).tobytes() == svt_reference(k, mu).tobytes()
+
+    @settings(max_examples=100)
+    @given(pair=stacks_partly_below_their_thresholds())
+    def test_a_partly_skipped_stack_matches_the_svd_bit_for_bit(self, pair):
+        k, mu = pair
+        assert svt(k, mu).tobytes() == svt_reference(k, mu).tobytes()
+
+    def test_only_matrices_that_may_survive_are_decomposed(self, monkeypatch):
+        decomposed = []
+        full_svd = np.linalg.svd
+
+        def counted(m, *args, **kwargs):
+            decomposed.append(m.shape)
+            return full_svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(kernels_mod.np.linalg, "svd", counted)
+        k = np.random.default_rng(6).normal(size=(4, 5, 3))
+        fro = np.sqrt((k * k).sum(axis=(1, 2)))
+        mu = fro * np.array([2.0, 0.5, 1.0 + 2e-8, 1.0])
+        out = svt(k, mu)
+        assert decomposed == [(2, 5, 3)]  # the matrices at 0.5 and 1.0 times their norm
+        assert not out[[0, 2]].any() and not np.signbit(out[[0, 2]]).any()
+        svt(k[0], mu[0])
+        assert decomposed == [(2, 5, 3)]
+
+    @pytest.mark.parametrize("scale, mu", [(1e200, 1e300), (1e-170, 1e-300)],
+                             ids=["squares-overflow", "squares-underflow"])
+    def test_a_norm_out_of_range_is_no_bound_and_warns_of_nothing(self, scale, mu):
+        # the matrix is decomposed: an overflowed norm bounds nothing, and an
+        # underflowed one would have thresholded the underflow case to zero
+        k = np.random.default_rng(7).normal(size=(4, 3)) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = svt(k, mu)
+        assert out.tobytes() == svt_reference(k, mu).tobytes()
+        assert scale > 1.0 or out.any()
 
     def test_commutes_with_orthogonal_transforms(self):
         rng = np.random.default_rng(5)

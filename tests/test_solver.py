@@ -499,7 +499,7 @@ class TestHSeminorm:
             t = angular_weights(ds)
             basis = spectral_basis(ds)
             rho, sigma = start.rho, pq_penalty(basis, start.rho)
-            cells = solver_mod._Cells.of([params], t)
+            cells = solver_mod._Cells.of([params])
             end, _, records, _ = solver_mod._sweep(
                 ds, start[None], cells, t, basis, SolverConfig(), np.ones(1))
 
@@ -587,7 +587,7 @@ class TestSolve:
     def test_abort_on_non_finite(self, monkeypatch):
         ds = random_dataset(24, d=3, n=4)
 
-        def poisoned_update_z(state, wx, eta_t):
+        def poisoned_update_z(state, wx, eta_t, out=None):
             z = np.full((4, 4), np.inf)
             return z
 
@@ -909,6 +909,36 @@ def test_a_64_cell_solve_stays_within_the_stack_budget(d, n, oversubscribed):
     # at 4 x 300, one stack of all 64 cells would take several budgets
     assert (64 * serial > 4 * STACK_BYTES) == oversubscribed
     assert stacked <= STACK_BYTES + serial
+
+
+@pytest.mark.parametrize("d, n, sweeps", [(10, 300, 1000), (20, 600, 40)])
+def test_a_solve_peaks_within_eight_n_by_n_arrays(d, n, sweeps):
+    # the state is double-buffered and the n x n work stays in place, where
+    # it took 12.9 arrays of n x n; the records add a little per sweep, and
+    # the 10 x 300 solve runs to convergence (268 sweeps)
+    ds = Dataset(np.random.default_rng(0).normal(size=(d, n)))
+    peak = traced_peak(lambda: solve(ds, cfg=SolverConfig(max_outer_iters=sweeps)))
+    assert peak <= 8 * (8 * n * n)
+    assert peak <= solver_mod._cell_bytes(d, n)  # what a stack counts per cell
+
+
+def test_a_sweep_reads_its_start_and_writes_only_its_end():
+    ds = random_dataset(32, d=3, n=5)
+    t = angular_weights(ds)
+    cells = solver_mod._Cells.of([RegularizationParams(), RegularizationParams(eta=3.0)])
+    start = SolverState.initial(3, 5, SolverConfig(rho_init=0.5), cells=2)
+    for f in solver_mod._ARRAY_FIELDS:
+        getattr(start, f)[...] = np.random.default_rng(33).normal(size=getattr(start, f).shape)
+    before = {f: getattr(start, f).copy() for f in solver_mod._ARRAY_FIELDS}
+    end, wx = solver_mod._buffers(start)
+    args = (ds, start, cells, t, spectral_basis(ds), SolverConfig(), np.ones(2))
+    written, _, records, _ = solver_mod._sweep(*args, end=end, wx=wx)
+    fresh, _, fresh_records, _ = solver_mod._sweep(*args)
+    assert written is end and end.z is not start.z and end.lambda1 is not start.lambda1
+    for f in solver_mod._ARRAY_FIELDS:
+        assert np.array_equal(getattr(start, f), before[f])
+        assert np.array_equal(getattr(end, f), getattr(fresh, f))
+    assert records == fresh_records
 
 
 @settings(max_examples=12)
