@@ -34,7 +34,9 @@ from .data import (
     ROWS_ARE_FEATURES,
     ROWS_ARE_SAMPLES,
     SelectionRequest,
+    SplitSpec,
     load_csv,
+    split,
     standardize_features,
     validate,
 )
@@ -117,30 +119,31 @@ def _build(make: Callable[..., Any], what: str, **values: Any) -> Any:
         raise CliError(f"invalid {what}: {exc}") from None
 
 
-def _apply_data_flags(cfg: dict, args: argparse.Namespace) -> dict:
-    data = dict(cfg["data"])
-    # a string such as "false" is truthy
-    for key in ("has_header", "standardize"):
-        if not isinstance(data[key], bool):
-            raise CliError(f"invalid data section: {key} must be true or false, "
-                           f"got {data[key]!r}")
+def _settings(args: argparse.Namespace) -> dict:
+    """The config file, checked as written, with each flag given laid over
+    the ``section.key`` that is its ``dest``; a flag not given, or given an
+    empty list (its type returns None), leaves the file's value."""
+    cfg = _load_config(args.config)
+    data, methods = cfg["data"], cfg["bench"]["methods"]
     orientations = (ROWS_ARE_SAMPLES, ROWS_ARE_FEATURES)
-    if data["orientation"] not in orientations:
-        raise CliError(f"invalid data section: orientation must be one of {orientations}, "
-                       f"got {data['orientation']!r}")
-    if not isinstance(data["label_column"], (str, type(None))):
-        raise CliError("invalid data section: label_column must be a string or null, "
-                       f"got {data['label_column']!r}")
-    if getattr(args, "no_header", False):
-        data["has_header"] = False
-    if getattr(args, "label_column", None) is not None:
-        data["label_column"] = args.label_column
-    if getattr(args, "rows_are_features", False):
-        data["orientation"] = ROWS_ARE_FEATURES
-    if getattr(args, "standardize", False):
-        data["standardize"] = True
-    cfg = dict(cfg)
-    cfg["data"] = data
+    # a string such as "false" is truthy, and a string of methods iterates
+    # by character
+    for section, key, ok, wanted in (
+        ("data", "has_header", isinstance(data["has_header"], bool), "true or false"),
+        ("data", "standardize", isinstance(data["standardize"], bool), "true or false"),
+        ("data", "orientation", data["orientation"] in orientations, f"one of {orientations}"),
+        ("data", "label_column", isinstance(data["label_column"], (str, type(None))),
+         "a string or null"),
+        ("bench", "methods", args.command != "bench" or (isinstance(methods, list) and methods
+         and all(isinstance(m, str) for m in methods)), "a non-empty list of strings"),
+    ):
+        if not ok:
+            raise CliError(f"invalid {section} section: {key} must be {wanted}, "
+                           f"got {cfg[section][key]!r}")
+    for dest, value in vars(args).items():
+        section, _, key = dest.partition(".")
+        if key and value is not None:
+            cfg[section][key] = value
     return cfg
 
 
@@ -170,11 +173,10 @@ def _load_dataset(path: str, data_cfg: dict, for_solver: bool = False) -> Datase
 
 def _check_writable(out: str) -> Path:
     path = Path(out)
-    parent = path.parent if str(path.parent) else Path(".")
-    if not parent.is_dir():
-        raise CliError(f"output directory does not exist: {parent}")
-    if not os.access(parent, os.W_OK):
-        raise CliError(f"output directory is not writable: {parent}")
+    if not path.parent.is_dir():
+        raise CliError(f"output directory does not exist: {path.parent}")
+    if not os.access(path.parent, os.W_OK):
+        raise CliError(f"output directory is not writable: {path.parent}")
     if path.exists() and not os.access(path, os.W_OK):
         raise CliError(f"output file is not writable: {path}")
     return path
@@ -200,20 +202,20 @@ def _report_traces(report: ConvergenceReport) -> dict:
     }
 
 
+def _solver_settings(cfg: dict) -> tuple[RegularizationParams, SolverConfig]:
+    return (_build(RegularizationParams, "params section", **cfg["params"]),
+            _build(SolverConfig, "solver section", **cfg["solver"]))
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _apply_data_flags(_load_config(args.config), args)
+    cfg = _settings(args)
     out_path = _check_writable(args.out)
-    params = _build(RegularizationParams, "params section", **cfg["params"])
-    solver_cfg = _build(SolverConfig, "solver section", **cfg["solver"])
+    params, solver_cfg = _solver_settings(cfg)
     ds = _load_dataset(args.data, cfg["data"], for_solver=True)
 
-    sel_cfg = dict(cfg["selection"])
-    if args.m is not None:
-        sel_cfg["m"] = args.m
-    if args.r is not None:
-        sel_cfg["r"] = args.r
-    m = sel_cfg["m"] if sel_cfg["m"] is not None else min(10, ds.n_samples)
-    r = sel_cfg["r"] if sel_cfg["r"] is not None else min(10, ds.n_features)
+    sel = cfg["selection"]
+    m = sel["m"] if sel["m"] is not None else min(10, ds.n_samples)
+    r = sel["r"] if sel["r"] is not None else min(10, ds.n_features)
     try:
         req = SelectionRequest(m, r)
         req.check_against(ds.n_samples, ds.n_features)
@@ -305,7 +307,9 @@ def _cmd_select(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_budgets(text: str, what: str) -> tuple[int, ...]:
+def _parse_budgets(text: str, what: str) -> Optional[tuple[int, ...]]:
+    if not text:
+        return None
     try:
         if ":" in text:
             lo, hi, step = (int(p) for p in text.split(":"))
@@ -320,55 +324,32 @@ def _parse_budgets(text: str, what: str) -> tuple[int, ...]:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _apply_data_flags(_load_config(args.config), args)
+    cfg = _settings(args)
     out_path = _check_writable(args.out)
-    bench_cfg = dict(cfg["bench"])
-    if args.methods:
-        bench_cfg["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if args.budgets:
-        bench_cfg["sample_budgets"] = list(_parse_budgets(args.budgets, "--budgets"))
-    if args.feature_budgets:
-        bench_cfg["feature_budgets"] = list(
-            _parse_budgets(args.feature_budgets, "--feature-budgets")
-        )
-    if args.repeats is not None:
-        bench_cfg["repeats"] = args.repeats
-    if args.seed is not None:
-        bench_cfg["seed"] = args.seed
-
-    if not bench_cfg["sample_budgets"]:
+    bench = cfg["bench"]
+    if not bench["sample_budgets"]:
         raise CliError("bench needs sample budgets (--budgets lo:hi:step)")
-    params = _build(RegularizationParams, "params section", **cfg["params"])
-    solver_cfg = _build(SolverConfig, "solver section", **cfg["solver"])
+    if not bench["methods"]:  # --methods ","
+        raise CliError("bench needs methods (--methods alfs,random,...)")
+    params, solver_cfg = _solver_settings(cfg)
+    # the conversions run inside _build: budgets that are no list are a bad
+    # bench section too
+    specs = [_build(lambda: BenchSpec(
+        method, tuple(bench["sample_budgets"]), tuple(bench["feature_budgets"]),
+        alfs_params=params, solver=solver_cfg,
+        alfs_grid=tuple(bench["alfs_grid"]) if bench["alfs_grid"] else None,
+        **{key: bench[key] for key in ("repeats", "seed", "rcur_rank")},
+    ), f"bench section for method {method!r}") for method in bench["methods"]]
 
-    def bench_spec(method: str) -> BenchSpec:
-        grid = bench_cfg["alfs_grid"]
-        return BenchSpec(
-            method=method,
-            sample_budgets=tuple(bench_cfg["sample_budgets"]),
-            feature_budgets=tuple(bench_cfg["feature_budgets"]),
-            alfs_grid=tuple(grid) if grid else None,
-            alfs_params=params,
-            solver=solver_cfg,
-            **{key: bench_cfg[key] for key in ("repeats", "seed", "rcur_rank")},
-        )
-
-    specs = [
-        _build(bench_spec, f"bench section for method {method!r}", method=method)
-        for method in bench_cfg["methods"]
-    ]
-
-    uses_solver = any("alfs" in str(method) for method in bench_cfg["methods"])
+    uses_solver = any("alfs" in method for method in bench["methods"])
     ds = _load_dataset(args.data, cfg["data"], for_solver=uses_solver)
     if ds.labels is None:
         raise CliError("bench needs a labeled dataset (use --label-column)")
 
     n_train = (args.train_size if args.train_size is not None
                else max(1, (2 * ds.n_samples) // 3))
-    from .data import SplitSpec, split as split_dataset
-
     try:
-        train, test = split_dataset(ds, SplitSpec(n_train=n_train, seed=bench_cfg["seed"]))
+        train, test = split(ds, SplitSpec(n_train=n_train, seed=bench["seed"]))
     except ValueError as exc:
         raise CliError(str(exc)) from None
     for spec in specs:
@@ -380,12 +361,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 f"and {train.n_features} features"
             ) from None
 
-    curves = []
-    failures = []
-    for spec in specs:
-        curve = run_curve(train, test, spec)
-        curves.append(curve)
-        failures.extend(curve.failures)
+    curves = [run_curve(train, test, spec) for spec in specs]
+    failures = [failure for curve in curves for failure in curve.failures]
     write_curves_csv(curves, out_path)
     if failures:
         print(f"bench: {len(failures)} cell(s) failed: {failures[:5]}", file=sys.stderr)
@@ -394,7 +371,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = _apply_data_flags(_load_config(args.config), args)
+    cfg = _settings(args)
     ds = _load_dataset(args.data, cfg["data"])
     try:
         req = SelectionRequest(args.m, args.r)
@@ -408,15 +385,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_data_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--no-header", action="store_true",
-                        help="the CSV has no header row")
-    parser.add_argument("--label-column", default=None,
-                        help="header name of the label column")
-    parser.add_argument("--rows-are-features", action="store_true",
-                        help="the CSV stores one feature per row")
-    parser.add_argument("--standardize", action="store_true",
-                        help="standardize each feature before solving")
+def _override(parser: argparse.ArgumentParser, flag: str, key: str, **options: Any) -> None:
+    """Add ``flag``, which overrides the config ``key`` (``section.key``)."""
+    parser.add_argument(flag, dest=key, default=argparse.SUPPRESS,
+                        metavar=flag[2:].replace("-", "_").upper(), **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,16 +400,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"alfs {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="solve and rank samples/features")
-    p_solve.add_argument("--data", required=True, help="CSV dataset path")
-    p_solve.add_argument("--config", default=None, help="JSON config path")
+    # the data file, the config and the data section's flags
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--data", required=True, help="CSV dataset path")
+    shared.add_argument("--config", default=None, help="JSON config path")
+    _override(shared, "--no-header", "data.has_header", action="store_const", const=False,
+              help="the CSV has no header row")
+    _override(shared, "--label-column", "data.label_column",
+              help="header name of the label column")
+    _override(shared, "--rows-are-features", "data.orientation", action="store_const",
+              const=ROWS_ARE_FEATURES, help="the CSV stores one feature per row")
+    _override(shared, "--standardize", "data.standardize", action="store_const", const=True,
+              help="standardize each feature before solving")
+
+    p_solve = sub.add_parser("solve", parents=[shared],
+                             help="solve and rank samples/features")
     p_solve.add_argument("--out", required=True, help="result JSON path")
-    p_solve.add_argument("--m", type=int, default=None, help="sample budget")
-    p_solve.add_argument("--r", type=int, default=None, help="feature budget")
+    _override(p_solve, "--m", "selection.m", type=int, help="sample budget")
+    _override(p_solve, "--r", "selection.r", type=int, help="feature budget")
     p_solve.add_argument("--timing", action="store_true",
                          help="embed wall time in the result document "
                               "(breaks byte-level reproducibility)")
-    _add_data_flags(p_solve)
     p_solve.set_defaults(fn=_cmd_solve)
 
     p_select = sub.add_parser(
@@ -449,38 +432,36 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--out", default=None, help="output JSON (default: stdout)")
     p_select.set_defaults(fn=_cmd_select)
 
-    p_bench = sub.add_parser("bench", help="accuracy curves for methods")
-    p_bench.add_argument("--data", required=True, help="labeled CSV dataset path")
-    p_bench.add_argument("--config", default=None, help="JSON config path")
-    p_bench.add_argument("--methods", default=None,
-                         help="comma list: alfs,random,rcur,variance+random,...")
-    p_bench.add_argument("--budgets", default=None,
-                         help="sample budgets, lo:hi:step or comma list")
-    p_bench.add_argument("--feature-budgets", default=None,
-                         help="feature budgets (switches to a feature-axis curve)")
-    p_bench.add_argument("--repeats", type=int, default=None)
-    p_bench.add_argument("--seed", type=int, default=None)
+    p_bench = sub.add_parser("bench", parents=[shared], help="accuracy curves for methods")
+    _override(p_bench, "--methods", "bench.methods",
+              type=lambda t: [m.strip() for m in t.split(",") if m.strip()] if t else None,
+              help="comma list: alfs,random,rcur,variance+random,...")
+    _override(p_bench, "--budgets", "bench.sample_budgets",
+              type=lambda text: _parse_budgets(text, "--budgets"),
+              help="sample budgets, lo:hi:step or comma list")
+    _override(p_bench, "--feature-budgets", "bench.feature_budgets",
+              type=lambda text: _parse_budgets(text, "--feature-budgets"),
+              help="feature budgets (switches to a feature-axis curve)")
+    _override(p_bench, "--repeats", "bench.repeats", type=int)
+    _override(p_bench, "--seed", "bench.seed", type=int)
     p_bench.add_argument("--train-size", type=int, default=None,
                          help="training columns (default: 2/3 of the data)")
     p_bench.add_argument("--out", required=True, help="curves CSV path")
-    _add_data_flags(p_bench)
     p_bench.set_defaults(fn=_cmd_bench)
 
-    p_oracle = sub.add_parser("oracle", help="exhaustive best subsets (tiny data)")
-    p_oracle.add_argument("--data", required=True, help="CSV dataset path")
-    p_oracle.add_argument("--config", default=None, help="JSON config path")
+    p_oracle = sub.add_parser("oracle", parents=[shared],
+                              help="exhaustive best subsets (tiny data)")
     p_oracle.add_argument("--m", type=int, required=True, help="sample budget")
     p_oracle.add_argument("--r", type=int, required=True, help="feature budget")
-    _add_data_flags(p_oracle)
     p_oracle.set_defaults(fn=_cmd_oracle)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # a flag's type may raise CliError (a --budgets it cannot parse)
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,7 +44,17 @@ def _require_integer(name: str, value, minimum: int) -> None:
 
 class _Adopted:
     """A float64 array that alfs has just built and that nothing else holds:
-    a :class:`Dataset` given one freezes the array itself instead of a copy."""
+    a :class:`Dataset` given one freezes the array itself instead of a copy.
+
+    Every entry is finite, so the Dataset skips that check (it keeps the
+    shape checks). Where each array comes from, and why it is finite:
+    ``load_csv`` keeps a row whose sum is finite (a non-finite entry makes
+    the sum non-finite) and checks the cells of any other row one by one;
+    ``restrict``, ``without_labels`` and ``split`` index a matrix a Dataset
+    already checked; ``standardize_features`` divides entries below 2 in
+    magnitude by a std above ``_CONSTANT_STD_ULPS`` * eps / 2, which bounds
+    them by about 2.3e15.
+    """
 
     __slots__ = ("array",)
 
@@ -83,7 +93,8 @@ class Dataset:
     source: str = "memory"
 
     def __post_init__(self) -> None:
-        if isinstance(self.matrix, _Adopted):
+        adopted = isinstance(self.matrix, _Adopted)
+        if adopted:
             m = self.matrix.array
         else:
             m = np.array(self.matrix, dtype=float, copy=True)
@@ -92,7 +103,7 @@ class Dataset:
         d, n = m.shape
         if d < 1 or n < 1:
             raise ValueError(f"matrix must be at least 1x1, got {d}x{n}")
-        if not np.all(np.isfinite(m)):
+        if not adopted and not np.all(np.isfinite(m)):
             bad = np.argwhere(~np.isfinite(m))[0]
             raise ValueError(
                 f"matrix contains a non-finite entry at ({bad[0]}, {bad[1]})"

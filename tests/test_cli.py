@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import re
@@ -18,10 +19,11 @@ from alfs import (
     rank_and_select,
     write_csv,
 )
-from alfs.cli import main
+from alfs.cli import build_parser, main
+from alfs.data import ROWS_ARE_FEATURES, ROWS_ARE_SAMPLES
 from alfs.solver import SolverAbortError
 
-from conftest import REPO_ROOT, make_clusters, random_dataset
+from conftest import REPO_ROOT, TINY_CSV, make_clusters, random_dataset
 
 
 def run_cli(*argv):
@@ -85,6 +87,9 @@ class TestConfigDefaults:
     ("bench", {"data": {"has_header": 1}}, "data section"),
     ("solve", {"data": {"label_column": 4}}, "data section"),
     ("solve", {"data": {"orientation": 5}}, "data section"),
+    # a string of methods used to be iterated by character
+    ("bench", {"bench": {"methods": "random"}}, "bench section"),
+    ("bench", {"bench": {"methods": []}}, "bench section"),
 ], ids=[
     "bench-repeats", "bench-rcur_rank", "bench-alfs_grid", "bench-max_outer_iters",
     "solve-max_outer_iters", "solve-tau", "solve-selection_m", "solve-selection_r",
@@ -92,6 +97,7 @@ class TestConfigDefaults:
     "solve-tau-inf", "solve-alpha-1e999", "bench-alfs_grid-inf",
     "solve-standardize-string", "solve-has_header-string", "bench-has_header-int",
     "solve-label_column-int", "solve-orientation-int",
+    "bench-methods-string", "bench-methods-empty",
 ])
 def test_mistyped_config_value_exits_2_naming_the_section(
     command, config, section, tiny_csv, tmp_path, capsys
@@ -108,6 +114,140 @@ def test_mistyped_config_value_exits_2_naming_the_section(
     err = capsys.readouterr().err
     assert f"invalid {section}" in err
     assert "Traceback" not in err
+
+
+class _Seen(Exception):
+    """Raised by a stand-in once it has seen what a command passed it."""
+
+
+_SAMPLE_CURVE = {"methods": ["random"], "sample_budgets": [3], "repeats": 1}
+
+
+@pytest.mark.parametrize("flag, value, key, standing, given", [
+    # the config sets `key` to `standing`; the flag, given `value`, to `given`
+    ("--no-header", None, "data.has_header", True, False),
+    ("--label-column", "label", "data.label_column", "f0", "label"),
+    ("--rows-are-features", None, "data.orientation", ROWS_ARE_SAMPLES, ROWS_ARE_FEATURES),
+    ("--standardize", None, "data.standardize", False, True),
+    ("--m", "3", "selection.m", 2, 3),
+    ("--r", "1", "selection.r", 2, 1),
+    ("--methods", "rcur", "bench.methods", ["random"], ["rcur"]),
+    ("--budgets", "2:4:2", "bench.sample_budgets", [3], [2, 4]),
+    ("--feature-budgets", "2,3", "bench.feature_budgets", [4], [2, 3]),
+    ("--repeats", "2", "bench.repeats", 3, 2),
+    ("--seed", "5", "bench.seed", 4, 5),
+])
+def test_a_flag_overrides_its_config_key(
+    flag, value, key, standing, given, tmp_path, monkeypatch
+):
+    section, name = key.split(".")
+    seen = {}
+
+    def fake_load_csv(path, **kwargs):
+        seen.update(kwargs)
+        return load_csv(TINY_CSV, label_column="label")
+
+    def fake_standardize(ds):
+        seen["standardize"] = True
+        return ds
+
+    def fake_run_curve(train, test, spec):
+        seen["spec"] = spec
+        raise _Seen
+
+    monkeypatch.setattr(cli_mod, "load_csv", fake_load_csv)
+    monkeypatch.setattr(cli_mod, "standardize_features", fake_standardize)
+    monkeypatch.setattr(cli_mod, "run_curve", fake_run_curve)
+
+    def effective(*flag_argv):
+        bench = dict(_SAMPLE_CURVE)
+        if name == "feature_budgets":
+            bench["methods"] = ["variance+random"]
+        config = {"solver": {"tau": 1.5}, "bench": bench}
+        config.setdefault(section, {})[name] = standing
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        seen.clear()
+        command = "solve" if section == "selection" else "bench"
+        try:
+            assert main([command, "--data", "any.csv", "--config", str(cfg),
+                         "--out", str(out), *flag_argv]) == 0
+        except _Seen:
+            pass
+        if section == "selection":
+            return json.loads(out.read_text())["config_echo"]["selection"][name]
+        if section == "data":
+            # the data section reaches load_csv, but for standardize
+            return seen.get(name, False) if name == "standardize" else seen[name]
+        if name == "methods":
+            return [seen["spec"].method]
+        got = getattr(seen["spec"], name)
+        return list(got) if isinstance(got, tuple) else got
+
+    assert effective(flag, *([value] if value else [])) == given
+    assert effective() == standing
+    if isinstance(standing, list):
+        # an empty list value leaves the config's list standing
+        assert effective(flag, "") == standing
+
+
+def test_a_flag_that_cannot_be_parsed_is_reported_before_the_config(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    argv = ["bench", "--data", str(TINY_CSV), "--label-column", "label", "--config", str(bad),
+            "--methods", "random", "--out", str(tmp_path / "never.csv")]
+    assert run_cli(*argv, "--budgets", "oops") == 2
+    assert capsys.readouterr().err == (
+        "error: cannot parse --budgets 'oops': expected lo:hi:step or a comma list\n")
+    assert run_cli(*argv, "--budgets", "2") == 2
+    assert "malformed JSON config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "bench", "oracle"])
+def test_help_lists_the_shared_flags_first(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    flags = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.MULTILINE)
+    assert flags[:6] == ["--data", "--config", "--no-header", "--label-column",
+                         "--rows-are-features", "--standardize"]
+
+
+def _command_actions() -> dict:
+    """Each command's parser actions, as ``build_parser`` declares them."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [a for a in p._actions if a.option_strings != ["-h", "--help"]]
+            for name, p in sub.choices.items()}
+
+
+class TestReadme:
+    def readme_after(self, heading: str) -> str:
+        return (REPO_ROOT / "README.md").read_text(encoding="utf-8").split(heading, 1)[1]
+
+    def test_the_synopsis_lists_every_flag_of_every_command(self):
+        block = self.readme_after("## CLI").split("```", 2)[1]
+        shown: dict[str, set] = {}
+        for line in block.strip().splitlines():
+            if line.startswith("alfs "):
+                command = line.split()[1]
+            shown.setdefault(command, set()).update(re.findall(r"--[\w-]+", line))
+        assert shown == {
+            command: {flag for action in actions for flag in action.option_strings}
+            for command, actions in _command_actions().items()
+        }
+
+    def test_the_flag_table_names_the_config_key_of_each_flag(self):
+        section = self.readme_after("## Configuration")
+        table = dict(re.findall(r"^\| `(--[\w-]+)` \| `(\w+\.\w+)`", section, re.MULTILINE))
+        overrides = {
+            flag: action.dest
+            for actions in _command_actions().values()
+            for action in actions if "." in action.dest
+            for flag in action.option_strings
+        }
+        assert len(overrides) == 11
+        assert table == overrides
 
 
 def test_the_bundled_solve_document_is_the_recorded_one(tmp_path, monkeypatch):
@@ -541,6 +681,16 @@ class TestBenchCommand:
         assert code == 2
         assert not out.exists()
         assert "n_train=0 outside 1..44" in capsys.readouterr().err
+
+    def test_methods_that_name_no_method_exit_2(self, cluster_csv, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        code = run_cli(
+            "bench", "--data", str(cluster_csv), "--label-column", "label",
+            "--methods", ",", "--budgets", "2", "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+        assert "bench needs methods" in capsys.readouterr().err
 
     def test_bad_budget_spec_exits_2(self, cluster_csv, tmp_path):
         code = run_cli(

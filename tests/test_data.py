@@ -4,6 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from alfs import (
     Dataset,
@@ -57,6 +60,20 @@ class TestDataset:
                         standardize_features(ds)):
             with pytest.raises(ValueError):
                 derived.matrix[0, 0] = 5.0
+
+    def test_a_matrix_taken_from_a_dataset_is_not_checked_again(self):
+        # without_labels and restrict with no index adopt a matrix that was
+        # checked already: no finiteness pass, which needs d x n booleans
+        x = np.random.default_rng(4).normal(size=(60, 2000))
+        ds = Dataset(x, labels=tuple(f"c{j % 5}" for j in range(2000)))
+        tracemalloc.start()
+        try:
+            derived = (ds.without_labels(), ds.restrict())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(d.matrix is ds.matrix for d in derived)
+        assert peak < 0.05 * x.nbytes
 
     def test_restrict(self):
         ds = Dataset(np.arange(6.0).reshape(2, 3), labels=("a", "b", "c"))
@@ -341,3 +358,13 @@ def test_standardize_is_exact_under_power_of_two_scaling():
     want = standardize_features(Dataset(x)).matrix.tobytes()
     for k in (-1000, -560, -3, 5, 600, 1000):
         assert standardize_features(Dataset(np.ldexp(x, k))).matrix.tobytes() == want
+
+
+@given(data=st.data(), shape=st.tuples(st.integers(1, 5), st.integers(1, 6)))
+def test_standardize_keeps_a_finite_matrix_finite(data, shape):
+    # a Dataset adopts the standardized matrix without checking it again
+    x = data.draw(arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)))
+    scale = 10.0 ** data.draw(arrays(np.int64, (shape[0], 1), elements=st.integers(-300, 300)))
+    out = standardize_features(Dataset(x * scale)).matrix
+    assert np.all(np.isfinite(out))
+    assert np.abs(out).max() < 2.3e15
