@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, _memo
+from .data import Dataset, _memo, _require_integer
 from .selection import _cur_core, _index_set
 
 # err must dominate the best rank-q SVD error; slack for float rounding only.
@@ -38,10 +38,9 @@ class RcurConfig:
     exact_counts: bool = False
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.m < 1 or self.r < 1:
-            raise ValueError("m and r must be >= 1")
+        for name in ("k", "m", "r"):
+            _require_integer(name, getattr(self, name), 1)
+        _require_integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,8 @@ class BenchSpec:
             budgets = getattr(self, name)
             if len(set(budgets)) != len(budgets):
                 raise ValueError(f"{name} must not repeat a budget, got {list(budgets)}")
+        if self.alfs_grid is not None and not self.alfs_grid:
+            raise ValueError("alfs_grid must not be empty; use None for no grid")
         for value in self.alfs_grid or ():
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not 0 <= value < math.inf):

@@ -96,14 +96,25 @@ def _merge_config(defaults: dict, overrides: dict, path: str = "") -> dict:
     return merged
 
 
+def _read_text(path: Path, what: str) -> str:
+    """The UTF-8 text of the ``what`` file at ``path``; a path that is
+    missing, a directory or not UTF-8 exits 2 naming it."""
+    if not path.exists():
+        raise CliError(f"{what} file not found: {path}")
+    if path.is_dir():
+        raise CliError(f"{what} path is a directory: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{what} file {path} is not UTF-8: {exc}") from None
+
+
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return _merge_config(_CONFIG_DEFAULTS, {})
     p = Path(path)
-    if not p.exists():
-        raise CliError(f"config file not found: {p}")
     try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
+        raw = json.loads(_read_text(p, "config"))
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON config {p}: {exc}") from None
     if not isinstance(raw, dict):
@@ -177,6 +188,8 @@ def _check_writable(out: str) -> Path:
         raise CliError(f"output directory does not exist: {path.parent}")
     if not os.access(path.parent, os.W_OK):
         raise CliError(f"output directory is not writable: {path.parent}")
+    if path.is_dir():
+        raise CliError(f"output path is a directory: {path}")
     if path.exists() and not os.access(path, os.W_OK):
         raise CliError(f"output file is not writable: {path}")
     return path
@@ -260,10 +273,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_select(args: argparse.Namespace) -> int:
     path = Path(args.result)
-    if not path.exists():
-        raise CliError(f"result file not found: {path}")
     try:
-        document = json.loads(path.read_text(encoding="utf-8"))
+        document = json.loads(_read_text(path, "result"))
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed result document: {exc}") from None
     if not isinstance(document, dict):
@@ -332,12 +343,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not bench["methods"]:  # --methods ","
         raise CliError("bench needs methods (--methods alfs,random,...)")
     params, solver_cfg = _solver_settings(cfg)
-    # the conversions run inside _build: budgets that are no list are a bad
-    # bench section too
+    # the conversions run inside _build: budgets or a grid that are no list
+    # are a bad bench section too
     specs = [_build(lambda: BenchSpec(
         method, tuple(bench["sample_budgets"]), tuple(bench["feature_budgets"]),
         alfs_params=params, solver=solver_cfg,
-        alfs_grid=tuple(bench["alfs_grid"]) if bench["alfs_grid"] else None,
+        alfs_grid=None if bench["alfs_grid"] is None else tuple(bench["alfs_grid"]),
         **{key: bench[key] for key in ("repeats", "seed", "rcur_rank")},
     ), f"bench section for method {method!r}") for method in bench["methods"]]
 

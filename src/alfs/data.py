@@ -320,7 +320,8 @@ def load_csv(
     FileNotFoundError
         Missing file.
     ValueError
-        In this order of precedence: an empty table; the first ragged row;
+        A path that is not a regular file (a directory, say). Then, in
+        this order of precedence: an empty table; the first ragged row;
         a header whose width differs from the data's; an unknown label
         column, or one with rows-are-features; the first non-numeric or
         non-finite cell in row-major order.
@@ -333,6 +334,8 @@ def load_csv(
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
+    if not path.is_file():
+        raise ValueError(f"not a regular file: {path}")
 
     with path.open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)

@@ -29,11 +29,13 @@ report are bit for bit those of its serial solve; the tests check this. For
 the same reason a sweep in which a value goes non-finite is replayed cell
 by cell from its start, and the cells that fail alone leave the stack.
 
-A stack's state lives in two sets of arrays, allocated once: a sweep reads
-one and writes the other, and they swap. The n x n blocks (Z, its
-multiplier and W X) are updated in place, so the only n x n arrays a
-sweep allocates are short-lived temporaries of its steps, and the start it
-read stays whole for the seminorm and for a replay.
+A stack's state lives in two sets of arrays and one W X block, allocated
+once, and a sweep writes into no other: it reads one set and writes the
+other, and they swap; a lone replay writes into its cell's rows of the
+spare set. The n x n blocks (Z, its multiplier and W X) are updated in
+place, so the only n x n arrays a sweep allocates are short-lived
+temporaries of its steps, and the start it read stays whole for the
+seminorm and for a replay.
 
 Overflow has one policy, set in :func:`solve`: numpy does not warn of it
 there, and the first non-finite value a check meets becomes a
@@ -398,15 +400,13 @@ def update_z(
 
     ``wx`` is W X for the state's W. The thresholds are ``eta_t / rho``,
     with ``eta_t`` the array ``eta * T`` of the angular weights T (one
-    matrix per cell for a stack). The shrinkage runs in place in ``out``
-    if given, an n x n array (one per cell) that neither ``wx`` nor
-    ``eta_t`` may share.
+    matrix per cell for a stack); ``eta_t`` is overwritten with them. The
+    shrinkage runs in place in ``out`` if given, an n x n array (one per
+    cell) that neither ``wx`` nor ``eta_t`` may share.
     """
-    if state.rho <= 0:
-        raise ValueError("rho must be positive")
     k = np.divide(state.lambda1, state.rho, out=out)
     np.add(wx, k, out=k)
-    return soft_threshold(k, eta_t / state.rho, out=k)
+    return soft_threshold(k, np.divide(eta_t, state.rho, out=eta_t), out=k)
 
 
 def update_w_tilde(state: SolverState, gamma: Union[float, np.ndarray]) -> np.ndarray:
@@ -414,8 +414,6 @@ def update_w_tilde(state: SolverState, gamma: Union[float, np.ndarray]) -> np.nd
 
     ``gamma`` is a float or, for a stacked state, one value per cell.
     """
-    if state.rho <= 0:
-        raise ValueError("rho must be positive")
     return svt(state.w + state.lambda2 / state.rho, gamma / state.rho)
 
 
@@ -449,20 +447,17 @@ def update_duals_and_rho(
     cfg: SolverConfig,
     sigma: float,
     residuals: tuple[np.ndarray, ...],
-    out: Optional[SolverState] = None,
+    out: SolverState,
 ) -> SolverState:
     """Dual ascent on all four multipliers by the state's
     :func:`primal_residuals`, then rho grows by ``cfg.tau`` up to
     ``cfg.rho_max``.
 
-    Returns a copy of ``state`` with the new multipliers and rho, or, if
-    given, ``out`` with its multipliers overwritten and its rho set; its
+    Returns ``out`` with its multipliers overwritten and its rho set; its
     other arrays are left as they are. ``out`` shares no array with
     ``state`` or the residuals.
     """
     rho = state.rho
-    if out is None:
-        out = replace(state, **{f: np.empty_like(getattr(state, f)) for f in _MULTIPLIERS})
     for name, penalty, r in zip(_MULTIPLIERS, (rho, rho, sigma, sigma), residuals):
         step = np.multiply(penalty, r, out=getattr(out, name))
         np.add(getattr(state, name), step, out=step)
@@ -563,12 +558,6 @@ def _cells_per_stack(d: int, n: int) -> int:
     return max(1, STACK_BYTES // _cell_bytes(d, n))
 
 
-def _buffers(start: SolverState) -> tuple[SolverState, np.ndarray]:
-    """Arrays for a sweep from ``start``: an end state and the W X block."""
-    end = replace(start, **{f: np.empty_like(getattr(start, f)) for f in _ARRAY_FIELDS})
-    return end, np.empty_like(start.z)
-
-
 def _sweep(
     ds: Dataset,
     start: SolverState,
@@ -577,28 +566,27 @@ def _sweep(
     basis: SpectralBasis,
     cfg: SolverConfig,
     prev_objective: np.ndarray,
-    end: Optional[SolverState] = None,
-    wx: Optional[np.ndarray] = None,
-) -> tuple[SolverState, np.ndarray, list[IterationRecord], np.ndarray]:
+    end: SolverState,
+    wx: np.ndarray,
+) -> tuple[np.ndarray, list[IterationRecord], np.ndarray]:
     """One sweep of a stack from ``start``: the W step, then the Z, W~, P
     and Q proxes, then the multipliers and rho, then the stopping test.
 
     The new state is written into ``end`` and W X into ``wx``, arrays of
-    the shapes of ``start`` and its Z (fresh ones if not given): the Z and
+    the shapes of ``start`` and its Z that the stack owns (for a lone
+    replay, its cell's rows of the stack's spare set and W X): the Z and
     multiplier blocks in place, W, W~, P and Q as the steps return them.
     ``start`` is only read, so a sweep that raises can be run again from
-    it. The n x n work stays in those arrays: eta T is formed in ``end``'s
-    L1 until the dual step writes L1 there, and W X - Z overwrites W X once
-    the objective has read it.
+    it. The n x n work stays in those arrays: eta T, then the Z step's
+    thresholds, are formed in ``end``'s L1 until the dual step writes L1
+    there, and W X - Z overwrites W X once the objective has read it.
 
-    Returns the new state and, one entry per cell, the objective, the
+    Returns, one entry per cell, the objective, the
     :class:`IterationRecord` and whether the cell converged. The record's
     seminorm step comes from the residuals the dual step used. Raises
     ValueError if a value of any cell goes non-finite (or an SVD fails),
     with the text of the first failing step in the order above.
     """
-    if end is None:
-        end, wx = _buffers(start)
     sigma = pq_penalty(basis, start.rho)
     w = solve_w_subproblem(ds, start, basis, sigma)
     wx = np.matmul(w, ds.matrix, out=wx)
@@ -627,7 +615,7 @@ def _sweep(
                decision.rel_change.tolist(), h2.tolist())
     records = [IterationRecord(value, r1, r2, r3, None if math.isnan(change) else change, step)
                for value, r1, r2, r3, change, step in rows]
-    return end, curr, records, decision.converged
+    return curr, records, decision.converged
 
 
 def _keep(state: SolverState, keep: np.ndarray) -> SolverState:
@@ -649,12 +637,13 @@ def _solve_stack(
 
     Returns the cells' final Ws and reports, None and the
     :class:`SolverAbortError` for a failed cell, and the number of
-    :func:`_sweep` calls. The stack's state lives in two sets of arrays,
-    allocated once: a sweep reads one and writes the other, and they swap.
-    A cell leaves at the sweep where it converges, fails or runs out of
-    sweeps, and the cells that stay move to the front of the arrays. A
-    sweep that raises is replayed for each cell alone from its start,
-    which it leaves unchanged: the cells that raise alone leave, and the
+    :func:`_sweep` calls. The stack's state lives in two sets of arrays
+    and one W X block, allocated once: a sweep reads one set and writes
+    the other, and they swap. A cell leaves at the sweep where it
+    converges, fails or runs out of sweeps, and the cells that stay move to
+    the front of the arrays. A sweep that raises is replayed for each cell
+    alone from its start, which it leaves unchanged, into that cell's rows
+    of the spare set and of W X: the cells that raise alone leave, and the
     others run the sweep again, stacked.
     """
     ws: list[Optional[np.ndarray]] = [None] * cells.index.size
@@ -664,7 +653,8 @@ def _solve_stack(
         prev = objective(ds, state.w, cells, t)
     except ValueError as exc:
         return ws, [SolverAbortError(f"{exc} before outer iteration 1") for _ in ws], 0
-    spare, wx = _buffers(state)
+    spare = SolverState.initial(*ds.matrix.shape, cfg, cells=len(ws))
+    wx = np.empty_like(state.z)
     outcomes: list = [ConvergenceReport() for _ in ws]
     going = cells
     sweeps = 0
@@ -672,39 +662,37 @@ def _solve_stack(
     while going.index.size:
         sweeps += 1
         try:
-            new, curr, records, converged = _sweep(
-                ds, state, going, t, basis, cfg, prev, end=spare, wx=wx)
+            curr, records, converged = _sweep(ds, state, going, t, basis, cfg, prev, spare, wx)
         except ValueError:
             # the kernels and the objective raise ValueError only for
             # non-finite values, and numpy for a failed SVD
-            failed = np.zeros(going.index.size, dtype=bool)
+            keep = np.ones(going.index.size, dtype=bool)
             for i, cell in enumerate(going.index):
                 sweeps += 1
+                one = slice(i, i + 1)
                 try:
-                    _sweep(ds, state[i:i + 1], going[i:i + 1], t, basis, cfg, prev[i:i + 1])
+                    _sweep(ds, state[one], going[one], t, basis, cfg, prev[one],
+                           spare[one], wx[one])
                 except ValueError as exc:
                     outcomes[cell] = SolverAbortError(f"{exc} at outer iteration {k}")
-                    failed[i] = True
-            if not failed.any():
+                    keep[i] = False
+            if keep.all():
                 raise  # each cell's sweep passes alone: the cells are not independent
-            live = int((~failed).sum())
-            state, spare, wx = _keep(state, ~failed), spare[:live], wx[:live]
-            going, prev = going[~failed], prev[~failed]
-            continue
-        state, spare = new, state
-        done = converged | (k == cfg.max_outer_iters)
-        for i, cell in enumerate(going.index):
-            outcomes[cell].records.append(records[i])
-            if converged[i]:
-                outcomes[cell].stop_reason = "converged"
-            if done[i]:
-                ws[cell] = state.w[i].copy()
-        if done.any():
-            live = int((~done).sum())
-            state, spare, wx = _keep(state, ~done), spare[:live], wx[:live]
-            going, curr = going[~done], curr[~done]
-        prev = curr
-        k += 1
+        else:
+            state, spare = spare, state
+            keep = ~(converged | (k == cfg.max_outer_iters))
+            for i, cell in enumerate(going.index):
+                outcomes[cell].records.append(records[i])
+                if converged[i]:
+                    outcomes[cell].stop_reason = "converged"
+                if not keep[i]:
+                    ws[cell] = state.w[i].copy()
+            prev = curr
+            k += 1
+        if not keep.all():
+            live = int(keep.sum())
+            state, spare, wx = _keep(state, keep), spare[:live], wx[:live]
+            going, prev = going[keep], prev[keep]
     return ws, outcomes, sweeps
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,23 @@ class TestCur:
         res = rcur(ds, RcurConfig(k=2, m=4, r=3, seed=2, exact_counts=True))
         assert len(res.column_indices) == 4
         assert len(res.row_indices) == 3
+
+    @pytest.mark.parametrize("change, message", [
+        ({"k": True}, "k must be an integer >= 1, got True"),
+        ({"k": 1.5}, "k must be an integer >= 1, got 1.5"),
+        ({"k": 0}, "k must be an integer >= 1, got 0"),
+        ({"m": 2.5}, "m must be an integer >= 1, got 2.5"),
+        ({"r": "3"}, "r must be an integer >= 1, got '3'"),
+        ({"r": 0}, "r must be an integer >= 1, got 0"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"seed": 0.5}, "seed must be an integer >= 0, got 0.5"),
+    ], ids=["k-bool", "k-float", "k-zero", "m-float", "r-string", "r-zero",
+            "seed-negative", "seed-float"])
+    def test_a_count_or_seed_that_is_no_integer_in_range_is_rejected(self, change, message):
+        # a bool k used to fail inside numpy, a float k or m with an
+        # IndexError or a TypeError
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RcurConfig(**{"k": 2, "m": 4, "r": 3, **change})
 
     def test_k_at_or_above_rank_rejected(self):
         rng = np.random.default_rng(8)

@@ -629,6 +629,12 @@ class TestRunCurve:
         # 8 grid cells plus the single cached curve solve
         assert calls["count"] == 9
 
+    def test_an_empty_alfs_grid_is_rejected(self):
+        # None means no grid; an empty one used to fail later, in run_curve
+        with pytest.raises(ValueError, match="alfs_grid must not be empty"):
+            BenchSpec(method="alfs", sample_budgets=(3,), alfs_grid=())
+        BenchSpec(method="alfs", sample_budgets=(3,), alfs_grid=None)
+
     def test_invalid_method_for_axis(self):
         with pytest.raises(ValueError, match="not valid"):
             BenchSpec(method="variance+random", sample_budgets=(3,), repeats=1)

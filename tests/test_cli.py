@@ -90,6 +90,12 @@ class TestConfigDefaults:
     # a string of methods used to be iterated by character
     ("bench", {"bench": {"methods": "random"}}, "bench section"),
     ("bench", {"bench": {"methods": []}}, "bench section"),
+    # only null means no grid; a falsy value used to run the curve without one
+    ("bench", {"bench": {"alfs_grid": 0}}, "bench section"),
+    ("bench", {"bench": {"alfs_grid": False}}, "bench section"),
+    ("bench", {"bench": {"alfs_grid": ""}}, "bench section"),
+    ("bench", {"bench": {"alfs_grid": {}}}, "bench section"),
+    ("bench", {"bench": {"alfs_grid": []}}, "bench section"),
 ], ids=[
     "bench-repeats", "bench-rcur_rank", "bench-alfs_grid", "bench-max_outer_iters",
     "solve-max_outer_iters", "solve-tau", "solve-selection_m", "solve-selection_r",
@@ -98,6 +104,8 @@ class TestConfigDefaults:
     "solve-standardize-string", "solve-has_header-string", "bench-has_header-int",
     "solve-label_column-int", "solve-orientation-int",
     "bench-methods-string", "bench-methods-empty",
+    "bench-alfs_grid-zero", "bench-alfs_grid-false", "bench-alfs_grid-string",
+    "bench-alfs_grid-object", "bench-alfs_grid-empty",
 ])
 def test_mistyped_config_value_exits_2_naming_the_section(
     command, config, section, tiny_csv, tmp_path, capsys
@@ -113,6 +121,50 @@ def test_mistyped_config_value_exits_2_naming_the_section(
     assert not out.exists()
     err = capsys.readouterr().err
     assert f"invalid {section}" in err
+    assert "Traceback" not in err
+
+
+def _not_utf8(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b'{"params": {"alpha": 1.0}}\xff\n')
+    return path
+
+
+@pytest.mark.parametrize("argv, culprit", [
+    (["solve", "--data", "{tiny}", "--out", "{dir}"], "{dir}"),
+    (["select", "--result", "{result}", "--m", "1", "--r", "1", "--out", "{dir}"], "{dir}"),
+    (["bench", "--data", "{tiny}", "--methods", "random", "--budgets", "2",
+      "--out", "{dir}"], "{dir}"),
+    (["solve", "--data", "{dir}", "--out", "{out}"], "{dir}"),
+    (["solve", "--data", "{tiny}", "--config", "{dir}", "--out", "{out}"], "{dir}"),
+    (["select", "--result", "{dir}", "--m", "1", "--r", "1"], "{dir}"),
+    (["solve", "--data", "{tiny}", "--config", "{bad_config}", "--out", "{out}"],
+     "{bad_config}"),
+    (["select", "--result", "{bad_result}", "--m", "1", "--r", "1"], "{bad_result}"),
+], ids=["solve-out-dir", "select-out-dir", "bench-out-dir", "data-dir", "config-dir",
+        "result-dir", "config-not-utf8", "result-not-utf8"])
+def test_a_path_that_is_a_directory_or_not_utf8_exits_2_naming_it(
+    argv, culprit, tiny_csv, tmp_path, capsys
+):
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps({
+        "sample_ranking": [0, 1], "sample_scores": [1.0, 0.5],
+        "feature_ranking": [0], "feature_scores": [1.0],
+    }))
+    paths = {
+        "tiny": tiny_csv, "dir": tmp_path / "a-dir", "result": result,
+        "out": tmp_path / "never.out",
+        "bad_config": _not_utf8(tmp_path, "config.json"),
+        "bad_result": _not_utf8(tmp_path, "result-ff.json"),
+    }
+    paths["dir"].mkdir()
+    argv = [arg.format(**paths) for arg in argv]
+    if argv[0] != "select":
+        argv += ["--label-column", "label"]
+    assert run_cli(*argv) == 2
+    assert not paths["out"].exists()
+    err = capsys.readouterr().err
+    assert culprit.format(**paths) in err
     assert "Traceback" not in err
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -413,7 +414,8 @@ class TestUpdateDualsAndRho:
     def test_multiplier_step(self):
         ds = Dataset(np.array([[1.0]]))
         state = single_entry_state(1.0, w_tilde=1.0, p=0.0, q=1.0, rho=2.0)
-        out = update_duals_and_rho(state, SolverConfig(tau=1.0), 3.0, residuals_of(state, ds))
+        out = update_duals_and_rho(state, SolverConfig(tau=1.0), 3.0, residuals_of(state, ds),
+                                   SolverState.initial(1, 1, SolverConfig()))
         assert out.lambda1[0, 0] == pytest.approx(2.0)  # rho * (WX - Z) = 2*1
         assert out.lambda2[0, 0] == pytest.approx(0.0)
         assert out.lambda3[0, 0] == pytest.approx(3.0)  # sigma * (W - P) = 3*1
@@ -422,21 +424,24 @@ class TestUpdateDualsAndRho:
     def test_rho_growth(self):
         ds = Dataset(np.array([[1.0]]))
         state = SolverState.initial(1, 1, SolverConfig())
-        out = update_duals_and_rho(state, SolverConfig(tau=1.1), 1.0, residuals_of(state, ds))
+        out = update_duals_and_rho(state, SolverConfig(tau=1.1), 1.0, residuals_of(state, ds),
+                                   SolverState.initial(1, 1, SolverConfig()))
         assert out.rho == pytest.approx(1.1e-6, rel=1e-12)
 
     def test_rho_capped(self):
         ds = Dataset(np.array([[1.0]]))
         cfg = SolverConfig(rho_init=1e10, rho_max=1e10)
         state = SolverState.initial(1, 1, cfg)
-        out = update_duals_and_rho(state, cfg, 1.0, residuals_of(state, ds))
+        out = update_duals_and_rho(state, cfg, 1.0, residuals_of(state, ds),
+                                   SolverState.initial(1, 1, cfg))
         assert out.rho == 1e10
 
     def test_fixed_mode_leaves_rho(self):
         ds = Dataset(np.array([[1.0]]))
         cfg = SolverConfig(tau=1.0)
         state = SolverState.initial(1, 1, cfg)
-        out = update_duals_and_rho(state, cfg, 1.0, residuals_of(state, ds))
+        out = update_duals_and_rho(state, cfg, 1.0, residuals_of(state, ds),
+                                   SolverState.initial(1, 1, cfg))
         assert out.rho == cfg.rho_init
 
 
@@ -500,8 +505,10 @@ class TestHSeminorm:
             basis = spectral_basis(ds)
             rho, sigma = start.rho, pq_penalty(basis, start.rho)
             cells = solver_mod._Cells.of([params])
-            end, _, records, _ = solver_mod._sweep(
-                ds, start[None], cells, t, basis, SolverConfig(), np.ones(1))
+            end = SolverState.initial(d, n, SolverConfig(), cells=1)
+            _, records, _ = solver_mod._sweep(
+                ds, start[None], cells, t, basis, SolverConfig(), np.ones(1),
+                end, np.empty((1, n, n)))
 
             basis_map = np.zeros((n * n, n * d))
             for idx in range(n * d):
@@ -878,6 +885,33 @@ class TestStackedSolve:
         assert report.iterations == replay_sweeps(ends, [i in (3, 11) for i in range(17)])
         assert report.iterations <= 232
 
+    def test_every_sweep_writes_into_the_two_states_of_its_stack(self, monkeypatch):
+        # the stack above: its failing first sweep is replayed for each of
+        # the 17 cells alone, into that cell's rows of the stack's spare state
+        initial, sweep = SolverState.initial.__func__, solver_mod._sweep
+        allocated, ends = [], []
+
+        def spy_initial(cls, *args, **kwargs):
+            state = initial(cls, *args, **kwargs)
+            allocated.append(state.z)
+            return state
+
+        def spy_sweep(*args, **kwargs):
+            ends.append(inspect.signature(sweep).bind(*args, **kwargs).arguments.get("end"))
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(SolverState, "initial", classmethod(spy_initial))
+        monkeypatch.setattr(solver_mod, "_sweep", spy_sweep)
+        ds = Dataset(np.random.default_rng(0).normal(size=(5, 6)))
+        cells = grid_cells()[:17]
+        cells[3] = RegularizationParams(alpha=1e308)
+        cells[11] = RegularizationParams(gamma=1e308)
+        _, report = solve(ds, cells)
+        for end in ends:
+            assert end is not None and any(np.shares_memory(end.z, z) for z in allocated)
+        assert len(allocated) == 2 and len(ends) == report.iterations
+        assert sum(end.z.shape[0] == 1 for end in ends) >= 17
+
     def test_the_state_holds_only_its_iterates(self):
         names = [f.name for f in dataclasses.fields(SolverState)]
         assert names == list(solver_mod._ARRAY_FIELDS) + ["rho"]
@@ -930,15 +964,22 @@ def test_a_sweep_reads_its_start_and_writes_only_its_end():
     for f in solver_mod._ARRAY_FIELDS:
         getattr(start, f)[...] = np.random.default_rng(33).normal(size=getattr(start, f).shape)
     before = {f: getattr(start, f).copy() for f in solver_mod._ARRAY_FIELDS}
-    end, wx = solver_mod._buffers(start)
     args = (ds, start, cells, t, spectral_basis(ds), SolverConfig(), np.ones(2))
-    written, _, records, _ = solver_mod._sweep(*args, end=end, wx=wx)
-    fresh, _, fresh_records, _ = solver_mod._sweep(*args)
-    assert written is end and end.z is not start.z and end.lambda1 is not start.lambda1
+    # what the end arrays held before the sweep does not show in what it writes
+    ends, records = [], []
+    for fill in (0.0, np.nan):
+        end = SolverState.initial(3, 5, SolverConfig(), cells=2)
+        for f in solver_mod._ARRAY_FIELDS:
+            getattr(end, f)[...] = fill
+        z, lambda1 = end.z, end.lambda1
+        records.append(solver_mod._sweep(*args, end, np.full((2, 5, 5), fill))[1])
+        # the n x n blocks are written in place
+        assert end.z is z and end.lambda1 is lambda1
+        ends.append(end)
     for f in solver_mod._ARRAY_FIELDS:
         assert np.array_equal(getattr(start, f), before[f])
-        assert np.array_equal(getattr(end, f), getattr(fresh, f))
-    assert records == fresh_records
+        assert np.array_equal(getattr(ends[0], f), getattr(ends[1], f))
+    assert records[0] == records[1]
 
 
 @settings(max_examples=12)
