@@ -12,8 +12,10 @@ import csv
 import itertools
 import math
 import numbers
+import re
 from array import array
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Hashable, Optional, Sequence, TypeVar
@@ -288,6 +290,21 @@ def _label_index(
     return header.index(label_column)
 
 
+@contextmanager
+def _naming_the_bad_line(path: Path):
+    """Turns a decode error of reading ``path`` into a ValueError that names
+    the physical line of the first byte that is not UTF-8, found by reading
+    the file again, with lines counted as ``load_csv`` counts them."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        # surrogateescape decodes each such byte to a lone surrogate
+        with path.open("r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+            line = next(i for i, text in enumerate(fh, 1)
+                        if re.search(r"[\udc80-\udcff]", text))
+        raise ValueError(f"{path} is not UTF-8 at line {line}: {exc.reason}") from None
+
+
 def load_csv(
     path: str | Path,
     has_header: bool = True,
@@ -320,7 +337,8 @@ def load_csv(
     FileNotFoundError
         Missing file.
     ValueError
-        A path that is not a regular file (a directory, say). Then, in
+        A path that is not a regular file (a directory, say); a byte that
+        is not UTF-8, naming its line. Then, in
         this order of precedence: an empty table; the first ragged row;
         a header whose width differs from the data's; an unknown label
         column, or one with rows-are-features; the first non-numeric or
@@ -337,7 +355,7 @@ def load_csv(
     if not path.is_file():
         raise ValueError(f"not a regular file: {path}")
 
-    with path.open("r", encoding="utf-8-sig", newline="") as fh:
+    with _naming_the_bad_line(path), path.open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         rows = filter(None, reader)  # a blank line reads as []
         header = next(rows, None) if has_header else None

@@ -831,6 +831,17 @@ class TestGridSearch:
         expected = (GOLDEN / "tiny-failing-grid.json").read_bytes()
         assert failing_grid_document().encode("utf-8") == expected
 
+    def test_a_solve_that_raises_fails_every_cell_alike(self):
+        # an all-zero sample has no angle: solve raises before any sweep
+        x = random_dataset(34, d=3, n=5).matrix.copy()
+        x[:, 2] = 0.0
+        with pytest.raises(bench_mod.GridSearchError) as info:
+            grid_search(Dataset(x), GridProtocol(m=2, r=2), grid=(0.1, 10.0),
+                        solver_cfg=FAST_SOLVER)
+        assert str(info.value) == "all 8 grid combinations failed"
+        assert [reason for _, reason in info.value.failures] == [
+            "ValueError: angular weights undefined: zero column(s) at [2]"] * 8
+
     def test_all_failures_raise_with_diagnostics(self):
         train = random_dataset(34, d=3, n=5)
 

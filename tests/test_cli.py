@@ -141,8 +141,9 @@ def _not_utf8(tmp_path, name):
     (["solve", "--data", "{tiny}", "--config", "{bad_config}", "--out", "{out}"],
      "{bad_config}"),
     (["select", "--result", "{bad_result}", "--m", "1", "--r", "1"], "{bad_result}"),
+    (["solve", "--data", "{bad_csv}", "--out", "{out}"], "{bad_csv}"),
 ], ids=["solve-out-dir", "select-out-dir", "bench-out-dir", "data-dir", "config-dir",
-        "result-dir", "config-not-utf8", "result-not-utf8"])
+        "result-dir", "config-not-utf8", "result-not-utf8", "data-not-utf8"])
 def test_a_path_that_is_a_directory_or_not_utf8_exits_2_naming_it(
     argv, culprit, tiny_csv, tmp_path, capsys
 ):
@@ -156,6 +157,7 @@ def test_a_path_that_is_a_directory_or_not_utf8_exits_2_naming_it(
         "out": tmp_path / "never.out",
         "bad_config": _not_utf8(tmp_path, "config.json"),
         "bad_result": _not_utf8(tmp_path, "result-ff.json"),
+        "bad_csv": _not_utf8(tmp_path, "ff.csv"),
     }
     paths["dir"].mkdir()
     argv = [arg.format(**paths) for arg in argv]
@@ -743,6 +745,13 @@ class TestBenchCommand:
         assert code == 2
         assert not out.exists()
         assert "bench needs methods" in capsys.readouterr().err
+
+    def test_no_sample_budgets_exit_2(self, cluster_csv, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert run_cli("bench", "--data", str(cluster_csv), "--label-column", "label",
+                       "--methods", "random", "--out", str(out)) == 2
+        assert not out.exists()
+        assert "bench needs sample budgets" in capsys.readouterr().err
 
     def test_bad_budget_spec_exits_2(self, cluster_csv, tmp_path):
         code = run_cli(

@@ -148,6 +148,13 @@ class TestLoadCsv:
         back = load_csv(p)
         assert np.array_equal(back.matrix, ds.matrix)
 
+    def test_round_trip_rows_are_features_bit_for_bit(self, tmp_path):
+        ds = random_dataset(10, d=5, n=7)
+        p = tmp_path / "rt.csv"
+        write_csv(ds, p, orientation=ROWS_ARE_FEATURES)
+        back = load_csv(p, orientation=ROWS_ARE_FEATURES)
+        assert back.matrix.tobytes() == ds.matrix.tobytes()
+
     def test_round_trip_with_labels(self, tmp_path):
         ds = Dataset(np.array([[0.1, 2.5], [1.0, -3.25]]), labels=("u", "v"))
         p = tmp_path / "rt.csv"
@@ -194,6 +201,18 @@ class TestLoadCsv:
     def test_errors_name_the_physical_line(self, tmp_path, text, message):
         p = write(tmp_path, text)
         with pytest.raises(ValueError, match=re.escape(message)):
+            load_csv(p)
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"a,b\n1,2\n3,\xff\n", "is not UTF-8 at line 3: invalid start byte"),
+        (b"a,b\r1,2\r\r3,x\r5,\xe2\x82\r", "is not UTF-8 at line 5: invalid continuation byte"),
+        (b'\xef\xbb\xbfa,b\n"1\n",2\n3,4\n5,\xc3',
+         "is not UTF-8 at line 5: unexpected end of data"),
+    ], ids=["newlines", "returns-and-a-bad-cell-before", "bom-quoted-newline-truncated"])
+    def test_a_byte_not_utf8_names_its_physical_line(self, tmp_path, raw, message):
+        p = tmp_path / "ff.csv"
+        p.write_bytes(raw)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p} {message}')}$"):
             load_csv(p)
 
     @pytest.mark.parametrize("text, kwargs, message", [

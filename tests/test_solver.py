@@ -38,7 +38,7 @@ from alfs.solver import (
     update_z,
 )
 
-from lbfgs_oracle import LbfgsConfig, minimize
+from certificate import dual_value, final_states
 from conftest import (
     augmented_lagrangian,
     make_planted_anchors,
@@ -648,53 +648,35 @@ class TestSolve:
         assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
-def smoothed_objective(ds, params, t, eps):
-    """The objective with all four nonsmooth terms smoothed: every norm |v|
-    becomes sqrt(|v|^2 + eps^2), and every singular value s becomes
-    sqrt(s^2 + eps^2). Returns its value and gradient as functions of the
-    flattened W."""
-    x = ds.matrix
-    d, n = x.shape
-
-    def parts(v):
-        w = v.reshape(n, d)
-        resid = x @ w @ x - x
-        rows = np.sqrt((w**2).sum(axis=1, keepdims=True) + eps**2)
-        cols = np.sqrt((w**2).sum(axis=0, keepdims=True) + eps**2)
-        lam, vecs = np.linalg.eigh(w.T @ w)  # squared singular values
-        sing = np.sqrt(np.maximum(lam, 0.0) + eps**2)
-        wx = w @ x
-        local = np.sqrt(wx**2 + eps**2)
-        value = (float((resid**2).sum()) + params.alpha * float(rows.sum())
-                 + params.beta * float(cols.sum()) + params.gamma * float(sing.sum())
-                 + params.eta * float((t.t * local).sum()))
-        grad = (2.0 * x.T @ resid @ x.T + params.alpha * w / rows + params.beta * w / cols
-                + params.gamma * w @ (vecs / sing) @ vecs.T
-                + params.eta * (t.t * wx / local) @ x.T)
-        return value, grad.ravel()
-
-    return (lambda v: parts(v)[0]), (lambda v: parts(v)[1])
-
-
 @pytest.mark.parametrize("d, n", [(3, 4), (4, 6)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_default_solve_matches_the_smoothed_lbfgs_oracle(seed, d, n):
-    # oracle: L-BFGS on the whole objective with all four nonsmooth terms
-    # smoothed, from zero and from the solve's W; the better of the two,
-    # measured by the exact objective, must be within 1% of the solve's
+def test_the_default_solve_stops_within_1pct_of_a_certified_optimum(seed, d, n):
+    # a fixed penalty that never stops early closes the duality gap, and its
+    # D <= P* <= the default solve's objective, which must be within 1% of D
     ds = Dataset(np.random.default_rng(seed).normal(size=(d, n)))
-    params = RegularizationParams()
+    params, t = RegularizationParams(), angular_weights(ds)
+    cfg = SolverConfig(rho_init=30.0, tau=1.0, epsilon=1e-300, max_outer_iters=2000)
+    (run,) = final_states(ds, [params], cfg)
+    p, state = run[-1]
+    lower = dual_value(ds, state, params, t)
+    assert len(run) == 2000 and -4.0 * np.finfo(float).eps <= (p - lower) / p <= 1e-12
+    ours = objective(ds, solve(ds)[0], params, t)
+    assert lower <= ours <= 1.01 * lower
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6), n=st.integers(2, 8),
+       weights=st.lists(st.tuples(*[st.floats(-2.0, 3.0).map(lambda e: 10.0**e)] * 4),
+                        min_size=1, max_size=3),
+       tau=st.sampled_from([1.0, 1.1, 1.5]), rho=st.sampled_from([1e-6, 1.0, 30.0]))
+def test_weak_duality_holds_at_every_sweep(seed, d, n, weights, tau, rho):
+    ds = Dataset(np.random.default_rng(seed).normal(size=(d, n)))
     t = angular_weights(ds)
-    w, _ = solve(ds)
-    ours = objective(ds, w, params, t)
-    f, grad = smoothed_objective(ds, params, t, eps=1e-7)
-    oracle = min(
-        objective(ds, minimize(f, grad, start.ravel(),
-                               LbfgsConfig(grad_tol=1e-9, max_iters=5000))[0].reshape(n, d),
-                  params, t)
-        for start in (np.zeros((n, d)), w)
-    )
-    assert abs(ours - oracle) <= 1e-2 * oracle
+    cells = [RegularizationParams(alpha=a, beta=b, gamma=g, eta=e) for a, b, g, e in weights]
+    runs = final_states(ds, cells, SolverConfig(rho_init=rho, tau=tau, max_outer_iters=300))
+    for params, run in zip(cells, runs):
+        for p, state in run:
+            assert dual_value(ds, state, params, t) <= p * (1.0 + 4.0 * np.finfo(float).eps)
 
 
 class TestBlockDescent:
@@ -915,6 +897,12 @@ class TestStackedSolve:
     def test_the_state_holds_only_its_iterates(self):
         names = [f.name for f in dataclasses.fields(SolverState)]
         assert names == list(solver_mod._ARRAY_FIELDS) + ["rho"]
+
+    def test_a_stack_with_no_cell_converged_stopped_at_max_iters(self):
+        ds = random_dataset(29, d=3, n=4)
+        _, report = solve(ds, grid_cells()[:3], SolverConfig(max_outer_iters=2))
+        assert [cell.stop_reason for cell in report.cells] == ["max_iters"] * 3
+        assert report.stop_reason == "max_iters"
 
     def test_cells_must_share_varsigma(self):
         ds = random_dataset(29, d=3, n=4)
