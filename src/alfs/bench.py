@@ -266,7 +266,8 @@ class _MethodRunner:
 
     def _alfs_w(self, ds: Dataset, features: Optional[tuple[int, ...]]) -> np.ndarray:
         if features not in self._alfs_cache:
-            self._alfs_cache[features], _ = solve(ds, self.params, self.spec.solver)
+            self._alfs_cache[features], _ = solve(ds, self.params, self.spec.solver,
+                                                   records=False)
         return self._alfs_cache[features]
 
     def select(
@@ -503,7 +504,7 @@ def grid_search(
     cells = [replace(base_params, alpha=alpha, beta=beta, eta=eta)
              for alpha in grid for beta in grid for eta in grid]
     try:
-        ws, report = solve(unlabeled, cells, solver_cfg)
+        ws, report = solve(unlabeled, cells, solver_cfg, records=False)
         solved = zip(ws, report.cells)
     except Exception as exc:  # nothing could be solved: every cell fails alike
         solved = [(None, exc)] * len(cells)

@@ -380,10 +380,15 @@ def load_csv(
         n_rows = 0
         for row in itertools.chain([first], rows):
             if len(row) != width:
-                raise ValueError(
+                ragged = ValueError(
                     f"ragged row at line {reader.line_num}: "
                     f"{len(row)} cells, expected {width}"
                 )
+                # a byte that is not UTF-8 anywhere in the file takes
+                # precedence, wherever the read buffer ends: decode the rest
+                for _ in fh:
+                    pass
+                raise ragged
             if error is not None:
                 continue
             cells = row

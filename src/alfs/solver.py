@@ -186,18 +186,16 @@ class IterationRecord:
 
 @dataclass
 class ConvergenceReport:
-    """Per-iteration records plus why the loop stopped."""
+    """Per-iteration records (none for ``records=False``), the number of
+    sweeps, and why the loop stopped."""
 
     records: list[IterationRecord] = field(default_factory=list)
     stop_reason: str = "max_iters"
+    iterations: int = 0
 
     @property
     def converged(self) -> bool:
         return self.stop_reason == "converged"
-
-    @property
-    def iterations(self) -> int:
-        return len(self.records)
 
 
 @dataclass
@@ -237,21 +235,25 @@ class ConvergenceDecision:
 
 @dataclass(frozen=True)
 class _Cells:
-    """The cells of a stack: their positions in the stack and their
-    weights, one entry per cell. Stands in for
-    :class:`RegularizationParams` in the steps of a stacked sweep."""
+    """The cells of a stack: their positions in the stack, their weights,
+    and the ``max|W|`` below which each one's objective is sure to be
+    finite (NaN while unknown; see :func:`_objective_limits`), one entry
+    per cell. Stands in for :class:`RegularizationParams` in the steps of a
+    stacked sweep."""
 
     index: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
     eta: np.ndarray
+    w_limit: np.ndarray
 
     @classmethod
     def of(cls, cells: Sequence[RegularizationParams]) -> "_Cells":
         weights = {name: np.array([getattr(c, name) for c in cells], dtype=float)
                    for name in ("alpha", "beta", "gamma", "eta")}
-        return cls(index=np.arange(len(cells)), **weights)
+        return cls(index=np.arange(len(cells)), w_limit=np.full(len(cells), np.nan),
+                   **weights)
 
     def __getitem__(self, index) -> "_Cells":
         return _Cells(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
@@ -469,6 +471,23 @@ def _max_abs(m: np.ndarray):
     return np.abs(m).max(axis=(-2, -1))
 
 
+def _residual_maxima(residuals: tuple[np.ndarray, ...]):
+    """The max norms of ``W X - Z``, ``W - W~`` and the larger of ``W - P``
+    and ``W - Q``: the residual part of :func:`check_convergence`."""
+    r1, r2, r3, r4 = residuals
+    return _max_abs(r1), _max_abs(r2), np.maximum(_max_abs(r3), _max_abs(r4))
+
+
+def _rel_change(prev_objective, curr_objective) -> np.ndarray:
+    """The objective part of :func:`check_convergence`: the relative change,
+    NaN where it is undefined."""
+    prev = np.asarray(prev_objective, dtype=float)
+    curr = np.asarray(curr_objective, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs((curr - prev) / prev)
+    return np.where(prev == 0.0, np.where(curr == 0.0, 0.0, np.nan), rel)
+
+
 def check_convergence(
     residuals: tuple[np.ndarray, ...],
     prev_objective: np.ndarray,
@@ -484,15 +503,8 @@ def check_convergence(
     the ratio is undefined. The objectives hold one value per cell, and so
     does every field of the decision.
     """
-    r1, r2, r3, r4 = residuals
-    res1 = _max_abs(r1)
-    res2 = _max_abs(r2)
-    res3 = np.maximum(_max_abs(r3), _max_abs(r4))
-    prev = np.asarray(prev_objective, dtype=float)
-    curr = np.asarray(curr_objective, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.abs((curr - prev) / prev)
-    rel = np.where(prev == 0.0, np.where(curr == 0.0, 0.0, np.nan), rel)
+    res1, res2, res3 = _residual_maxima(residuals)
+    rel = _rel_change(prev_objective, curr_objective)
     # an undefined change (NaN) is never below epsilon
     converged = (np.maximum(np.maximum(res1, res2), res3) < epsilon) & (rel < epsilon)
     return ConvergenceDecision(converged, res1, res2, res3, rel)
@@ -558,6 +570,57 @@ def _cells_per_stack(d: int, n: int) -> int:
     return max(1, STACK_BYTES // _cell_bytes(d, n))
 
 
+# A cell whose ||W||_F keeps the bound of _objective_limits below this has
+# a finite objective: 24 binary orders below overflow, far more than the
+# rounding of the objective's terms can add.
+_OBJECTIVE_BOUND = 2.0**1000
+
+
+def _fro(m: np.ndarray):
+    """Frobenius norm of a finite matrix, its squares taken at a power-of-two
+    scale, so that they neither overflow nor underflow."""
+    _, exp = np.frexp(np.abs(m).max())
+    return np.ldexp(np.linalg.norm(np.ldexp(m, -exp)), exp)
+
+
+def _objective_limits(ds: Dataset, t: AngularWeights, cells: _Cells) -> np.ndarray:
+    """Each cell's ``max|W|`` below which its objective is sure to be finite.
+
+    With F = ||W||_F <= sqrt(n d) max|W|, the objective is at most
+    ``(||X||_F^2 F + ||X||_F)^2 + c F``, where ``c = alpha sqrt(n) + beta
+    sqrt(d) + gamma sqrt(min(n, d)) + eta ||T||_F ||X||_F`` bounds the
+    penalties. The limit keeps each of the two parts below half of
+    :data:`_OBJECTIVE_BOUND`. A limit whose arithmetic overflows comes out
+    0, negative or NaN, and no ``max|W|`` is below it.
+    """
+    d, n = ds.matrix.shape
+    half = np.float64(_OBJECTIVE_BOUND / 2.0)
+    with np.errstate(all="ignore"):
+        x, tf = _fro(ds.matrix), _fro(t.t)
+        c = (cells.alpha * math.sqrt(n) + cells.beta * math.sqrt(d)
+             + cells.gamma * math.sqrt(min(n, d)) + cells.eta * tf * x)
+        return np.minimum((np.sqrt(half) - x) / (x * x), half / c) / math.sqrt(n * d)
+
+
+def _objective_where(
+    ds: Dataset,
+    w: np.ndarray,
+    cells: _Cells,
+    t: AngularWeights,
+    where: np.ndarray,
+    wx: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The :func:`objective` of a stack's cells ``where`` (a mask), NaN for
+    the others; ``wx`` is W X if already formed."""
+    if where.all():
+        return objective(ds, w, cells, t, wx=wx)
+    value = np.full(where.size, np.nan)
+    if where.any():
+        value[where] = objective(ds, w[where], cells[where], t,
+                                 wx=None if wx is None else wx[where])
+    return value
+
+
 def _sweep(
     ds: Dataset,
     start: SolverState,
@@ -568,6 +631,7 @@ def _sweep(
     prev_objective: np.ndarray,
     end: SolverState,
     wx: np.ndarray,
+    records: bool = True,
 ) -> tuple[np.ndarray, list[IterationRecord], np.ndarray]:
     """One sweep of a stack from ``start``: the W step, then the Z, W~, P
     and Q proxes, then the multipliers and rho, then the stopping test.
@@ -586,6 +650,14 @@ def _sweep(
     seminorm step comes from the residuals the dual step used. Raises
     ValueError if a value of any cell goes non-finite (or an SVD fails),
     with the text of the first failing step in the order above.
+
+    With ``records`` false there are no records, and the objective is NaN
+    for the cells whose verdict and failure do not depend on it: those
+    whose residuals fail the stopping test and whose ``max|W|`` is below
+    their ``cells.w_limit``. Where the residuals pass, the objective is
+    formed after the dual step (W X again, as the residual overwrote it),
+    and so is the start's if ``prev_objective`` is NaN there. The verdicts
+    and errors are those of the sweep with records.
     """
     sigma = pq_penalty(basis, start.rho)
     w = solve_w_subproblem(ds, start, basis, sigma)
@@ -599,7 +671,11 @@ def _sweep(
     # the objective reads W X before the residual overwrites it; its error
     # is raised after the dual step's, as that step comes first
     try:
-        curr, failure = objective(ds, w, cells, t, wx=wx), None
+        if records:
+            curr, failure = objective(ds, w, cells, t, wx=wx), None
+        else:
+            exact = ~(_max_abs(w) < cells.w_limit)
+            curr, failure = _objective_where(ds, w, cells, t, exact, wx=wx), None
     except ValueError as exc:
         curr, failure = None, exc
     residuals = primal_residuals(end, wx, out=wx)
@@ -608,14 +684,24 @@ def _sweep(
         raise ValueError("non-finite iterate")
     if failure is not None:
         raise failure
+    if not records:
+        res1, res2, res3 = _residual_maxima(residuals)
+        passing = np.maximum(np.maximum(res1, res2), res3) < cfg.epsilon
+        if not passing.any():
+            return curr, [], passing
+        todo = passing & np.isnan(curr)
+        curr = np.where(todo, _objective_where(ds, w, cells, t, todo), curr)
+        todo = passing & np.isnan(prev_objective)
+        prev = np.where(todo, _objective_where(ds, start.w, cells, t, todo), prev_objective)
+        return curr, [], passing & (_rel_change(prev, curr) < cfg.epsilon)
     decision = check_convergence(residuals, prev_objective, curr, cfg.epsilon)
     h2 = h_seminorm_sq(start, end, residuals, basis, sigma)
     rows = zip(curr.tolist(), decision.residual_wx_z.tolist(),
                decision.residual_w_wtilde.tolist(), decision.residual_w_pq.tolist(),
                decision.rel_change.tolist(), h2.tolist())
-    records = [IterationRecord(value, r1, r2, r3, None if math.isnan(change) else change, step)
-               for value, r1, r2, r3, change, step in rows]
-    return curr, records, decision.converged
+    kept = [IterationRecord(value, r1, r2, r3, None if math.isnan(change) else change, step)
+            for value, r1, r2, r3, change, step in rows]
+    return curr, kept, decision.converged
 
 
 def _keep(state: SolverState, keep: np.ndarray) -> SolverState:
@@ -632,8 +718,10 @@ def _keep(state: SolverState, keep: np.ndarray) -> SolverState:
 
 def _solve_stack(
     ds: Dataset, cells: _Cells, t: AngularWeights, basis: SpectralBasis, cfg: SolverConfig,
+    records: bool = True,
 ) -> tuple[list[Optional[np.ndarray]], list, int]:
-    """The ADMM loop on one stack of cells from the all-zero start.
+    """The ADMM loop on one stack of cells from the all-zero start, with
+    per-sweep records if ``records``.
 
     Returns the cells' final Ws and reports, None and the
     :class:`SolverAbortError` for a failed cell, and the number of
@@ -653,6 +741,8 @@ def _solve_stack(
         prev = objective(ds, state.w, cells, t)
     except ValueError as exc:
         return ws, [SolverAbortError(f"{exc} before outer iteration 1") for _ in ws], 0
+    if not records:
+        cells = replace(cells, w_limit=_objective_limits(ds, t, cells))
     spare = SolverState.initial(*ds.matrix.shape, cfg, cells=len(ws))
     wx = np.empty_like(state.z)
     outcomes: list = [ConvergenceReport() for _ in ws]
@@ -662,7 +752,8 @@ def _solve_stack(
     while going.index.size:
         sweeps += 1
         try:
-            curr, records, converged = _sweep(ds, state, going, t, basis, cfg, prev, spare, wx)
+            curr, rows, converged = _sweep(ds, state, going, t, basis, cfg, prev, spare, wx,
+                                           records)
         except ValueError:
             # the kernels and the objective raise ValueError only for
             # non-finite values, and numpy for a failed SVD
@@ -672,7 +763,7 @@ def _solve_stack(
                 one = slice(i, i + 1)
                 try:
                     _sweep(ds, state[one], going[one], t, basis, cfg, prev[one],
-                           spare[one], wx[one])
+                           spare[one], wx[one], records)
                 except ValueError as exc:
                     outcomes[cell] = SolverAbortError(f"{exc} at outer iteration {k}")
                     keep[i] = False
@@ -682,7 +773,9 @@ def _solve_stack(
             state, spare = spare, state
             keep = ~(converged | (k == cfg.max_outer_iters))
             for i, cell in enumerate(going.index):
-                outcomes[cell].records.append(records[i])
+                outcomes[cell].iterations += 1
+                if records:
+                    outcomes[cell].records.append(rows[i])
                 if converged[i]:
                     outcomes[cell].stop_reason = "converged"
                 if not keep[i]:
@@ -700,6 +793,8 @@ def solve(
     ds: Dataset,
     params: Union[RegularizationParams, Sequence[RegularizationParams]] = RegularizationParams(),
     cfg: SolverConfig = SolverConfig(),
+    *,
+    records: bool = True,
 ):
     """Run the full ADMM loop from the all-zero start.
 
@@ -714,6 +809,11 @@ def solve(
     :data:`STACK_BYTES` each, in the given order, and returns the list of
     final Ws (None for a failed cell) and a :class:`StackReport`. Each
     cell's W and report are bit for bit those of its own serial solve.
+
+    ``records=False`` leaves the reports' ``records`` empty and forms the
+    exact objective only where the stopping test can pass or the objective
+    might not be finite; the Ws, stop reasons, sweep counts and abort texts
+    stay those of the solve with records.
 
     Raises
     ------
@@ -745,7 +845,8 @@ def solve(
         basis = spectral_basis(ds)
         for lo in range(0, len(cells), size):
             stack = _Cells.of(cells[lo:lo + size])
-            stack_ws, stack_outcomes, stack_sweeps = _solve_stack(ds, stack, t, basis, cfg)
+            stack_ws, stack_outcomes, stack_sweeps = _solve_stack(
+                ds, stack, t, basis, cfg, records)
             ws += stack_ws
             outcomes += stack_outcomes
             sweeps += stack_sweeps

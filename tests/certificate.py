@@ -16,8 +16,8 @@ def final_states(ds, cells, cfg):
     ``solve(ds, cells, cfg)``. The cells must fit one stack."""
     sweep, runs = solver_mod._sweep, [[] for _ in cells]
 
-    def kept(ds, start, going, t, basis, cfg, prev, end, wx):
-        result = sweep(ds, start, going, t, basis, cfg, prev, end, wx)
+    def kept(ds, start, going, t, basis, cfg, prev, end, wx, records):
+        result = sweep(ds, start, going, t, basis, cfg, prev, end, wx, records)
         for i, cell in enumerate(going.index):
             runs[cell].append((float(result[0][i]), copy.deepcopy(end[i])))
         return result

@@ -30,6 +30,7 @@ from alfs import (
     write_curves_csv,
 )
 from alfs.bench import GRID_DEFAULT
+from alfs.cli import main
 
 from conftest import TINY_CSV, make_clusters, random_dataset
 
@@ -537,9 +538,9 @@ class TestRunCurve:
 
         original_solve = bench_mod.solve
 
-        def spying_solve(ds, params, cfg):
+        def spying_solve(ds, params, cfg, *, records):
             seen.append(ds.labels)
-            return original_solve(ds, params, cfg)
+            return original_solve(ds, params, cfg, records=records)
 
         original_rcur = bench_mod._rcur_indices
 
@@ -609,11 +610,11 @@ class TestRunCurve:
         calls = {"count": 0}
         original = bench_mod.solve
 
-        def counting_solve(ds, params, cfg):
+        def counting_solve(ds, params, cfg, *, records):
             # one call solves a whole grid: count the cells it solves
             single = isinstance(params, RegularizationParams)
             calls["count"] += 1 if single else len(params)
-            return original(ds, params, cfg)
+            return original(ds, params, cfg, records=records)
 
         monkeypatch.setattr(bench_mod, "solve", counting_solve)
         spec = BenchSpec(
@@ -684,6 +685,20 @@ class TestWriteCurvesCsv:
         out = tmp_path / "curves.csv"
         write_curves_csv(curves, out)
         assert out.read_bytes() == (GOLDEN / "bench-curves.csv").read_bytes()
+
+    @pytest.mark.parametrize("config, golden", [
+        ({}, "tiny-alfs-curves.csv"),
+        ({"bench": {"alfs_grid": [0.1, 10]}}, "tiny-alfs-grid-curves.csv"),
+    ], ids=["default-weights", "grid"])
+    def test_the_bundled_alfs_curves_are_the_recorded_ones(self, tmp_path, config, golden):
+        # the bytes CI's bench step compares
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "curves.csv"
+        assert main(["bench", "--data", str(TINY_CSV), "--label-column", "label",
+                     "--methods", "alfs,random,rcur", "--budgets", "2:4:1", "--repeats", "2",
+                     "--config", str(path), "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 class TestGridSearch:

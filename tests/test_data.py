@@ -208,7 +208,12 @@ class TestLoadCsv:
         (b"a,b\r1,2\r\r3,x\r5,\xe2\x82\r", "is not UTF-8 at line 5: invalid continuation byte"),
         (b'\xef\xbb\xbfa,b\n"1\n",2\n3,4\n5,\xc3',
          "is not UTF-8 at line 5: unexpected end of data"),
-    ], ids=["newlines", "returns-and-a-bad-cell-before", "bom-quoted-newline-truncated"])
+        # over a ragged row, however far past the read buffer the byte lies
+        (b"a,b\n1,2\n3\n4,5\n6,\xff\n", "is not UTF-8 at line 5: invalid start byte"),
+        (b"a,b\n1,2\n3\n" + b"4,5\n" * 3000 + b"6,\xff\n",
+         "is not UTF-8 at line 3004: invalid start byte"),
+    ], ids=["newlines", "returns-and-a-bad-cell-before", "bom-quoted-newline-truncated",
+            "over-a-ragged-row", "over-a-ragged-row-past-the-read-buffer"])
     def test_a_byte_not_utf8_names_its_physical_line(self, tmp_path, raw, message):
         p = tmp_path / "ff.csv"
         p.write_bytes(raw)
@@ -219,6 +224,7 @@ class TestLoadCsv:
         ("\n\n", {}, "is empty"),
         ("a,b\n\n", {"label_column": "zz"}, "has a header but no data rows"),
         ("a,b\n1,x\n3\n", {}, "ragged row at line 3: 1 cells, expected 2"),
+        ("a,b\n1,2\n3\n" + "4,5\n" * 3000, {}, "ragged row at line 3: 1 cells, expected 2"),
         ("a,b,c\n1,2\n3\n", {}, "ragged row at line 3: 1 cells, expected 2"),
         ("a,b\n1,2\n3\n", {"label_column": "zz"}, "ragged row at line 3"),
         ("a,b\n1,2\n3\n", {"label_column": "a", "orientation": ROWS_ARE_FEATURES},
@@ -229,7 +235,8 @@ class TestLoadCsv:
         ("a,b\nx,2\n3,4\n", {"label_column": "zz"}, "label column 'zz' not found"),
         ("a,b\nx,2\n3,4\n", {"label_column": "a", "orientation": ROWS_ARE_FEATURES},
          "label_column is only supported with rows-are-samples orientation"),
-    ], ids=["empty", "header-only", "ragged-after-bad-cell", "ragged-over-header",
+    ], ids=["empty", "header-only", "ragged-after-bad-cell", "ragged-before-a-long-tail",
+            "ragged-over-header",
             "ragged-over-unknown-label", "ragged-over-label-orientation",
             "header-over-unknown-label", "header-over-bad-cell",
             "unknown-label-over-bad-cell", "label-orientation-over-bad-cell"])

@@ -912,6 +912,90 @@ class TestStackedSolve:
             solve(ds, [])
 
 
+def outcomes(ws, report):
+    """Per cell, W's bytes or None and the stop reason and sweep count or
+    the abort text; then the stack's sweeps."""
+    cells = [(None if w is None else w.tobytes(),
+              str(cell) if isinstance(cell, SolverAbortError)
+              else (cell.stop_reason, cell.iterations))
+             for w, cell in zip(ws, report.cells)]
+    return cells, report.iterations
+
+
+# weights both ordinary and near overflow, whose objective may not be finite
+WEIGHT = st.one_of(st.floats(-2.0, 3.0), st.floats(300.0, 308.0)).map(lambda e: 10.0**e)
+
+
+class TestRecordsOff:
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6), n=st.integers(2, 8),
+           scale=st.sampled_from([1.0, 1e60, 1e110, 1e155]),
+           weights=st.lists(st.tuples(*[WEIGHT] * 4), min_size=1, max_size=4),
+           tau=st.sampled_from([1.1, 1.5]))
+    def test_a_solve_without_records_is_the_solve_with_them(
+            self, seed, d, n, scale, weights, tau):
+        ds = Dataset(np.random.default_rng(seed).normal(size=(d, n)) * scale)
+        cells = [RegularizationParams(alpha=a, beta=b, gamma=g, eta=e) for a, b, g, e in weights]
+        cfg = SolverConfig(tau=tau, max_outer_iters=300)
+        ws, full = solve(ds, cells, cfg)
+        bare_ws, bare = solve(ds, cells, cfg, records=False)
+        assert outcomes(bare_ws, bare) == outcomes(ws, full)
+        for with_records, without in zip(full.cells, bare.cells):
+            if not isinstance(without, SolverAbortError):
+                assert len(with_records.records) == with_records.iterations
+                assert without.records == []
+
+    @pytest.mark.parametrize("at", [0.25, 0.5, 0.75])
+    def test_the_objective_is_exact_where_max_w_reaches_the_limit(self, monkeypatch, at):
+        # a limit equal to one sweep's max|W|, a quantile of them all: that
+        # sweep and those above it form the objective before the residual
+        # (with W X given), the others do not, and the solve is unchanged
+        ds = random_dataset(35, d=4, n=5)
+        cells, cfg = [RegularizationParams()], SolverConfig(tau=1.5)
+        sweep, peaks = solver_mod._sweep, []
+
+        def peaked(*args):
+            result = sweep(*args)
+            peaks.append(float(np.abs(args[7].w).max()))  # the end state's W
+            return result
+
+        monkeypatch.setattr(solver_mod, "_sweep", peaked)
+        ws, full = solve(ds, cells, cfg)
+        monkeypatch.setattr(solver_mod, "_sweep", sweep)
+        limit = sorted(peaks)[int(at * len(peaks))]
+        formed, exact = [], solver_mod.objective
+
+        def spied(ds, w, params, t, wx=None):
+            if wx is not None:
+                formed.append(float(np.abs(w).max()))
+            return exact(ds, w, params, t, wx=wx)
+
+        monkeypatch.setattr(solver_mod, "objective", spied)
+        monkeypatch.setattr(solver_mod, "_objective_limits", lambda ds, t, cells: np.array([limit]))
+        bare_ws, bare = solve(ds, cells, cfg, records=False)
+        assert outcomes(bare_ws, bare) == outcomes(ws, full)
+        assert formed == [peak for peak in peaks if peak >= limit]
+        assert 0 < len(formed) < len(peaks)
+
+    @pytest.mark.parametrize("scale, weight", [
+        (1.0, 1e-2), (1.0, 1e3), (1.0, 1e300), (1e60, 1e-2), (1e60, 1e3), (1e110, 1e3)])
+    def test_below_the_limit_the_objective_is_finite(self, scale, weight):
+        # every entry at the limit is the largest ||W||_F that max|W| allows
+        ds = Dataset(np.random.default_rng(36).normal(size=(4, 6)) * scale)
+        t = angular_weights(ds)
+        params = RegularizationParams(alpha=weight, beta=weight, gamma=weight, eta=weight)
+        (limit,) = solver_mod._objective_limits(ds, t, solver_mod._Cells.of([params]))
+        assert limit > 0
+        w = np.full((6, 4), limit)
+        assert objective(ds, w, params, t) < 2.0**1000
+
+    def test_a_bound_that_overflows_leaves_no_max_w_below_the_limit(self):
+        # eta ||T||_F ||X||_F overflows: every sweep forms the objective
+        ds = Dataset(np.random.default_rng(36).normal(size=(4, 6)) * 1e60)
+        cells = solver_mod._Cells.of([RegularizationParams(eta=1e300)])
+        assert not solver_mod._objective_limits(ds, angular_weights(ds), cells)[0] > 0.0
+
+
 def traced_peak(run) -> int:
     tracemalloc.start()
     try:
