@@ -44,6 +44,14 @@ def _require_integer(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _require_real(name: str, value) -> None:
+    """Reject anything but a real number; a bool is rejected too."""
+    # a float (np.float64 is one) passes without the slower ABC check
+    if not isinstance(value, float) and (isinstance(value, bool)
+                                         or not isinstance(value, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 class _Adopted:
     """A float64 array that alfs has just built and that nothing else holds:
     a :class:`Dataset` given one freezes the array itself instead of a copy.

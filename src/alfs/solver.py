@@ -17,7 +17,8 @@ thus a two-block ADMM step, W against (Z, W~, P, Q): one W solve, four
 independent proxes, then one dual ascent step on all four multipliers.
 One penalty rho weights the W X = Z and W = W~ constraints and grows
 geometrically up to a cap; the W = P and W = Q constraints take a penalty
-sigma derived from rho and the data.
+sigma derived from rho and the data. Every sweep ends with one stopping
+test, records or not: the max-norm residuals, then the objective's change.
 
 The penalty schedule depends on neither the data nor the weights, so cells
 of a grid (weights that share the data and ``varsigma``) are solved as one
@@ -51,7 +52,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .data import Dataset, _require_integer
+from .data import Dataset, _require_integer, _require_real
 from .kernels import (
     DEFAULT_VARSIGMA,
     AngularWeights,
@@ -88,6 +89,8 @@ class RegularizationParams:
     varsigma: float = DEFAULT_VARSIGMA
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "gamma", "eta", "varsigma"):
+            _require_real(name, getattr(self, name))
         # written so that NaN, which fails every comparison, is rejected
         for name in ("alpha", "beta", "gamma", "eta"):
             if not 0 <= getattr(self, name) < math.inf:
@@ -114,6 +117,8 @@ class SolverConfig:
     max_outer_iters: int = 1000
 
     def __post_init__(self) -> None:
+        for name in ("rho_init", "rho_max", "tau", "epsilon"):
+            _require_real(name, getattr(self, name))
         # written so that NaN, which fails every comparison, is rejected
         if not 1.0 <= self.tau < math.inf:
             raise ValueError("tau must be finite and >= 1")
@@ -219,18 +224,6 @@ class StackReport:
         if all(cell.converged for cell in self.cells):
             return "converged"
         return "max_iters"
-
-
-@dataclass(frozen=True)
-class ConvergenceDecision:
-    """The stopping test's verdict: one entry per cell in every field, with
-    NaN where ``rel_change`` is undefined."""
-
-    converged: np.ndarray
-    residual_wx_z: np.ndarray
-    residual_w_wtilde: np.ndarray
-    residual_w_pq: np.ndarray
-    rel_change: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -471,43 +464,28 @@ def _max_abs(m: np.ndarray):
     return np.abs(m).max(axis=(-2, -1))
 
 
-def _residual_maxima(residuals: tuple[np.ndarray, ...]):
-    """The max norms of ``W X - Z``, ``W - W~`` and the larger of ``W - P``
-    and ``W - Q``: the residual part of :func:`check_convergence`."""
+def check_convergence(residuals: tuple[np.ndarray, ...], epsilon: float):
+    """The residual half of the stopping test, one entry per cell.
+
+    Returns the max norms of the :func:`primal_residuals` ``W X - Z``,
+    ``W - W~`` and the larger of ``W - P`` and ``W - Q``, and whether all
+    three are below ``epsilon``. A cell that passes has converged when its
+    :func:`_rel_change` is below ``epsilon`` too.
+    """
     r1, r2, r3, r4 = residuals
-    return _max_abs(r1), _max_abs(r2), np.maximum(_max_abs(r3), _max_abs(r4))
+    wx_z, w_wtilde, w_pq = _max_abs(r1), _max_abs(r2), np.maximum(_max_abs(r3), _max_abs(r4))
+    return (wx_z, w_wtilde, w_pq), np.maximum(np.maximum(wx_z, w_wtilde), w_pq) < epsilon
 
 
 def _rel_change(prev_objective, curr_objective) -> np.ndarray:
-    """The objective part of :func:`check_convergence`: the relative change,
-    NaN where it is undefined."""
+    """The objective half of the stopping test: the relative change, NaN
+    (never below a tolerance) where it is undefined; a zero previous
+    objective gives 0 against an exact 0 and NaN otherwise."""
     prev = np.asarray(prev_objective, dtype=float)
     curr = np.asarray(curr_objective, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.abs((curr - prev) / prev)
     return np.where(prev == 0.0, np.where(curr == 0.0, 0.0, np.nan), rel)
-
-
-def check_convergence(
-    residuals: tuple[np.ndarray, ...],
-    prev_objective: np.ndarray,
-    curr_objective: np.ndarray,
-    epsilon: float,
-) -> ConvergenceDecision:
-    """Stopping test: the max-norm :func:`primal_residuals` of all four
-    constraints and the relative objective change must all be below
-    ``epsilon``.
-
-    A zero previous objective satisfies the change condition only when the
-    current objective is also exactly zero; ``rel_change`` is NaN whenever
-    the ratio is undefined. The objectives hold one value per cell, and so
-    does every field of the decision.
-    """
-    res1, res2, res3 = _residual_maxima(residuals)
-    rel = _rel_change(prev_objective, curr_objective)
-    # an undefined change (NaN) is never below epsilon
-    converged = (np.maximum(np.maximum(res1, res2), res3) < epsilon) & (rel < epsilon)
-    return ConvergenceDecision(converged, res1, res2, res3, rel)
 
 
 def h_seminorm_sq(
@@ -634,7 +612,8 @@ def _sweep(
     records: bool = True,
 ) -> tuple[np.ndarray, list[IterationRecord], np.ndarray]:
     """One sweep of a stack from ``start``: the W step, then the Z, W~, P
-    and Q proxes, then the multipliers and rho, then the stopping test.
+    and Q proxes, then the multipliers and rho, then the stopping test
+    (:func:`check_convergence` on the residuals, then :func:`_rel_change`).
 
     The new state is written into ``end`` and W X into ``wx``, arrays of
     the shapes of ``start`` and its Z that the stack owns (for a lone
@@ -646,18 +625,19 @@ def _sweep(
     there, and W X - Z overwrites W X once the objective has read it.
 
     Returns, one entry per cell, the objective, the
-    :class:`IterationRecord` and whether the cell converged. The record's
-    seminorm step comes from the residuals the dual step used. Raises
-    ValueError if a value of any cell goes non-finite (or an SVD fails),
-    with the text of the first failing step in the order above.
+    :class:`IterationRecord` (if ``records``; else none) and whether the
+    cell converged. The record's seminorm step comes from the residuals the
+    dual step used. Raises ValueError if a value of any cell goes
+    non-finite (or an SVD fails), with the text of the first failing step
+    in the order above.
 
-    With ``records`` false there are no records, and the objective is NaN
-    for the cells whose verdict and failure do not depend on it: those
-    whose residuals fail the stopping test and whose ``max|W|`` is below
-    their ``cells.w_limit``. Where the residuals pass, the objective is
-    formed after the dual step (W X again, as the residual overwrote it),
-    and so is the start's if ``prev_objective`` is NaN there. The verdicts
-    and errors are those of the sweep with records.
+    The objective is NaN for the cells whose verdict and failure do not
+    depend on it: those whose ``max|W|`` is below their ``cells.w_limit``
+    (never, while it is NaN) and whose residuals fail the stopping test.
+    Where the residuals pass, it is formed after the dual step (W X again,
+    as the residual overwrote it), and so is the start's if
+    ``prev_objective`` is NaN there. Both modes run the same test; without
+    records, a sweep in which no cell passes ends at the residuals.
     """
     sigma = pq_penalty(basis, start.rho)
     w = solve_w_subproblem(ds, start, basis, sigma)
@@ -670,12 +650,9 @@ def _sweep(
     end.w = w
     # the objective reads W X before the residual overwrites it; its error
     # is raised after the dual step's, as that step comes first
+    exact = ~(_max_abs(w) < cells.w_limit)
     try:
-        if records:
-            curr, failure = objective(ds, w, cells, t, wx=wx), None
-        else:
-            exact = ~(_max_abs(w) < cells.w_limit)
-            curr, failure = _objective_where(ds, w, cells, t, exact, wx=wx), None
+        curr, failure = _objective_where(ds, w, cells, t, exact, wx=wx), None
     except ValueError as exc:
         curr, failure = None, exc
     residuals = primal_residuals(end, wx, out=wx)
@@ -684,24 +661,25 @@ def _sweep(
         raise ValueError("non-finite iterate")
     if failure is not None:
         raise failure
-    if not records:
-        res1, res2, res3 = _residual_maxima(residuals)
-        passing = np.maximum(np.maximum(res1, res2), res3) < cfg.epsilon
-        if not passing.any():
-            return curr, [], passing
+    maxima, passing = check_convergence(residuals, cfg.epsilon)
+    prev = prev_objective
+    if passing.any():
+        # the objectives of passing cells that this sweep or its start skipped
         todo = passing & np.isnan(curr)
         curr = np.where(todo, _objective_where(ds, w, cells, t, todo), curr)
-        todo = passing & np.isnan(prev_objective)
-        prev = np.where(todo, _objective_where(ds, start.w, cells, t, todo), prev_objective)
-        return curr, [], passing & (_rel_change(prev, curr) < cfg.epsilon)
-    decision = check_convergence(residuals, prev_objective, curr, cfg.epsilon)
+        todo = passing & np.isnan(prev)
+        prev = np.where(todo, _objective_where(ds, start.w, cells, t, todo), prev)
+    elif not records:
+        return curr, [], passing
+    rel = _rel_change(prev, curr)
+    converged = passing & (rel < cfg.epsilon)
+    if not records:
+        return curr, [], converged
     h2 = h_seminorm_sq(start, end, residuals, basis, sigma)
-    rows = zip(curr.tolist(), decision.residual_wx_z.tolist(),
-               decision.residual_w_wtilde.tolist(), decision.residual_w_pq.tolist(),
-               decision.rel_change.tolist(), h2.tolist())
+    rows = zip(curr.tolist(), *(m.tolist() for m in maxima), rel.tolist(), h2.tolist())
     kept = [IterationRecord(value, r1, r2, r3, None if math.isnan(change) else change, step)
             for value, r1, r2, r3, change, step in rows]
-    return curr, kept, decision.converged
+    return curr, kept, converged
 
 
 def _keep(state: SolverState, keep: np.ndarray) -> SolverState:
@@ -741,7 +719,7 @@ def _solve_stack(
         prev = objective(ds, state.w, cells, t)
     except ValueError as exc:
         return ws, [SolverAbortError(f"{exc} before outer iteration 1") for _ in ws], 0
-    if not records:
+    if not records:  # with records w_limit stays NaN: every objective is formed
         cells = replace(cells, w_limit=_objective_limits(ds, t, cells))
     spare = SolverState.initial(*ds.matrix.shape, cfg, cells=len(ws))
     wx = np.empty_like(state.z)
@@ -800,8 +778,8 @@ def solve(
 
     Each sweep updates W (closed form), then Z, W~, P and Q (closed-form
     proxes, independent of each other), then the multipliers and rho,
-    then tests convergence on the exact objective. Deterministic: identical
-    inputs give identical reports.
+    then tests convergence on the residuals and the exact objective.
+    Deterministic: identical inputs give identical reports.
 
     For one :class:`RegularizationParams`, returns the final W (n x d) and
     the per-iteration :class:`ConvergenceReport`. For a sequence of them
@@ -811,9 +789,10 @@ def solve(
     cell's W and report are bit for bit those of its own serial solve.
 
     ``records=False`` leaves the reports' ``records`` empty and forms the
-    exact objective only where the stopping test can pass or the objective
-    might not be finite; the Ws, stop reasons, sweep counts and abort texts
-    stay those of the solve with records.
+    exact objective only where the residuals pass the stopping test or the
+    objective might not be finite. The test is the same in both modes, so
+    the Ws, stop reasons, sweep counts and abort texts stay those of the
+    solve with records.
 
     Raises
     ------

@@ -53,6 +53,23 @@ def failing_grid_document() -> str:
     return json.dumps(cells, indent=1, sort_keys=True) + "\n"
 
 
+def grid_scores_document() -> str:
+    """The grid search of CI's bench step with ``alfs_grid`` (0.1, 10): the
+    bundled data's training split (5 of 8 samples, seed 0), m = 2. The
+    winning weights and each cell's weights and score ``repr``, as JSON."""
+    train, _ = split(load_csv(TINY_CSV, label_column="label"), SplitSpec(n_train=5, seed=0))
+    result = grid_search(train, GridProtocol(m=2), grid=(0.1, 10))
+
+    def weights(params):
+        return {"alpha": params.alpha, "beta": params.beta, "eta": params.eta}
+
+    document = {
+        "best_params": weights(result.best_params),
+        "cells": [{**weights(params), "score": repr(score)} for params, score in result.scores],
+    }
+    return json.dumps(document, indent=1, sort_keys=True) + "\n"
+
+
 def per_column_knn_accuracy(train, test):
     """1-NN accuracy with one test column at a time and ties to the lowest
     training index: the per-cell classifier curves were once scored with."""
@@ -845,6 +862,12 @@ class TestGridSearch:
     def test_failing_cells_leave_the_other_scores_as_recorded(self):
         expected = (GOLDEN / "tiny-failing-grid.json").read_bytes()
         assert failing_grid_document().encode("utf-8") == expected
+
+    def test_the_bundled_grid_scores_are_the_recorded_ones(self):
+        # the bundled curves of the default weights and of this grid are the
+        # same bytes, so only the scores show which cell the grid selects
+        expected = (GOLDEN / "tiny-grid-scores.json").read_bytes()
+        assert grid_scores_document().encode("utf-8") == expected
 
     def test_a_solve_that_raises_fails_every_cell_alike(self):
         # an all-zero sample has no angle: solve raises before any sweep

@@ -70,6 +70,10 @@ class TestConfigDefaults:
     ("bench", {"solver": {"max_outer_iters": 2.5}}, "solver section"),
     ("solve", {"solver": {"max_outer_iters": 2.5}}, "solver section"),
     ("solve", {"solver": {"tau": "1.1"}}, "solver section"),
+    # JSON's true is an int to Python, and passed every range check as 1
+    ("solve", {"params": {"alpha": True}}, "params section"),
+    ("solve", {"solver": {"tau": True}}, "solver section"),
+    ("solve", {"params": {"varsigma": "1e-8"}}, "params section"),
     ("solve", {"selection": {"m": 2.5}}, "selection budgets"),
     ("solve", {"selection": {"r": True}}, "selection budgets"),
     # NaN, which JSON configs may hold, fails every comparison
@@ -98,7 +102,8 @@ class TestConfigDefaults:
     ("bench", {"bench": {"alfs_grid": []}}, "bench section"),
 ], ids=[
     "bench-repeats", "bench-rcur_rank", "bench-alfs_grid", "bench-max_outer_iters",
-    "solve-max_outer_iters", "solve-tau", "solve-selection_m", "solve-selection_r",
+    "solve-max_outer_iters", "solve-tau", "solve-alpha-true", "solve-tau-true",
+    "solve-varsigma-string", "solve-selection_m", "solve-selection_r",
     "solve-tau-nan", "solve-epsilon-nan", "solve-alpha-nan", "solve-varsigma-nan",
     "solve-tau-inf", "solve-alpha-1e999", "bench-alfs_grid-inf",
     "solve-standardize-string", "solve-has_header-string", "bench-has_header-int",

@@ -92,26 +92,39 @@ def residuals_of(state, ds):
     return primal_residuals(state, state.w @ ds.matrix)
 
 
-@pytest.mark.parametrize("cls, name", [
+FLOAT_FIELDS = [
     pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
     for cls in (RegularizationParams, SolverConfig)
     for f in dataclasses.fields(cls) if isinstance(f.default, float)
-])
+]
+
+
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS)
 def test_nan_in_a_float_field_is_rejected(cls, name):
     # NaN fails every comparison, so a check written as `value < 0` passes it
     with pytest.raises(ValueError, match=name):
         cls(**{name: math.nan})
 
 
-@pytest.mark.parametrize("cls, name", [
-    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
-    for cls in (RegularizationParams, SolverConfig)
-    for f in dataclasses.fields(cls) if isinstance(f.default, float)
-])
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS)
 def test_an_infinite_float_field_is_rejected(cls, name):
     # JSON configs may hold Infinity; no weight or setting makes sense there
     with pytest.raises(ValueError, match=name):
         cls(**{name: math.inf})
+
+
+@pytest.mark.parametrize("value", [True, "1"], ids=["true", "string"])
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS)
+def test_a_float_field_that_is_no_real_number_is_rejected(cls, name, value):
+    # JSON's true is an int to Python, and 1 would pass every range check
+    with pytest.raises(ValueError, match=f"{name} must be a real number, got {value!r}"):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS)
+def test_a_numpy_float_field_is_accepted(cls, name):
+    value = np.float64(getattr(cls(), name))
+    assert getattr(cls(**{name: value}), name) == value
 
 
 def exact_objective_recomputed(x, w, p, t):
@@ -451,34 +464,42 @@ class TestCheckConvergence:
         ds = random_dataset(18, d=3, n=4)
         return ds, feasible_state(ds, rng.normal(size=(4, 3)))
 
+    def converged(self, residuals, prev_objective, curr_objective, epsilon):
+        # the verdict as a sweep forms it: the residuals, then the change
+        _, passing = check_convergence(residuals, epsilon)
+        return passing & (solver_mod._rel_change(prev_objective, curr_objective) < epsilon)
+
     def test_feasible_identical_objectives_converged(self):
         ds, state = self.make_feasible_state()
-        decision = check_convergence(residuals_of(state, ds), 5.0, 5.0, 1e-3)
-        assert decision.converged
-        assert decision.rel_change == 0.0
+        _, passing = check_convergence(residuals_of(state, ds), 1e-3)
+        assert passing
+        assert self.converged(residuals_of(state, ds), 5.0, 5.0, 1e-3)
+        assert solver_mod._rel_change(5.0, 5.0) == 0.0
 
     def test_large_residual_blocks_convergence(self):
         ds, state = self.make_feasible_state()
         state.z = state.z + 0.5
-        decision = check_convergence(residuals_of(state, ds), 5.0, 5.0, 1e-3)
-        assert not decision.converged
-        assert decision.residual_wx_z == pytest.approx(0.5)
+        (wx_z, _, _), passing = check_convergence(residuals_of(state, ds), 1e-3)
+        assert not passing
+        assert not self.converged(residuals_of(state, ds), 5.0, 5.0, 1e-3)
+        assert wx_z == pytest.approx(0.5)
 
     @pytest.mark.parametrize("copy", ["p", "q"])
     def test_residual_w_minus_p_or_q_blocks_convergence(self, copy):
         ds, state = self.make_feasible_state()
         setattr(state, copy, getattr(state, copy) - 0.25)
-        decision = check_convergence(residuals_of(state, ds), 5.0, 5.0, 1e-3)
-        assert not decision.converged
-        assert decision.residual_w_pq == pytest.approx(0.25)
-        assert decision.residual_wx_z < 1e-12 and decision.residual_w_wtilde == 0.0
+        (wx_z, w_wtilde, w_pq), passing = check_convergence(residuals_of(state, ds), 1e-3)
+        assert not passing
+        assert not self.converged(residuals_of(state, ds), 5.0, 5.0, 1e-3)
+        assert w_pq == pytest.approx(0.25)
+        assert wx_z < 1e-12 and w_wtilde == 0.0
 
     def test_zero_previous_objective(self):
         ds, state = self.make_feasible_state()
         residuals = residuals_of(state, ds)
-        assert check_convergence(residuals, 0.0, 0.0, 1e-3).converged
-        assert not check_convergence(residuals, 0.0, 1.0, 1e-3).converged
-        assert np.isnan(check_convergence(residuals, 0.0, 1.0, 1e-3).rel_change)
+        assert self.converged(residuals, 0.0, 0.0, 1e-3)
+        assert not self.converged(residuals, 0.0, 1.0, 1e-3)
+        assert np.isnan(solver_mod._rel_change(0.0, 1.0))
 
 
 class TestHSeminorm:
