@@ -50,7 +50,7 @@ def _per_matrix(mu, k: np.ndarray, what: str) -> np.ndarray:
     """Thresholds shaped to broadcast over the matrices of ``k``: a scalar,
     or one per matrix of a stack."""
     mu = np.asarray(mu, dtype=float)
-    if (mu < 0).any():
+    if mu.size and not mu.min() >= 0:  # NaN fails the comparison too
         raise ValueError(f"{what} requires a nonnegative threshold")
     if mu.ndim and mu.shape != k.shape[:-2]:
         raise ValueError(
@@ -70,10 +70,10 @@ def _group_norms(m: np.ndarray, axis: int) -> np.ndarray:
 
     ``axis`` is -1 for row norms and -2 for column norms. The safe fallback
     is chosen per matrix of a stack, so one matrix's tiny entries cannot
-    change another matrix's bits.
+    change another matrix's bits. The squares may overflow: the caller sets
+    whether numpy warns of it.
     """
-    with np.errstate(over="ignore", under="ignore"):
-        norms = np.sqrt((m * m).sum(axis=axis, keepdims=True))
+    norms = np.sqrt((m * m).sum(axis=axis, keepdims=True))
     if norms.size and not _TINY_GROUP_NORM <= norms.min() <= norms.max() < np.inf:
         # squares of entries below ~1e-154 underflow and above ~1e154
         # overflow; hypot does neither
@@ -91,7 +91,8 @@ def l21_norm(m: np.ndarray):
     A float for a matrix, one value per matrix for a stack.
     """
     m = _require_finite(m, "l21_norm input")
-    return _per_stack(_group_norms(m, axis=-1).sum(axis=(-2, -1)))
+    with np.errstate(over="ignore", under="ignore"):
+        return _per_stack(_group_norms(m, axis=-1).sum(axis=(-2, -1)))
 
 
 def nuclear_norm(m: np.ndarray):
@@ -127,7 +128,7 @@ def soft_threshold(k: np.ndarray, mu, out: Optional[np.ndarray] = None) -> np.nd
     """
     k = _require_finite(k, "soft_threshold input")
     mu = np.asarray(mu, dtype=float)
-    if (mu < 0).any():
+    if mu.size and not mu.min() >= 0:  # NaN fails the comparison too
         raise ValueError("soft_threshold requires nonnegative thresholds")
     if mu.ndim and mu.shape == k.shape[:-2]:
         mu = mu[..., None, None]
@@ -152,6 +153,13 @@ def group_shrink(k: np.ndarray, mu, axis: int) -> np.ndarray:
     mu = _per_matrix(mu, k, "group_shrink")
     if axis not in (0, 1):
         raise ValueError(f"axis must be 0 (columns) or 1 (rows), got {axis}")
+    with np.errstate(over="ignore", under="ignore"):
+        return _group_shrink(k, mu, axis)
+
+
+def _group_shrink(k: np.ndarray, mu: np.ndarray, axis: int) -> np.ndarray:
+    """The arithmetic of :func:`group_shrink` on a finite ``k``, with ``mu``
+    nonnegative and shaped as :func:`_per_matrix` returns it."""
     norms = _group_norms(k, axis - 2)
     shrunk = np.maximum(norms - mu, 0.0)
     return k * np.divide(shrunk, norms, out=np.zeros_like(norms), where=shrunk > 0)

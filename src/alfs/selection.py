@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import Dataset, SelectionRequest, _memo
+from .kernels import _require_finite
 
 LOW_SCORE_THRESHOLD = 1e-6
 ORACLE_ENUMERATION_LIMIT = 10**6
@@ -66,10 +67,15 @@ def _low_scores_selected(
 
 
 def rank_and_select(w: np.ndarray, req: SelectionRequest) -> SelectionResult:
-    """Rank samples by row norms and features by column norms of W."""
+    """Rank samples by row norms and features by column norms of W.
+
+    Raises ValueError for a W that is not a matrix, has a non-finite entry,
+    or is too small for the budgets.
+    """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
         raise ValueError("w must be a matrix")
+    _require_finite(w, "w")
     n, d = w.shape
     req.check_against(n, d)
     row_scores = np.linalg.norm(w, axis=1)

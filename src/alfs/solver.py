@@ -56,10 +56,11 @@ from .data import Dataset, _require_integer, _require_real
 from .kernels import (
     DEFAULT_VARSIGMA,
     AngularWeights,
+    _group_norms,
+    _group_shrink,
     _per_stack,
+    _require_finite,
     angular_weights,
-    group_shrink,
-    l21_norm,
     nuclear_norm,
     soft_threshold,
     svt,
@@ -174,7 +175,11 @@ class SolverState:
         return replace(self, **{f: getattr(self, f)[index] for f in _ARRAY_FIELDS})
 
     def all_finite(self) -> bool:
-        return all(np.isfinite(getattr(self, f)).all() for f in _ARRAY_FIELDS)
+        """Whether every entry is finite. NaN and infinities carry into a
+        sum, so only an array whose sum is not finite is scanned: a sum of
+        huge entries may overflow, unwarned in :func:`solve`."""
+        return all(math.isfinite(m.sum()) or np.isfinite(m).all()
+                   for m in (getattr(self, f) for f in _ARRAY_FIELDS))
 
 
 @dataclass(frozen=True)
@@ -282,8 +287,8 @@ def objective(
     local = t.t * wx
     value = (
         _sum2(resid * resid)
-        + params.alpha * l21_norm(w)
-        + params.beta * l21_norm(np.swapaxes(w, -1, -2))
+        + params.alpha * _sum2(_group_norms(w, -1))
+        + params.beta * _sum2(_group_norms(np.swapaxes(w, -1, -2), -1))
         + params.gamma * nuclear_norm(w)
         + params.eta * _sum2(np.abs(local, out=local))
     )
@@ -297,12 +302,16 @@ class SpectralBasis:
     """What the W step needs of X = U diag(s) V^T, computed once.
 
     ``u`` (d x k) and ``v`` (n x k) hold the singular vectors of the thin
-    SVD, k = min(d, n), ``s2`` the squared singular values, and ``g`` the
-    constant ``2 X^T X X^T`` of the W subproblem's linear term.
+    SVD, k = min(d, n), ``s2`` the squared singular values, ``s2s2`` the
+    k x k products ``2 s_a^2 s_b^2``, ``s2_max`` the largest squared
+    singular value, and ``g`` the constant ``2 X^T X X^T`` of the W
+    subproblem's linear term.
     """
 
     u: np.ndarray
     s2: np.ndarray
+    s2s2: np.ndarray
+    s2_max: float
     v: np.ndarray
     g: np.ndarray
 
@@ -311,8 +320,10 @@ def spectral_basis(ds: Dataset) -> SpectralBasis:
     """Thin SVD of the data and the constant term of the W step."""
     x = ds.matrix
     u, s, vt = np.linalg.svd(x, full_matrices=False)
+    s2 = s * s
     xtx = x.T @ x
-    return SpectralBasis(u=u, s2=s * s, v=vt.T, g=2.0 * (xtx @ x.T))
+    return SpectralBasis(u=u, s2=s2, s2s2=2.0 * np.outer(s2, s2), s2_max=float(s2.max()),
+                         v=vt.T, g=2.0 * (xtx @ x.T))
 
 
 def pq_penalty(basis: SpectralBasis, rho: float) -> float:
@@ -326,7 +337,7 @@ def pq_penalty(basis: SpectralBasis, rho: float) -> float:
     features) rather than at the data's smallest eigenvalue. The penalty
     grows with rho and is constant when rho is.
     """
-    high = float(basis.s2.max())
+    high = basis.s2_max
     return math.sqrt(rho * (2.0 * high * high + rho * high + rho))
 
 
@@ -345,9 +356,10 @@ def _shifted_inverse(
     outside U (s_b = 0: the weight rho). The complement of V is reached by
     projection, so no n x n basis is formed.
     """
-    u, v, s2 = basis.u, basis.v, basis.s2
-    inv_inside = 1.0 / (2.0 * np.outer(s2, s2) + rho * s2[None, :] + rho + shift)
-    inv_outside_v = 1.0 / (rho * s2 + rho + shift)
+    u, v = basis.u, basis.v
+    rho_s2 = rho * basis.s2
+    inv_inside = 1.0 / (basis.s2s2 + rho_s2 + rho + shift)
+    inv_outside_v = 1.0 / (rho_s2 + rho + shift)
     inv_outside_u = 1.0 / (rho + shift)
     thin_u = u.shape[0] > u.shape[1]  # more features than samples
 
@@ -419,9 +431,12 @@ def update_p_q(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form P and Q updates: row group shrinkage of W + L3/sigma and
     column group shrinkage of W + L4/sigma. For a stacked state ``params``
-    holds one ``alpha`` and ``beta`` per cell."""
-    p = group_shrink(state.w + state.lambda3 / sigma, params.alpha / sigma, axis=1)
-    q = group_shrink(state.w + state.lambda4 / sigma, params.beta / sigma, axis=0)
+    holds one ``alpha`` and ``beta`` per cell. The thresholds are
+    nonnegative by construction: only the inputs are checked."""
+    k = _require_finite(state.w + state.lambda3 / sigma, "group_shrink input")
+    p = _group_shrink(k, np.divide(params.alpha, sigma)[..., None, None], axis=1)
+    k = _require_finite(state.w + state.lambda4 / sigma, "group_shrink input")
+    q = _group_shrink(k, np.divide(params.beta, sigma)[..., None, None], axis=0)
     return p, q
 
 
@@ -703,11 +718,9 @@ def _solve_stack(
 
     Returns the cells' final Ws and reports, None and the
     :class:`SolverAbortError` for a failed cell, and the number of
-    :func:`_sweep` calls. The stack's state lives in two sets of arrays
-    and one W X block, allocated once: a sweep reads one set and writes
-    the other, and they swap. A cell leaves at the sweep where it
-    converges, fails or runs out of sweeps, and the cells that stay move to
-    the front of the arrays. A sweep that raises is replayed for each cell
+    :func:`_sweep` calls. A cell leaves at the sweep where it converges,
+    fails or runs out of sweeps, and the cells that stay move to the front
+    of the stack's arrays. A sweep that raises is replayed for each cell
     alone from its start, which it leaves unchanged, into that cell's rows
     of the spare set and of W X: the cells that raise alone leave, and the
     others run the sweep again, stacked.
@@ -750,14 +763,14 @@ def _solve_stack(
         else:
             state, spare = spare, state
             keep = ~(converged | (k == cfg.max_outer_iters))
-            for i, cell in enumerate(going.index):
-                outcomes[cell].iterations += 1
-                if records:
-                    outcomes[cell].records.append(rows[i])
+            for cell, row in zip(going.index.tolist(), rows):
+                outcomes[cell].records.append(row)
+            for i in np.flatnonzero(~keep).tolist():
+                cell = going.index[i]
+                outcomes[cell].iterations = k
                 if converged[i]:
                     outcomes[cell].stop_reason = "converged"
-                if not keep[i]:
-                    ws[cell] = state.w[i].copy()
+                ws[cell] = state.w[i].copy()
             prev = curr
             k += 1
         if not keep.all():

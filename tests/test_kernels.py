@@ -467,3 +467,44 @@ class TestStacks:
                 op(k, np.ones(2))
             with pytest.raises(ValueError, match="nonnegative"):
                 op(k, np.array([1.0, -1.0, 1.0]))
+
+
+THRESHOLDED = [
+    pytest.param(svt, id="svt"),
+    pytest.param(soft_threshold, id="soft_threshold"),
+    pytest.param(lambda k, mu: group_shrink(k, mu, axis=1), id="group_shrink-rows"),
+    pytest.param(lambda k, mu: group_shrink(k, mu, axis=0), id="group_shrink-columns"),
+]
+
+
+class TestThresholdSigns:
+    """A threshold must be nonnegative, and NaN is not: it is rejected as a
+    negative one is, whether it is the one threshold, one matrix's of a
+    stack, or one entry's."""
+
+    k = np.array([[3.0, 1.0], [1.0, 2.0]])
+
+    @pytest.mark.parametrize("op", THRESHOLDED)
+    def test_a_nan_threshold_is_rejected(self, op):
+        with pytest.raises(ValueError, match="nonnegative"):
+            op(self.k, np.nan)
+
+    @pytest.mark.parametrize("op", THRESHOLDED)
+    def test_a_nan_among_the_per_matrix_thresholds_is_rejected(self, op):
+        with pytest.raises(ValueError, match="nonnegative"):
+            op(np.stack([self.k, self.k]), np.array([0.5, np.nan]))
+
+    def test_a_nan_among_the_per_entry_thresholds_is_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            soft_threshold(self.k, np.array([[0.5, np.nan], [0.5, 0.5]]))
+
+    @pytest.mark.parametrize("op", THRESHOLDED)
+    def test_an_infinite_threshold_thresholds_to_zero(self, op):
+        assert not op(self.k, np.inf).any()
+        stacked = op(np.stack([self.k, self.k]), np.array([0.5, np.inf]))
+        assert np.array_equal(stacked[0], op(self.k, 0.5))
+        assert not stacked[1].any()
+
+    def test_an_infinite_per_entry_threshold_thresholds_to_zero(self):
+        per_entry = soft_threshold(self.k, np.array([[np.inf, 0.5], [0.5, np.inf]]))
+        assert np.array_equal(per_entry, [[0.0, 0.5], [0.5, 0.0]])

@@ -38,6 +38,16 @@ class TestRankAndSelect:
         with pytest.raises(ValueError):
             rank_and_select(np.ones((3, 2)), SelectionRequest(4, 1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_w_is_rejected(self, bad):
+        # its scores would be NaN or infinite, in no score order
+        w = np.ones((4, 3))
+        w[1, 2] = bad
+        with pytest.raises(ValueError, match="^w contains non-finite entries$"):
+            rank_and_select(w, SelectionRequest(2, 2))
+        with pytest.raises(ValueError, match="^w contains non-finite entries$"):
+            rank_and_select(np.full((4, 3), bad), SelectionRequest(2, 2))
+
     @pytest.mark.parametrize("m, r, name", [
         (2.5, 1, "m"), (2.0, 1, "m"), (2, True, "r"), (0, 1, "m"), (1, -1, "r"),
     ])

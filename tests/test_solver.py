@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import alfs.solver as solver_mod
 from alfs import (
@@ -18,6 +19,7 @@ from alfs import (
     SolverAbortError,
     SolverConfig,
     angular_weights,
+    group_shrink,
     l21_norm,
     objective,
     rank_and_select,
@@ -49,19 +51,11 @@ from conftest import (
 )
 
 
-def random_state(rng, d, n, rho=0.7):
-    return SolverState(
-        w=rng.normal(size=(n, d)),
-        z=rng.normal(size=(n, n)),
-        w_tilde=rng.normal(size=(n, d)),
-        p=rng.normal(size=(n, d)),
-        q=rng.normal(size=(n, d)),
-        lambda1=rng.normal(size=(n, n)),
-        lambda2=rng.normal(size=(n, d)),
-        lambda3=rng.normal(size=(n, d)),
-        lambda4=rng.normal(size=(n, d)),
-        rho=rho,
-    )
+def random_state(rng, d, n, rho=0.7, cells=None):
+    """A state of normal entries, with a leading axis of ``cells`` unless None."""
+    shapes = SolverState.initial(d, n, SolverConfig(), cells)
+    return dataclasses.replace(shapes, rho=rho, **{f: rng.normal(size=getattr(shapes, f).shape)
+                                                   for f in solver_mod._ARRAY_FIELDS})
 
 
 def feasible_state(ds, w, rho=1.0):
@@ -285,7 +279,47 @@ def w_step(ds, state):
     return solve_w_subproblem(ds, state, basis, sigma), sigma
 
 
+def w_step_as_written(ds, state, basis, sigma):
+    """The W step with its weights formed from the squared singular values
+    at every call, as it was before the basis held their products."""
+    rho, shift = state.rho, 2.0 * sigma
+    u, v, s2 = basis.u, basis.v, basis.s2
+    rhs = (basis.g + (rho * state.z - state.lambda1) @ ds.matrix.T
+           + rho * state.w_tilde - state.lambda2
+           + sigma * (state.p + state.q) - state.lambda3 - state.lambda4)
+    inv_inside = 1 / (2.0 * np.outer(s2, s2) + rho * s2[None, :] + rho + shift)
+    inv_outside_v = 1 / (rho * s2 + rho + shift)
+    inv_outside_u = 1.0 / (rho + shift)
+    ru = rhs @ u
+    y = v.T @ ru
+    w = (v @ (y * inv_inside) + (ru - v @ y) * inv_outside_v) @ u.T
+    if u.shape[0] > u.shape[1]:
+        w += (rhs - ru @ u.T) * inv_outside_u
+    return w
+
+
 class TestSolveWSubproblem:
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 5), extra=st.integers(1, 4), seed=st.integers(0, 2**16),
+           rho=st.floats(1e-6, 1e6))
+    @pytest.mark.parametrize("more_features", [False, True], ids=["d<n", "d>n"])
+    @pytest.mark.parametrize("cells", [None, 3], ids=["one", "stack"])
+    def test_keeps_the_bytes_of_the_weights_formed_at_every_call(
+        self, more_features, cells, k, extra, seed, rho
+    ):
+        d, n = (k + extra, k) if more_features else (k, k + extra)
+        rng = np.random.default_rng(seed)
+        ds = Dataset(rng.normal(size=(d, n)))
+        basis = spectral_basis(ds)
+        high = float(basis.s2.max())
+        sigma = pq_penalty(basis, rho)
+        assert sigma == math.sqrt(rho * (2.0 * high * high + rho * high + rho))
+        state = random_state(rng, d, n, rho, cells)
+        got = solve_w_subproblem(ds, state, basis, sigma)
+        want = w_step_as_written(ds, state, basis, sigma)
+        assert got.shape == want.shape == state.w.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_penalty_dominated_limit(self):
         rng = np.random.default_rng(10)
         ds = random_dataset(10, d=3, n=4)
@@ -351,6 +385,78 @@ class TestUpdatePQ:
         assert q.any() and np.all(np.linalg.norm(q, axis=0) > 0)
         p, q = update_p_q(state, RegularizationParams(alpha=1.0, beta=1e6), 1.0)
         assert p.any() and not q.any()
+
+    def test_is_the_group_shrinkage_bit_for_bit_stacked_too(self):
+        rng = np.random.default_rng(33)
+        cells = [RegularizationParams(alpha=a, beta=b) for a, b in ((0.7, 1.3), (4.0, 0.0))]
+        stack = random_state(rng, 3, 5, cells=len(cells))
+        p, q = update_p_q(stack, solver_mod._Cells.of(cells), 0.9)
+        for i, params in enumerate(cells):
+            state = stack[i]
+            assert p[i].tobytes() == group_shrink(
+                state.w + state.lambda3 / 0.9, params.alpha / 0.9, axis=1).tobytes()
+            assert q[i].tobytes() == group_shrink(
+                state.w + state.lambda4 / 0.9, params.beta / 0.9, axis=0).tobytes()
+            alone = update_p_q(state, params, 0.9)
+            assert alone[0].tobytes() == p[i].tobytes()
+            assert alone[1].tobytes() == q[i].tobytes()
+
+    @pytest.mark.parametrize("multiplier", ["lambda3", "lambda4"])
+    def test_a_non_finite_input_is_rejected(self, multiplier):
+        state = random_state(np.random.default_rng(34), 3, 5)
+        getattr(state, multiplier)[1, 2] = np.nan
+        with pytest.raises(ValueError, match="^group_shrink input contains non-finite entries$"):
+            update_p_q(state, RegularizationParams(), 1.0)
+
+
+FINITENESS_CASES = [
+    pytest.param((1e308, 1e308), True, id="finite-sum-overflows"),
+    pytest.param((np.nan, 0.0), False, id="nan"),
+    pytest.param((np.inf, 0.0), False, id="inf"),
+    pytest.param((-np.inf, 0.0), False, id="-inf"),
+    pytest.param((np.inf, -np.inf), False, id="inf-and-minus-inf"),
+]
+
+
+class TestAllFinite:
+    """``SolverState.all_finite`` tests one sum per array; its verdict is
+    the entrywise scan's."""
+
+    @staticmethod
+    def scan(state):
+        return all(np.isfinite(getattr(state, f)).all() for f in solver_mod._ARRAY_FIELDS)
+
+    @staticmethod
+    def verdict(state):
+        # as in solve, where the sums may overflow without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return state.all_finite()
+
+    @pytest.mark.parametrize("values,finite", FINITENESS_CASES)
+    @pytest.mark.parametrize("cells", [None, 2], ids=["one", "stack"])
+    def test_the_listed_entries_in_each_array(self, values, finite, cells):
+        for name in solver_mod._ARRAY_FIELDS:
+            state = SolverState.initial(2, 3, SolverConfig(), cells=cells)
+            m = getattr(state, name)
+            m.flat[0], m.flat[-1] = values  # in two cells of a stack
+            assert self.verdict(state) is finite
+            assert self.scan(state) is finite
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 4), n=st.integers(1, 4),
+           cells=st.sampled_from([None, 1, 3]))
+    def test_agrees_with_the_entrywise_scan(self, data, d, n, cells):
+        # at most two arrays may hold NaN or an infinity; huge finite
+        # entries, whose sums overflow, are drawn often
+        non_finite = data.draw(st.sets(st.sampled_from(solver_mod._ARRAY_FIELDS), max_size=2))
+        finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from([1e308, -1e308]))
+        shapes = SolverState.initial(d, n, SolverConfig(), cells)
+        state = dataclasses.replace(shapes, **{
+            f: data.draw(arrays(np.float64, getattr(shapes, f).shape,
+                                elements=st.floats() if f in non_finite else finite))
+            for f in solver_mod._ARRAY_FIELDS})
+        assert self.verdict(state) == self.scan(state)
 
 
 class TestUpdateZ:
