@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, _memo, _require_integer
+from .data import Dataset, _require_integer, _thin_svd
 from .selection import _cur_core, _index_set
 
 # err must dominate the best rank-q SVD error; slack for float rounding only.
@@ -54,11 +54,6 @@ class RcurResult:
     row_indices: tuple[int, ...]
     err: float
     svd_err_k: float
-
-
-def _thin_svd(ds: Dataset):
-    """Thin SVD ``(u, s, vt)`` of the data matrix, memoized on ``ds``."""
-    return _memo(ds, "svd", lambda: np.linalg.svd(ds.matrix, full_matrices=False))
 
 
 def _matrix_rank(ds: Dataset) -> int:

@@ -11,8 +11,6 @@ budgets with a fixed sample budget (classifying in the selected subspace).
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -26,7 +24,7 @@ from .baselines import (
     random_sampling,
     variance_feature_select,
 )
-from .data import Dataset, SelectionRequest, _require_integer
+from .data import Dataset, SelectionRequest, _require_integer, _require_real
 from .selection import SelectionResult, rank_and_select, reconstruction_error
 from .solver import RegularizationParams, SolverConfig, solve
 
@@ -100,9 +98,7 @@ class BenchSpec:
         if self.alfs_grid is not None and not self.alfs_grid:
             raise ValueError("alfs_grid must not be empty; use None for no grid")
         for value in self.alfs_grid or ():
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not 0 <= value < math.inf):
-                raise ValueError(f"alfs_grid values must be finite numbers >= 0, got {value!r}")
+            _require_real("each alfs_grid value", value, 0)
         if self.feature_budgets and len(self.sample_budgets) != 1:
             raise ValueError(
                 "a feature-budget curve needs exactly one sample budget"
@@ -435,6 +431,10 @@ class GridProtocol:
     m: int
     r: Optional[int] = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # m and r are checked where grid_search builds its SelectionRequest
+        _require_integer("seed", self.seed, 0)
 
 
 @dataclass

@@ -38,18 +38,25 @@ _CONSTANT_STD_ULPS = 8
 _T = TypeVar("_T")
 
 
-def _require_integer(name: str, value, minimum: int) -> None:
-    """Reject anything but an integer >= ``minimum``; a bool is rejected too."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def _require_integer(name: str, value, minimum: Optional[int]) -> None:
+    """Reject anything but an integer >= ``minimum`` (any if None); a bool too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (
+            minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
-def _require_real(name: str, value) -> None:
-    """Reject anything but a real number; a bool is rejected too."""
+def _require_real(name: str, value, minimum, strict: bool = False) -> None:
+    """Reject anything but a finite real number >= ``minimum`` (> it if
+    ``strict``); a bool, NaN and infinities are rejected too."""
     # a float (np.float64 is one) passes without the slower ABC check
     if not isinstance(value, float) and (isinstance(value, bool)
                                          or not isinstance(value, numbers.Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    # written so that NaN, which fails every comparison, is rejected
+    if not ((minimum < value) if strict else (minimum <= value)) or not value < math.inf:
+        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} {minimum}, "
+                         f"got {value!r}")
 
 
 class _Adopted:
@@ -221,6 +228,11 @@ def _memo(ds: Dataset, key: Hashable, compute: Callable[[], _T]) -> _T:
     return value
 
 
+def _thin_svd(ds: Dataset):
+    """Thin SVD ``(u, s, vt)`` of the data matrix, memoized on ``ds``."""
+    return _memo(ds, "svd", lambda: np.linalg.svd(ds.matrix, full_matrices=False))
+
+
 @dataclass(frozen=True)
 class SelectionRequest:
     """Budgets: keep ``m`` samples and ``r`` features."""
@@ -245,6 +257,10 @@ class SplitSpec:
 
     n_train: int
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        _require_integer("n_train", self.n_train, None)  # split checks its range
+        _require_integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _require_real
 
 DEFAULT_VARSIGMA = 1e-8
 # Finite group norms at or above this are exact to rounding when computed
@@ -46,16 +46,19 @@ def _require_finite(m: np.ndarray, what: str) -> np.ndarray:
     return m
 
 
-def _per_matrix(mu, k: np.ndarray, what: str) -> np.ndarray:
+def _per_matrix(mu, k: np.ndarray, what: str, per_entry: bool = False) -> np.ndarray:
     """Thresholds shaped to broadcast over the matrices of ``k``: a scalar,
-    or one per matrix of a stack."""
+    one per matrix of a stack, or if ``per_entry`` one per entry of ``k``
+    (and then a scalar broadcasts over any ``k``, a vector too)."""
     mu = np.asarray(mu, dtype=float)
     if mu.size and not mu.min() >= 0:  # NaN fails the comparison too
         raise ValueError(f"{what} requires a nonnegative threshold")
+    if per_entry and (mu.ndim == 0 or mu.shape == k.shape):
+        return mu
     if mu.ndim and mu.shape != k.shape[:-2]:
         raise ValueError(
-            f"{what} takes one threshold per matrix: got shape {mu.shape} "
-            f"for input shape {k.shape}"
+            f"{what} takes one threshold per matrix{' or per entry' if per_entry else ''}: "
+            f"got shape {mu.shape} for input shape {k.shape}"
         )
     return mu[..., None, None]
 
@@ -63,6 +66,15 @@ def _per_matrix(mu, k: np.ndarray, what: str) -> np.ndarray:
 def _per_stack(values: np.ndarray):
     """A per-matrix reduction: a float for one matrix, the array for a stack."""
     return float(values) if values.ndim == 0 else values
+
+
+def _scaled_norm(m: np.ndarray, axis: Optional[int] = None):
+    """Euclidean norms of a finite ``m`` along ``axis`` (the Frobenius norm if
+    None), its squares taken at one power-of-two scale near ``max|m|``, so
+    that they neither overflow nor underflow. An entry below ``max|m|`` by a
+    factor of about 2**1074 counts as 0."""
+    _, exp = np.frexp(np.abs(m).max())
+    return np.ldexp(np.linalg.norm(np.ldexp(m, -exp), axis=axis), exp)
 
 
 def _group_norms(m: np.ndarray, axis: int) -> np.ndarray:
@@ -127,15 +139,7 @@ def soft_threshold(k: np.ndarray, mu, out: Optional[np.ndarray] = None) -> np.nd
     ``out`` if given (an array of ``k``'s shape, ``k`` itself included).
     """
     k = _require_finite(k, "soft_threshold input")
-    mu = np.asarray(mu, dtype=float)
-    if mu.size and not mu.min() >= 0:  # NaN fails the comparison too
-        raise ValueError("soft_threshold requires nonnegative thresholds")
-    if mu.ndim and mu.shape == k.shape[:-2]:
-        mu = mu[..., None, None]
-    elif mu.ndim and mu.shape != k.shape:
-        raise ValueError(
-            f"threshold shape {mu.shape} does not match input shape {k.shape}"
-        )
+    mu = _per_matrix(mu, k, "soft_threshold", per_entry=True)
     return _shrink(k, mu, np.empty_like(k) if out is None else out)
 
 
@@ -206,8 +210,7 @@ def angular_weights(ds: Dataset, varsigma: float = DEFAULT_VARSIGMA) -> AngularW
     continuous in the data and caps the weight of orthogonal pairs at
     ``1/varsigma``. Zero columns have no direction and are rejected.
     """
-    if varsigma <= 0:
-        raise ValueError("varsigma must be positive")
+    _require_real("varsigma", varsigma, 0, strict=True)
     # each column scaled by an exact power of two near its largest entry, so
     # the squares neither underflow nor overflow; cosines are scale-free
     _, exp = np.frexp(np.abs(ds.matrix).max(axis=0))

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import Dataset, SelectionRequest, _memo
-from .kernels import _require_finite
+from .kernels import _require_finite, _scaled_norm
 
 LOW_SCORE_THRESHOLD = 1e-6
 ORACLE_ENUMERATION_LIMIT = 10**6
@@ -69,6 +69,8 @@ def _low_scores_selected(
 def rank_and_select(w: np.ndarray, req: SelectionRequest) -> SelectionResult:
     """Rank samples by row norms and features by column norms of W.
 
+    A W whose squares overflow (entries above about 1e154) is scored at one
+    power-of-two scale, where an entry 2**1074 times below its largest is 0.
     Raises ValueError for a W that is not a matrix, has a non-finite entry,
     or is too small for the budgets.
     """
@@ -78,8 +80,11 @@ def rank_and_select(w: np.ndarray, req: SelectionRequest) -> SelectionResult:
     _require_finite(w, "w")
     n, d = w.shape
     req.check_against(n, d)
-    row_scores = np.linalg.norm(w, axis=1)
-    col_scores = np.linalg.norm(w, axis=0)
+    with np.errstate(over="ignore"):
+        row_scores = np.linalg.norm(w, axis=1)
+        col_scores = np.linalg.norm(w, axis=0)
+        if not (np.isfinite(row_scores).all() and np.isfinite(col_scores).all()):
+            row_scores, col_scores = _scaled_norm(w, axis=1), _scaled_norm(w, axis=0)
     sample_ranking, sample_scores = _ranked(row_scores)
     feature_ranking, feature_scores = _ranked(col_scores)
     return SelectionResult(

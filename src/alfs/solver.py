@@ -48,11 +48,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .data import Dataset, _require_integer, _require_real
+from .data import Dataset, _require_integer, _require_real, _thin_svd
 from .kernels import (
     DEFAULT_VARSIGMA,
     AngularWeights,
@@ -60,6 +60,7 @@ from .kernels import (
     _group_shrink,
     _per_stack,
     _require_finite,
+    _scaled_norm,
     angular_weights,
     nuclear_norm,
     soft_threshold,
@@ -90,14 +91,9 @@ class RegularizationParams:
     varsigma: float = DEFAULT_VARSIGMA
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "eta", "varsigma"):
-            _require_real(name, getattr(self, name))
-        # written so that NaN, which fails every comparison, is rejected
         for name in ("alpha", "beta", "gamma", "eta"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
-        if not 0 < self.varsigma < math.inf:
-            raise ValueError("varsigma must be finite and positive")
+            _require_real(name, getattr(self, name), 0)
+        _require_real("varsigma", self.varsigma, 0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -118,15 +114,10 @@ class SolverConfig:
     max_outer_iters: int = 1000
 
     def __post_init__(self) -> None:
-        for name in ("rho_init", "rho_max", "tau", "epsilon"):
-            _require_real(name, getattr(self, name))
-        # written so that NaN, which fails every comparison, is rejected
-        if not 1.0 <= self.tau < math.inf:
-            raise ValueError("tau must be finite and >= 1")
-        if not 0.0 < self.rho_init <= self.rho_max < math.inf:
-            raise ValueError("need 0 < rho_init <= rho_max < inf")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be finite and positive")
+        _require_real("rho_init", self.rho_init, 0, strict=True)
+        _require_real("rho_max", self.rho_max, self.rho_init)
+        _require_real("tau", self.tau, 1)
+        _require_real("epsilon", self.epsilon, 0, strict=True)
         _require_integer("max_outer_iters", self.max_outer_iters, 1)
 
 
@@ -317,9 +308,9 @@ class SpectralBasis:
 
 
 def spectral_basis(ds: Dataset) -> SpectralBasis:
-    """Thin SVD of the data and the constant term of the W step."""
+    """The data's memoized, read-only thin SVD and the constant term of the W step."""
     x = ds.matrix
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    u, s, vt = _thin_svd(ds)
     s2 = s * s
     xtx = x.T @ x
     return SpectralBasis(u=u, s2=s2, s2s2=2.0 * np.outer(s2, s2), s2_max=float(s2.max()),
@@ -331,7 +322,7 @@ def pq_penalty(basis: SpectralBasis, rho: float) -> float:
 
     ``h_ab = 2 s_a^2 s_b^2 + rho s_b^2 + rho`` are the eigenvalues of the
     W subproblem's quadratic without the P and Q terms (see
-    :func:`_shifted_inverse`), and the geometric mean of their extremes is
+    :func:`_shifted_solve`), and the geometric mean of their extremes is
     the classic penalty choice for a quadratic split. ``min h`` is taken at
     its floor ``rho`` (reached when X has fewer independent samples than
     features) rather than at the data's smallest eigenvalue. The penalty
@@ -341,11 +332,9 @@ def pq_penalty(basis: SpectralBasis, rho: float) -> float:
     return math.sqrt(rho * (2.0 * high * high + rho * high + rho))
 
 
-def _shifted_inverse(
-    basis: SpectralBasis, rho: float, shift: float
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The map ``rhs -> (H + shift)^-1 rhs``, H the Hessian of the W
-    subproblem without the P and Q terms.
+def _shifted_solve(basis: SpectralBasis, rho: float, shift: float, rhs: np.ndarray) -> np.ndarray:
+    """``(H + shift)^-1 rhs``, H the Hessian of the W subproblem without the
+    P and Q terms.
 
     In the full bases of ``X = U diag(s) V^T`` H is diagonal: it scales the
     coefficient ``(V^T W U)_ab`` by ``h_ab = 2 s_a^2 s_b^2 + rho s_b^2 +
@@ -358,20 +347,13 @@ def _shifted_inverse(
     """
     u, v = basis.u, basis.v
     rho_s2 = rho * basis.s2
-    inv_inside = 1.0 / (basis.s2s2 + rho_s2 + rho + shift)
-    inv_outside_v = 1.0 / (rho_s2 + rho + shift)
-    inv_outside_u = 1.0 / (rho + shift)
-    thin_u = u.shape[0] > u.shape[1]  # more features than samples
-
-    def apply(rhs: np.ndarray) -> np.ndarray:
-        ru = rhs @ u
-        y = v.T @ ru
-        w = (v @ (y * inv_inside) + (ru - v @ y) * inv_outside_v) @ u.T
-        if thin_u:
-            w += (rhs - ru @ u.T) * inv_outside_u
-        return w
-
-    return apply
+    ru = rhs @ u
+    y = v.T @ ru
+    w = (v @ (y * (1.0 / (basis.s2s2 + rho_s2 + rho + shift)))
+         + (ru - v @ y) * (1.0 / (rho_s2 + rho + shift))) @ u.T
+    if u.shape[0] > u.shape[1]:  # more features than samples
+        w += (rhs - ru @ u.T) * (1.0 / (rho + shift))
+    return w
 
 
 def solve_w_subproblem(
@@ -394,7 +376,7 @@ def solve_w_subproblem(
     b = (basis.g + (rho * state.z - state.lambda1) @ ds.matrix.T
          + rho * state.w_tilde - state.lambda2
          + sigma * (state.p + state.q) - state.lambda3 - state.lambda4)
-    return _shifted_inverse(basis, rho, 2.0 * sigma)(b)
+    return _shifted_solve(basis, rho, 2.0 * sigma, b)
 
 
 def update_z(
@@ -498,9 +480,8 @@ def _rel_change(prev_objective, curr_objective) -> np.ndarray:
     objective gives 0 against an exact 0 and NaN otherwise."""
     prev = np.asarray(prev_objective, dtype=float)
     curr = np.asarray(curr_objective, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.abs((curr - prev) / prev)
-    return np.where(prev == 0.0, np.where(curr == 0.0, 0.0, np.nan), rel)
+    return np.divide(np.abs(curr - prev), np.abs(prev), where=prev != 0.0,
+                     out=np.where(curr == 0.0, 0.0, np.nan))
 
 
 def h_seminorm_sq(
@@ -569,13 +550,6 @@ def _cells_per_stack(d: int, n: int) -> int:
 _OBJECTIVE_BOUND = 2.0**1000
 
 
-def _fro(m: np.ndarray):
-    """Frobenius norm of a finite matrix, its squares taken at a power-of-two
-    scale, so that they neither overflow nor underflow."""
-    _, exp = np.frexp(np.abs(m).max())
-    return np.ldexp(np.linalg.norm(np.ldexp(m, -exp)), exp)
-
-
 def _objective_limits(ds: Dataset, t: AngularWeights, cells: _Cells) -> np.ndarray:
     """Each cell's ``max|W|`` below which its objective is sure to be finite.
 
@@ -589,7 +563,7 @@ def _objective_limits(ds: Dataset, t: AngularWeights, cells: _Cells) -> np.ndarr
     d, n = ds.matrix.shape
     half = np.float64(_OBJECTIVE_BOUND / 2.0)
     with np.errstate(all="ignore"):
-        x, tf = _fro(ds.matrix), _fro(t.t)
+        x, tf = _scaled_norm(ds.matrix), _scaled_norm(t.t)
         c = (cells.alpha * math.sqrt(n) + cells.beta * math.sqrt(d)
              + cells.gamma * math.sqrt(min(n, d)) + cells.eta * tf * x)
         return np.minimum((np.sqrt(half) - x) / (x * x), half / c) / math.sqrt(n * d)

@@ -797,6 +797,12 @@ class TestGridSearch:
             grid_search(random_dataset(36, d=4, n=6), protocol, solver_cfg=FAST_SOLVER)
         assert calls["count"] == 0
 
+    @pytest.mark.parametrize("seed", [-1, 0.5, True])
+    def test_a_seed_that_is_no_nonnegative_integer_is_a_user_error(self, seed):
+        # not a GridSearchError (a numerical failure) after solving every cell
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            GridProtocol(m=12, seed=seed)
+
     def test_a_cell_whose_scoring_fails_counts_one_solve(self):
         train = random_dataset(35, d=4, n=5)
 

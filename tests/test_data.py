@@ -318,6 +318,24 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(ds, SplitSpec(n_train=5, seed=0))
 
+    @pytest.mark.parametrize("n_train", [True, 2.0, "2", None])
+    def test_a_train_size_that_is_no_integer_is_rejected(self, n_train):
+        # True would train on one sample, 2.0 would fail in slicing
+        with pytest.raises(ValueError, match=f"n_train must be an integer, got {n_train!r}"):
+            SplitSpec(n_train=n_train)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_a_seed_that_is_no_nonnegative_integer_is_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            SplitSpec(n_train=2, seed=seed)
+
+    def test_the_range_of_the_train_size_is_checked_against_the_data(self):
+        ds = random_dataset(4, d=2, n=5)
+        for n_train in (0, -1):
+            with pytest.raises(ValueError, match=f"n_train={n_train} outside 1..4"):
+                split(ds, SplitSpec(n_train=n_train))
+        assert split(ds, SplitSpec(n_train=np.int64(2)))[0].n_samples == 2
+
 
 class TestValidate:
     def test_all_zero_matrix_flags_every_column(self):

@@ -130,12 +130,17 @@ class TestSoftThreshold:
         out = soft_threshold(np.array([[value]]), mu)
         assert out[0, 0] == pytest.approx(expected, abs=1e-15)
 
+    def test_a_vector_takes_a_scalar_or_per_entry_threshold(self):
+        k = np.array([2.5, -0.5, -3.0])
+        assert soft_threshold(k, 1.0).tolist() == [1.5, 0.0, -2.0]
+        assert soft_threshold(k, np.array([1.0, 0.0, 3.0])).tolist() == [1.5, -0.5, 0.0]
+
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             soft_threshold(np.ones((2, 2)), -0.1)
 
     def test_matrix_threshold_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="one threshold per matrix or per entry"):
             soft_threshold(np.ones((2, 2)), np.ones((3, 2)))
 
     @settings(max_examples=100)

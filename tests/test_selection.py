@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields
 from itertools import combinations
 
@@ -47,6 +48,27 @@ class TestRankAndSelect:
             rank_and_select(w, SelectionRequest(2, 2))
         with pytest.raises(ValueError, match="^w contains non-finite entries$"):
             rank_and_select(np.full((4, 3), bad), SelectionRequest(2, 2))
+
+    def test_a_w_whose_squares_overflow_is_scored_without_a_warning(self):
+        # the squares of 1e200 overflow: the scores are taken at a power-of-two scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sel = rank_and_select(np.full((4, 3), 1e200), SelectionRequest(2, 2))
+            assert sel.sample_scores == (np.sqrt(3.0) * 1e200,) * 4
+            assert sel.feature_scores == (2e200,) * 3
+            assert sel.sample_ranking == (0, 1, 2, 3)
+            w = np.full((4, 3), 1e200) * np.array([[1.0], [3.0], [2.0], [4.0]])
+            w[:, 1] *= 5.0
+            sel = rank_and_select(w, SelectionRequest(2, 2))
+        assert sel.sample_ranking == (3, 1, 2, 0)
+        assert sel.feature_ranking == (1, 0, 2)
+        assert sel.sample_scores[0] == pytest.approx(4e200 * np.sqrt(27.0), rel=1e-15)
+
+    def test_a_w_that_scores_finitely_keeps_the_bits_of_its_norms(self):
+        w = np.random.default_rng(3).normal(size=(5, 4)) * 1e150
+        sel = rank_and_select(w, SelectionRequest(2, 2))
+        assert sorted(sel.sample_scores) == sorted(np.linalg.norm(w, axis=1).tolist())
+        assert sorted(sel.feature_scores) == sorted(np.linalg.norm(w, axis=0).tolist())
 
     @pytest.mark.parametrize("m, r, name", [
         (2.5, 1, "m"), (2.0, 1, "m"), (2, True, "r"), (0, 1, "m"), (1, -1, "r"),

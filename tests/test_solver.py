@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import alfs.data as data_mod
 import alfs.solver as solver_mod
 from alfs import (
     AngularWeights,
+    BenchSpec,
     Dataset,
     RegularizationParams,
     SelectionRequest,
@@ -86,39 +88,51 @@ def residuals_of(state, ds):
     return primal_residuals(state, state.w @ ds.matrix)
 
 
+def _field_of(cls, name):
+    """A setter of one float field: builds ``cls`` with it, returns it."""
+    return lambda value: getattr(cls(**{name: value}), name)
+
+
+# every real setting that the shared finite-real check guards: (the setter,
+# the name its errors give, a valid value)
 FLOAT_FIELDS = [
-    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    pytest.param(_field_of(cls, f.name), f.name, f.default, id=f"{cls.__name__}.{f.name}")
     for cls in (RegularizationParams, SolverConfig)
     for f in dataclasses.fields(cls) if isinstance(f.default, float)
+] + [
+    pytest.param(lambda value: angular_weights(random_dataset(0, d=3, n=4), value).varsigma,
+                 "varsigma", 1e-8, id="angular_weights.varsigma"),
+    pytest.param(lambda value: BenchSpec("alfs", (2,), alfs_grid=(0.1, value)).alfs_grid[1],
+                 "each alfs_grid value", 10.0, id="BenchSpec.alfs_grid"),
 ]
 
 
-@pytest.mark.parametrize("cls, name", FLOAT_FIELDS)
-def test_nan_in_a_float_field_is_rejected(cls, name):
+@pytest.mark.parametrize("make, name, valid", FLOAT_FIELDS)
+def test_nan_in_a_float_field_is_rejected(make, name, valid):
     # NaN fails every comparison, so a check written as `value < 0` passes it
     with pytest.raises(ValueError, match=name):
-        cls(**{name: math.nan})
+        make(math.nan)
 
 
-@pytest.mark.parametrize("cls, name", FLOAT_FIELDS)
-def test_an_infinite_float_field_is_rejected(cls, name):
+@pytest.mark.parametrize("make, name, valid", FLOAT_FIELDS)
+def test_an_infinite_float_field_is_rejected(make, name, valid):
     # JSON configs may hold Infinity; no weight or setting makes sense there
     with pytest.raises(ValueError, match=name):
-        cls(**{name: math.inf})
+        make(math.inf)
 
 
 @pytest.mark.parametrize("value", [True, "1"], ids=["true", "string"])
-@pytest.mark.parametrize("cls, name", FLOAT_FIELDS)
-def test_a_float_field_that_is_no_real_number_is_rejected(cls, name, value):
+@pytest.mark.parametrize("make, name, valid", FLOAT_FIELDS)
+def test_a_float_field_that_is_no_real_number_is_rejected(make, name, valid, value):
     # JSON's true is an int to Python, and 1 would pass every range check
     with pytest.raises(ValueError, match=f"{name} must be a real number, got {value!r}"):
-        cls(**{name: value})
+        make(value)
 
 
-@pytest.mark.parametrize("cls, name", FLOAT_FIELDS)
-def test_a_numpy_float_field_is_accepted(cls, name):
-    value = np.float64(getattr(cls(), name))
-    assert getattr(cls(**{name: value}), name) == value
+@pytest.mark.parametrize("make, name, valid", FLOAT_FIELDS)
+def test_a_numpy_float_field_is_accepted(make, name, valid):
+    value = np.float64(valid)
+    assert make(value) == value
 
 
 def exact_objective_recomputed(x, w, p, t):
@@ -296,6 +310,17 @@ def w_step_as_written(ds, state, basis, sigma):
     if u.shape[0] > u.shape[1]:
         w += (rhs - ru @ u.T) * inv_outside_u
     return w
+
+
+def test_the_spectral_basis_reads_the_one_thin_svd_of_the_data():
+    # the solver and the baselines share the SVD memoized on the dataset
+    ds = random_dataset(7, d=4, n=9)
+    basis = spectral_basis(ds)
+    u, s, vt = data_mod._thin_svd(ds)
+    assert basis.u is u
+    assert basis.v.base is vt and basis.s2.tobytes() == (s * s).tobytes()
+    assert not basis.u.flags.writeable and not basis.v.flags.writeable
+    assert spectral_basis(ds).u is u
 
 
 class TestSolveWSubproblem:
