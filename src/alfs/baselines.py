@@ -132,8 +132,8 @@ def cur_from_indices(
         c=c,
         u=u,
         r=r,
-        column_indices=tuple(cols),
-        row_indices=tuple(rows),
+        column_indices=cols,
+        row_indices=rows,
         err=err,
         svd_err_k=svd_err_k,
     )

@@ -205,8 +205,8 @@ def _freeze(value) -> int:
     return 0
 
 
-def _memo(ds: Dataset, key: Hashable, compute: Callable[[], _T]) -> _T:
-    """``compute()``, evaluated once per dataset and ``key`` while cached.
+def _memo(ds: Dataset, key: Hashable, compute: Callable[..., _T], *args) -> _T:
+    """``compute(*args)``, evaluated once per dataset and ``key`` while cached.
 
     ``compute`` must be a deterministic function of ``ds.matrix``, which is
     read-only, so a cached value never goes stale. Its arrays are made
@@ -214,10 +214,11 @@ def _memo(ds: Dataset, key: Hashable, compute: Callable[[], _T]) -> _T:
     least recently used dropped first; a larger value is not kept.
     """
     cache = ds._derived
-    if key in cache:
+    hit = cache.get(key)
+    if hit is not None:
         cache.move_to_end(key)
-        return cache[key][0]
-    value = compute()
+        return hit[0]
+    value = compute(*args)
     size = _freeze(value)
     if size <= MEMO_BYTES:
         while cache.nbytes + size > MEMO_BYTES:

@@ -68,13 +68,13 @@ def _per_stack(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
-def _scaled_norm(m: np.ndarray, axis: Optional[int] = None):
-    """Euclidean norms of a finite ``m`` along ``axis`` (the Frobenius norm if
-    None), its squares taken at one power-of-two scale near ``max|m|``, so
-    that they neither overflow nor underflow. An entry below ``max|m|`` by a
-    factor of about 2**1074 counts as 0."""
+def _scaled_norm(m: np.ndarray):
+    """The Frobenius norm of a finite ``m``, its squares taken at one
+    power-of-two scale near ``max|m|``, so that they neither overflow nor
+    underflow. An entry below ``max|m|`` by a factor of about 2**1074 counts
+    as 0."""
     _, exp = np.frexp(np.abs(m).max())
-    return np.ldexp(np.linalg.norm(np.ldexp(m, -exp), axis=axis), exp)
+    return np.ldexp(np.linalg.norm(np.ldexp(m, -exp)), exp)
 
 
 def _group_norms(m: np.ndarray, axis: int) -> np.ndarray:

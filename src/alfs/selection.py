@@ -9,6 +9,7 @@ convex method is measured against.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -16,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import Dataset, SelectionRequest, _memo
-from .kernels import _require_finite, _scaled_norm
+from .kernels import _require_finite
 
 LOW_SCORE_THRESHOLD = 1e-6
 ORACLE_ENUMERATION_LIMIT = 10**6
@@ -50,9 +51,11 @@ class SelectionResult:
         return self.feature_ranking[: self.r]
 
 
-def _ranked(scores: np.ndarray) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    # stable sort on negated scores: equal scores keep ascending index order
-    order = np.argsort(-scores, kind="stable")
+def _ranked(keys: np.ndarray, scores: np.ndarray) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Indices by non-increasing ``keys`` and their ``scores``; ``keys``
+    order as ``scores`` do, or break their ties."""
+    # stable sort on negated keys: equal keys keep ascending index order
+    order = np.argsort(-keys, kind="stable")
     return tuple(int(i) for i in order), tuple(float(scores[i]) for i in order)
 
 
@@ -70,9 +73,10 @@ def rank_and_select(w: np.ndarray, req: SelectionRequest) -> SelectionResult:
     """Rank samples by row norms and features by column norms of W.
 
     A W whose squares overflow (entries above about 1e154) is scored at one
-    power-of-two scale, where an entry 2**1074 times below its largest is 0.
-    Raises ValueError for a W that is not a matrix, has a non-finite entry,
-    or is too small for the budgets.
+    power-of-two scale, where an entry 2**1074 times below its largest is 0,
+    and ranked at that scale: scores that overflow once scaled back are
+    still told apart. Raises ValueError for a W that is not a matrix, has a
+    non-finite entry, or is too small for the budgets.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
@@ -81,12 +85,16 @@ def rank_and_select(w: np.ndarray, req: SelectionRequest) -> SelectionResult:
     n, d = w.shape
     req.check_against(n, d)
     with np.errstate(over="ignore"):
-        row_scores = np.linalg.norm(w, axis=1)
-        col_scores = np.linalg.norm(w, axis=0)
+        row_keys = row_scores = np.linalg.norm(w, axis=1)
+        col_keys = col_scores = np.linalg.norm(w, axis=0)
         if not (np.isfinite(row_scores).all() and np.isfinite(col_scores).all()):
-            row_scores, col_scores = _scaled_norm(w, axis=1), _scaled_norm(w, axis=0)
-    sample_ranking, sample_scores = _ranked(row_scores)
-    feature_ranking, feature_scores = _ranked(col_scores)
+            # both axes at the power-of-two scale just above max|W|
+            _, exp = np.frexp(np.abs(w).max())
+            scaled = np.ldexp(w, -exp)
+            row_keys, col_keys = np.linalg.norm(scaled, axis=1), np.linalg.norm(scaled, axis=0)
+            row_scores, col_scores = np.ldexp(row_keys, exp), np.ldexp(col_keys, exp)
+    sample_ranking, sample_scores = _ranked(row_keys, row_scores)
+    feature_ranking, feature_scores = _ranked(col_keys, col_scores)
     return SelectionResult(
         sample_ranking=sample_ranking,
         sample_scores=sample_scores,
@@ -98,17 +106,41 @@ def rank_and_select(w: np.ndarray, req: SelectionRequest) -> SelectionResult:
     )
 
 
-def _index_set(indices: Iterable[int], bound: int, what: str) -> list[int]:
-    out = sorted(set(map(int, indices)))
+def _as_index(i, what: str) -> int:
+    """An index that is not an ``int`` already, as one; a bool, or what
+    :func:`operator.index` refuses (a float, a str, a numpy bool), is
+    rejected."""
+    if isinstance(i, bool):
+        raise ValueError(f"{what} index must be an integer, got {i!r}")
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise ValueError(f"{what} index must be an integer, got {i!r}") from None
+
+
+def _index_set(indices: Iterable[int], bound: int, what: str) -> tuple[int, ...]:
+    """The distinct ``indices``, sorted; each must be an integer in 0..bound-1."""
+    # one pass: a Python int, as enumeration yields, is taken as it is
+    out = sorted({i if i.__class__ is int else _as_index(i, what) for i in indices})
     if not out:
         raise ValueError(f"{what} index set is empty")
     if out[0] < 0 or out[-1] >= bound:
         raise ValueError(f"{what} index out of range 0..{bound - 1}: {out}")
-    return out
+    return tuple(out)
+
+
+def _sample_factors(x: np.ndarray, samples: tuple[int, ...]):
+    c = x[:, samples]
+    return c, np.linalg.pinv(c, rcond=PINV_RCOND) @ x
+
+
+def _feature_factors(x: np.ndarray, features: tuple[int, ...]):
+    r = x[features, :]
+    return r, np.linalg.pinv(r, rcond=PINV_RCOND)
 
 
 def _cur_core(
-    ds: Dataset, samples: list[int], features: list[int]
+    ds: Dataset, samples: tuple[int, ...], features: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """C, the core ``U = C+ X R+``, R and ``||X - C U R||_F^2`` at checked indices.
 
@@ -116,20 +148,15 @@ def _cur_core(
     feature set, so a call on known sets costs three small products.
     """
     x = ds.matrix
-
-    def sample_factors():
-        c = x[:, samples]
-        return c, np.linalg.pinv(c, rcond=PINV_RCOND) @ x
-
-    def feature_factors():
-        r = x[features, :]
-        return r, np.linalg.pinv(r, rcond=PINV_RCOND)
-
-    c, c_pinv_x = _memo(ds, ("cur_c", tuple(samples)), sample_factors)
-    r, r_pinv = _memo(ds, ("cur_r", tuple(features)), feature_factors)
-    u = c_pinv_x @ r_pinv
-    resid = x - c @ u @ r
-    return c, u, r, float((resid * resid).sum())
+    c, c_pinv_x = _memo(ds, ("cur_c", samples), _sample_factors, x, samples)
+    r, r_pinv = _memo(ds, ("cur_r", features), _feature_factors, x, features)
+    # ndarray.dot makes the gemm call of @ at less dispatch cost. The
+    # subtraction allocates: the residual's layout, which sets the order the
+    # sum adds in, is numpy's choice for x - (C U R), as the @ form had it
+    u = c_pinv_x.dot(r_pinv)
+    resid = x - c.dot(u).dot(r)
+    np.multiply(resid, resid, out=resid)
+    return c, u, r, float(np.add.reduce(resid, axis=None))
 
 
 def reconstruction_error(
@@ -144,9 +171,8 @@ def reconstruction_error(
     singular values below 1e-10 of the largest treated as zero), and the
     error is ``||X - C U R||_F^2``.
     """
-    s = _index_set(samples, ds.n_samples, "sample")
-    f = _index_set(features, ds.n_features, "feature")
-    return _cur_core(ds, s, f)[3]
+    d, n = ds.matrix.shape
+    return _cur_core(ds, _index_set(samples, n, "sample"), _index_set(features, d, "feature"))[3]
 
 
 def oracle_best_subsets(

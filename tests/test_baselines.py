@@ -110,6 +110,25 @@ class TestCur:
         with pytest.raises(ValueError, match="index"):
             cur_from_indices(ds, columns, rows, k=1)
 
+    @pytest.mark.parametrize("bad, shown", [
+        ([0.7, 1], "0.7"), (["1", 2], "'1'"), ([True, 2], "True"),
+        (np.array([True, False, True, False]), "np.True_"),
+    ], ids=["float", "str", "bool", "numpy-mask"])
+    def test_an_index_that_is_no_integer_is_rejected(self, bad, shown):
+        # int() used to read 0.7 as 0, '1' and True as 1, and a mask as {0, 1}
+        ds = random_dataset(3, d=4, n=5)
+        with pytest.raises(ValueError, match=f"^column index must be an integer, got {re.escape(shown)}$"):
+            cur_from_indices(ds, bad, [0], k=1)
+        with pytest.raises(ValueError, match=f"^row index must be an integer, got {re.escape(shown)}$"):
+            cur_from_indices(ds, [0], bad, k=1)
+
+    def test_numpy_integer_indices_are_accepted(self):
+        ds = random_dataset(3, d=4, n=5)
+        res = cur_from_indices(ds, np.array([3, 1]), [np.int32(2), np.uint8(0)], k=1)
+        assert res.column_indices == (1, 3) and res.row_indices == (0, 2)
+        assert all(type(i) is int for i in res.column_indices + res.row_indices)
+        assert res.err == cur_from_indices(Dataset(ds.matrix), [1, 3], [0, 2], k=1).err
+
     def test_indices_are_actual_columns_and_rows(self):
         ds = random_dataset(5, d=5, n=7)
         res = rcur(ds, RcurConfig(k=2, m=4, r=3, seed=1))

@@ -1,11 +1,14 @@
+import math
+import re
 import warnings
 from dataclasses import fields
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 import alfs.data as data_mod
+import alfs.selection as selection_mod
 from alfs import (
     Dataset,
     SelectionRequest,
@@ -15,6 +18,15 @@ from alfs import (
 )
 
 from conftest import random_dataset
+
+
+def _pair_error_with_matmul(x, samples, features):
+    """A pair's error written with ``@``: the reference the oracle's path must
+    match bit for bit."""
+    c, r = x[:, list(samples)], x[list(features), :]
+    u = (np.linalg.pinv(c, rcond=1e-10) @ x) @ np.linalg.pinv(r, rcond=1e-10)
+    resid = x - c @ u @ r
+    return float((resid * resid).sum())
 
 
 class TestRankAndSelect:
@@ -63,6 +75,18 @@ class TestRankAndSelect:
         assert sel.sample_ranking == (3, 1, 2, 0)
         assert sel.feature_ranking == (1, 0, 2)
         assert sel.sample_scores[0] == pytest.approx(4e200 * np.sqrt(27.0), rel=1e-15)
+
+    def test_norms_that_overflow_still_rank_by_size(self):
+        # both row norms overflow to inf; ranked at scale, the larger comes first
+        w = np.array([[1.5e308, 1.5e308], [1.6e308, 1.6e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = rank_and_select(w, SelectionRequest(1, 1))
+            cols = rank_and_select(w.T, SelectionRequest(1, 1))
+        assert rows.sample_ranking == (1, 0)
+        assert cols.feature_ranking == (1, 0)
+        # the reported scores are the scaled-back norms, which overflow
+        assert rows.sample_scores == cols.feature_scores == (np.inf, np.inf)
 
     def test_a_w_that_scores_finitely_keeps_the_bits_of_its_norms(self):
         w = np.random.default_rng(3).normal(size=(5, 4)) * 1e150
@@ -115,6 +139,33 @@ class TestReconstructionError:
         with pytest.raises(ValueError):
             reconstruction_error(ds, [], [0])
 
+    @pytest.mark.parametrize("bad, shown", [
+        ([0.7, 1], "0.7"), (["1", 2], "'1'"), ([True, 2], "True"), ([1, True], "True"),
+        (np.array([True, False, True, False]), "np.True_"),
+    ], ids=["float", "str", "bool", "bool-after-its-int", "numpy-mask"])
+    def test_an_index_that_is_no_integer_is_rejected(self, bad, shown):
+        # int() used to read 0.7 as 0, '1' and True as 1, and a mask as {0, 1}
+        ds = random_dataset(9, d=4, n=4)
+        with pytest.raises(ValueError, match=f"^sample index must be an integer, got {re.escape(shown)}$"):
+            reconstruction_error(ds, bad, [0])
+        with pytest.raises(ValueError, match=f"^feature index must be an integer, got {re.escape(shown)}$"):
+            reconstruction_error(ds, [0], bad)
+
+    def test_numpy_integers_and_ranges_are_index_sets(self):
+        ds = random_dataset(10, d=4, n=5)
+        want = reconstruction_error(ds, [0, 2], [1, 3])
+        assert reconstruction_error(ds, np.array([2, 0, 2]), (np.int64(3), np.uint8(1))) == want
+        assert reconstruction_error(ds, range(0, 3, 2), [np.int32(1), 3]) == want
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_every_pair_has_the_bits_of_the_matmul_expression(self, order):
+        # the layout steers the BLAS path: load_csv returns F-ordered matrices
+        ds = Dataset(np.asarray(random_dataset(11, d=5, n=7).matrix, order=order))
+        assert ds.matrix.flags[f"{order}_CONTIGUOUS"]
+        sets = {k: [c for size in (1, 2, 3) for c in combinations(range(k), size)] for k in (5, 7)}
+        for s, f in product(sets[7], sets[5]):
+            assert reconstruction_error(ds, s, f) == _pair_error_with_matmul(ds.matrix, s, f)
+
     def test_permutation_equivariant(self):
         rng = np.random.default_rng(4)
         ds = random_dataset(4, d=3, n=6)
@@ -153,6 +204,22 @@ class TestOracle:
                 assert err <= e + 1e-12
         assert count == 150
         assert err == pytest.approx(best, abs=1e-12)
+
+    def test_each_pair_is_one_reconstruction_error_call(self, monkeypatch):
+        # the traced benchmark expects C(n, m) * C(d, r) calls of an oracle
+        ds = random_dataset(12, d=5, n=6)
+        seen = []
+
+        def spy(data, samples, features):
+            seen.append((samples, features))
+            return reconstruction_error(data, samples, features)
+
+        monkeypatch.setattr(selection_mod, "reconstruction_error", spy)
+        s, f, err = oracle_best_subsets(ds, SelectionRequest(3, 2))
+        assert len(seen) == math.comb(6, 3) * math.comb(5, 2)
+        assert seen == list(product(combinations(range(6), 3), combinations(range(5), 2)))
+        errors = [reconstruction_error(ds, *pair) for pair in seen]
+        assert (s, f, err) == (*seen[errors.index(min(errors))], min(errors))
 
     def test_enumeration_guard(self):
         ds = random_dataset(7, d=30, n=40)
