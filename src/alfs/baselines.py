@@ -13,8 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, _require_integer, _thin_svd
-from .selection import _cur_core, _index_set
+from .data import Dataset, SelectionRequest, _index_set, _require_integer, _thin_svd
+from .kernels import _at_one_scale
+from .selection import _cur_core
 
 # err must dominate the best rank-q SVD error; slack for float rounding only.
 _LOWER_BOUND_RTOL = 1e-9
@@ -65,20 +66,21 @@ def _matrix_rank(ds: Dataset) -> int:
 
 def random_sampling(n: int, m: int, seed: int) -> tuple[int, ...]:
     """m distinct uniform indices out of 0..n-1, sorted; deterministic per seed."""
-    if m > n:
-        raise ValueError(f"cannot draw {m} distinct indices from {n}")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    rng = np.random.default_rng(seed)
+    n = _require_integer("n", n, 1)
+    m = _require_integer("m", m, 1, n)
+    rng = np.random.default_rng(_require_integer("seed", seed, 0))
     picks = rng.choice(n, size=m, replace=False)
     return tuple(sorted(int(i) for i in picks))
 
 
 def variance_feature_select(ds: Dataset, r: int) -> tuple[int, ...]:
-    """Indices of the r features with largest variance (ties by index), sorted."""
-    if not 1 <= r <= ds.n_features:
-        raise ValueError(f"feature budget r={r} outside 1..{ds.n_features}")
-    variances = ds.matrix.var(axis=1)
+    """Indices of the r features with largest variance (ties by index), sorted;
+    variances that overflow are ranked at one power-of-two scale instead."""
+    r = _require_integer("feature budget r", r, 1, ds.n_features)
+    with np.errstate(over="ignore", invalid="ignore"):
+        variances = ds.matrix.var(axis=1)
+    if not np.isfinite(variances).all():  # overflowed to inf, or to inf - inf
+        variances = _at_one_scale(ds.matrix)[0].var(axis=1)
     order = np.argsort(-variances, kind="stable")
     return tuple(sorted(int(i) for i in order[:r]))
 
@@ -91,9 +93,7 @@ def leverage_scores(ds: Dataset, k: int) -> tuple[np.ndarray, np.ndarray]:
     Warns when sigma_k is (near-)degenerate with sigma_{k+1}, where the
     scores are not uniquely determined.
     """
-    x = ds.matrix
-    if not 1 <= k <= min(x.shape):
-        raise ValueError(f"k={k} outside 1..{min(x.shape)}")
+    k = _require_integer("k", k, 1, min(ds.matrix.shape))
     u, s, vt = _thin_svd(ds)
     if k < s.size and s[0] > 0 and (s[k - 1] - s[k]) <= 1e-10 * s[0]:
         warnings.warn(
@@ -114,11 +114,12 @@ def cur_from_indices(
 ) -> RcurResult:
     """Deterministic CUR at given index sets with the pseudoinverse-optimal core.
 
-    Duplicate indices are dropped; an empty set or an index outside the
-    matrix raises ValueError.
+    Duplicate indices are dropped; an empty set, an index outside the
+    matrix or a ``k`` outside 1..min(d, n) raises ValueError.
     """
     cols = _index_set(column_indices, ds.n_samples, "column")
     rows = _index_set(row_indices, ds.n_features, "row")
+    k = _require_integer("k", k, 1, min(ds.matrix.shape))
     c, u, r, err = _cur_core(ds, cols, rows)
     s = _thin_svd(ds)[1]
     svd_err_k = float((s[k:] ** 2).sum())
@@ -146,8 +147,7 @@ def _rcur_indices(ds: Dataset, cfg: RcurConfig) -> tuple[tuple[int, ...], tuple[
     benchmark harness) leaves no per-set entry in the memo.
     """
     n, d = ds.n_samples, ds.n_features
-    if cfg.m > n or cfg.r > d:
-        raise ValueError(f"budgets m={cfg.m}, r={cfg.r} exceed shape {d}x{n}")
+    SelectionRequest(cfg.m, cfg.r).check_against(n, d)
     rank = _matrix_rank(ds)
     if cfg.k >= rank:
         raise ValueError(f"target rank k={cfg.k} must be below rank(X)={rank}")

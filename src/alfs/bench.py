@@ -124,11 +124,9 @@ class BenchSpec:
     def check_against(self, n_samples: int, n_features: int) -> None:
         """Every budget must fit a training set of this size."""
         for m in self.sample_budgets:
-            if not 1 <= m <= n_samples:
-                raise ValueError(f"sample budget {m} outside 1..{n_samples}")
+            _require_integer("sample budget m", m, 1, n_samples)
         for r in self.feature_budgets:
-            if not 1 <= r <= n_features:
-                raise ValueError(f"feature budget {r} outside 1..{n_features}")
+            _require_integer("feature budget r", r, 1, n_features)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -284,13 +285,13 @@ def _cmd_select(args: argparse.Namespace) -> int:
             raise CliError(f"result document lacks {key!r}; was it written by 'solve'?")
     for axis in ("sample", "feature"):
         ranking, scores = document[f"{axis}_ranking"], document[f"{axis}_scores"]
-        # bool is a subclass of int, and JSON's true is no index
+        # JSON's true is no index (bool is an int), nor is NaN or Infinity a score
         if not (isinstance(ranking, list) and all(type(i) is int for i in ranking)
                 and isinstance(scores, list)
-                and all(type(s) in (int, float) for s in scores)
+                and all(type(s) in (int, float) and -math.inf < s < math.inf for s in scores)
                 and len(ranking) == len(scores)):
             raise CliError(f"malformed result document: {axis}_ranking must be a list of "
-                           f"integers and {axis}_scores a list of numbers of its length")
+                           f"integers and {axis}_scores a list of finite numbers of its length")
         if sorted(ranking) != list(range(len(ranking))):
             raise CliError(f"malformed result document: {axis}_ranking must be a "
                            f"permutation of 0..{len(ranking) - 1}")
@@ -385,9 +386,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _settings(args)
     ds = _load_dataset(args.data, cfg["data"])
     try:
-        req = SelectionRequest(args.m, args.r)
-        req.check_against(ds.n_samples, ds.n_features)
-        samples, features, err = oracle_best_subsets(ds, req)
+        samples, features, err = oracle_best_subsets(ds, SelectionRequest(args.m, args.r))
     except ValueError as exc:
         raise CliError(str(exc)) from None
     print("samples:", ",".join(str(i) for i in samples))

@@ -18,7 +18,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Hashable, Optional, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -38,12 +38,38 @@ _CONSTANT_STD_ULPS = 8
 _T = TypeVar("_T")
 
 
-def _require_integer(name: str, value, minimum: Optional[int]) -> None:
-    """Reject anything but an integer >= ``minimum`` (any if None); a bool too."""
+def _require_integer(name: str, value, minimum: Optional[int], maximum=None) -> int:
+    """``value`` as an ``int``: an integer (a bool is none) >= ``minimum``
+    (any if None) and, if given, <= ``maximum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (
-            minimum is not None and value < minimum):
+            maximum is None and minimum is not None and value < minimum):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    if maximum is not None and not minimum <= value <= maximum:
+        raise ValueError(f"{name}={value} outside {minimum}..{maximum}")
+    return int(value)
+
+
+def _index_set(indices: Iterable[int], bound: int, what: str) -> tuple[int, ...]:
+    """The distinct ``indices``, sorted; each must be an integer in 0..bound-1."""
+    # one pass: a Python int, as enumeration yields, is taken as it is
+    out = sorted({i if i.__class__ is int else _require_integer(f"{what} index", i, None)
+                  for i in indices})
+    if not out:
+        raise ValueError(f"{what} index set is empty")
+    if out[0] < 0 or out[-1] >= bound:
+        raise ValueError(f"{what} index out of range 0..{bound - 1}: {out}")
+    return tuple(out)
+
+
+def _index_list(indices: Iterable[int], bound: int, what: str) -> list[int]:
+    """``indices`` in order, repeats kept; each must be an integer in 0..bound-1."""
+    out = [i if i.__class__ is int else _require_integer(f"{what} index", i, None)
+           for i in indices]
+    if out and not 0 <= min(out) <= max(out) < bound:
+        raise ValueError(f"{what} index out of range 0..{bound - 1}: "
+                         f"{[i for i in out if not 0 <= i < bound]}")
+    return out
 
 
 def _require_real(name: str, value, minimum, strict: bool = False) -> None:
@@ -170,17 +196,18 @@ class Dataset:
     ) -> "Dataset":
         """Sub-dataset at the given sample columns and/or feature rows.
 
-        Index order is preserved as given; labels follow the sample indices.
+        Index order and repeats are kept; labels follow the sample indices.
+        An index that is no in-range integer (a bool, 1.5, -1) raises ValueError.
         """
         m = self.matrix
         names = self.feature_names
         labels = self.labels
         if features is not None:
-            features = list(features)
+            features = _index_list(features, self.n_features, "feature")
             m = m[features, :]
             names = tuple(names[i] for i in features)
         if samples is not None:
-            samples = list(samples)
+            samples = _index_list(samples, self.n_samples, "sample")
             m = m[:, samples]
             if labels is not None:
                 labels = tuple(labels[j] for j in samples)
@@ -246,10 +273,8 @@ class SelectionRequest:
         _require_integer("r", self.r, 1)
 
     def check_against(self, n_samples: int, n_features: int) -> None:
-        if not 1 <= self.m <= n_samples:
-            raise ValueError(f"sample budget m={self.m} outside 1..{n_samples}")
-        if not 1 <= self.r <= n_features:
-            raise ValueError(f"feature budget r={self.r} outside 1..{n_features}")
+        _require_integer("sample budget m", self.m, 1, n_samples)
+        _require_integer("feature budget r", self.r, 1, n_features)
 
 
 @dataclass(frozen=True)
@@ -509,12 +534,11 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     columns.
     """
     n = ds.n_samples
-    if not 1 <= spec.n_train < n:
-        raise ValueError(f"n_train={spec.n_train} outside 1..{n - 1}")
+    n_train = _require_integer("n_train", spec.n_train, 1, n - 1)
     rng = np.random.default_rng(spec.seed)
     perm = rng.permutation(n)
-    train_idx = sorted(int(i) for i in perm[: spec.n_train])
-    test_idx = sorted(int(i) for i in perm[spec.n_train :])
+    train_idx = sorted(perm[:n_train].tolist())
+    test_idx = sorted(perm[n_train:].tolist())
     train = ds.restrict(samples=train_idx)
     test = ds.restrict(samples=test_idx)
     return train, test

@@ -68,13 +68,17 @@ def _per_stack(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
-def _scaled_norm(m: np.ndarray):
-    """The Frobenius norm of a finite ``m``, its squares taken at one
-    power-of-two scale near ``max|m|``, so that they neither overflow nor
-    underflow. An entry below ``max|m|`` by a factor of about 2**1074 counts
-    as 0."""
+def _at_one_scale(m: np.ndarray):
+    """``(m / 2**exp, exp)``, ``2**exp`` just above ``max|m|`` of a finite ``m``:
+    no square overflows. An entry below ``max|m|`` by about 2**1074 becomes 0."""
     _, exp = np.frexp(np.abs(m).max())
-    return np.ldexp(np.linalg.norm(np.ldexp(m, -exp)), exp)
+    return np.ldexp(m, -exp), exp
+
+
+def _scaled_norm(m: np.ndarray):
+    """The Frobenius norm of a finite ``m``, its squares taken at :func:`_at_one_scale`."""
+    scaled, exp = _at_one_scale(m)
+    return np.ldexp(np.linalg.norm(scaled), exp)
 
 
 def _group_norms(m: np.ndarray, axis: int) -> np.ndarray:

@@ -9,15 +9,14 @@ convex method is measured against.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, SelectionRequest, _memo
-from .kernels import _require_finite
+from .data import Dataset, SelectionRequest, _index_set, _memo
+from .kernels import _at_one_scale, _require_finite
 
 LOW_SCORE_THRESHOLD = 1e-6
 ORACLE_ENUMERATION_LIMIT = 10**6
@@ -88,9 +87,7 @@ def rank_and_select(w: np.ndarray, req: SelectionRequest) -> SelectionResult:
         row_keys = row_scores = np.linalg.norm(w, axis=1)
         col_keys = col_scores = np.linalg.norm(w, axis=0)
         if not (np.isfinite(row_scores).all() and np.isfinite(col_scores).all()):
-            # both axes at the power-of-two scale just above max|W|
-            _, exp = np.frexp(np.abs(w).max())
-            scaled = np.ldexp(w, -exp)
+            scaled, exp = _at_one_scale(w)
             row_keys, col_keys = np.linalg.norm(scaled, axis=1), np.linalg.norm(scaled, axis=0)
             row_scores, col_scores = np.ldexp(row_keys, exp), np.ldexp(col_keys, exp)
     sample_ranking, sample_scores = _ranked(row_keys, row_scores)
@@ -104,29 +101,6 @@ def rank_and_select(w: np.ndarray, req: SelectionRequest) -> SelectionResult:
         r=req.r,
         low_score_warning=_low_scores_selected(sample_scores, feature_scores, req),
     )
-
-
-def _as_index(i, what: str) -> int:
-    """An index that is not an ``int`` already, as one; a bool, or what
-    :func:`operator.index` refuses (a float, a str, a numpy bool), is
-    rejected."""
-    if isinstance(i, bool):
-        raise ValueError(f"{what} index must be an integer, got {i!r}")
-    try:
-        return operator.index(i)
-    except TypeError:
-        raise ValueError(f"{what} index must be an integer, got {i!r}") from None
-
-
-def _index_set(indices: Iterable[int], bound: int, what: str) -> tuple[int, ...]:
-    """The distinct ``indices``, sorted; each must be an integer in 0..bound-1."""
-    # one pass: a Python int, as enumeration yields, is taken as it is
-    out = sorted({i if i.__class__ is int else _as_index(i, what) for i in indices})
-    if not out:
-        raise ValueError(f"{what} index set is empty")
-    if out[0] < 0 or out[-1] >= bound:
-        raise ValueError(f"{what} index out of range 0..{bound - 1}: {out}")
-    return tuple(out)
 
 
 def _sample_factors(x: np.ndarray, samples: tuple[int, ...]):

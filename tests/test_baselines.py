@@ -61,6 +61,24 @@ class TestVarianceFeatureSelect:
         with pytest.raises(ValueError):
             variance_feature_select(ds, 4)
 
+    @pytest.mark.parametrize("pattern, scale", [
+        ([1.0, -1.0, 1.0, -1.0], 1e200),
+        # eight of each sign per partial sum: the sum of a row reads inf - inf
+        ([1.0 if j % 8 < 4 else -1.0 for j in range(64)], 0.9e308),
+    ], ids=["squares-overflow", "sums-overflow-both-ways"])
+    def test_variances_that_overflow_are_still_told_apart(self, pattern, scale):
+        # the inf variances used to tie, and the tie went to feature 0
+        p = np.array(pattern)
+        ds = Dataset(np.vstack([scale * p, 1.7 / 0.9 * scale * p, np.arange(p.size)]))
+        assert variance_feature_select(ds, 1) == (1,)
+        assert variance_feature_select(ds, 2) == (0, 1)
+
+    def test_finite_variances_rank_as_the_plain_variances(self):
+        ds = random_dataset(5, d=12, n=9)
+        order = np.argsort(-ds.matrix.var(axis=1), kind="stable")
+        for r in range(1, 13):
+            assert variance_feature_select(ds, r) == tuple(sorted(order[:r].tolist()))
+
 
 class TestLeverageScores:
     def test_axis_aligned_diagonal(self):

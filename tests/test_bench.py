@@ -526,12 +526,12 @@ class TestRunCurve:
     def test_budget_above_the_training_set_rejected(self):
         train, test = small_clusters()
         spec = BenchSpec(method="random", sample_budgets=(3, 41), repeats=1)
-        with pytest.raises(ValueError, match="sample budget 41 outside 1..40"):
+        with pytest.raises(ValueError, match="sample budget m=41 outside 1..40"):
             run_curve(train, test, spec)
         spec = BenchSpec(
             method="variance+random", sample_budgets=(3,), feature_budgets=(11,)
         )
-        with pytest.raises(ValueError, match="feature budget 11 outside 1..10"):
+        with pytest.raises(ValueError, match="feature budget r=11 outside 1..10"):
             run_curve(train, test, spec)
 
     @pytest.mark.parametrize("method, budgets", [

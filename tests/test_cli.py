@@ -628,6 +628,17 @@ class TestSelectCommand:
         assert "malformed result document" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("score", ["NaN", "Infinity", "-Infinity"])
+    def test_a_score_that_is_not_finite_exits_2(self, tmp_path, capsys, score):
+        # json reads these, though solve never writes one
+        result = tmp_path / "result.json"
+        result.write_text(f'{{"sample_ranking": [0, 1], "sample_scores": [{score}, 0.5], '
+                          '"feature_ranking": [0], "feature_scores": [1.0]}')
+        assert run_cli("select", "--result", str(result), "--m", "1", "--r", "1") == 2
+        err = capsys.readouterr().err
+        assert "malformed result document: sample_ranking" in err
+        assert "Traceback" not in err
+
     def test_a_document_that_is_no_object_exits_2(self, tmp_path, capsys):
         result = tmp_path / "result.json"
         result.write_text("[0, 1, 2]")
@@ -689,9 +700,9 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize("flags, message", [
         (["--methods", "alfs,random", "--budgets", "2,9"],
-         "sample budget 9 outside 1..5"),
+         "sample budget m=9 outside 1..5"),
         (["--methods", "variance+random", "--budgets", "3", "--feature-budgets", "2,5"],
-         "feature budget 5 outside 1..4"),
+         "feature budget r=5 outside 1..4"),
     ], ids=["samples", "features"])
     def test_budget_above_the_training_set_exits_2(
         self, flags, message, tiny_csv, tmp_path, capsys

@@ -83,6 +83,34 @@ class TestDataset:
         assert sub.feature_names == ("f1",)
         assert ds.matrix.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
 
+    def test_restrict_keeps_order_and_repeats(self):
+        ds = Dataset(np.arange(6.0).reshape(2, 3), labels=("a", "b", "c"))
+        sub = ds.restrict(samples=[np.int64(2), 0, 2], features=(1, 1))
+        assert sub.matrix.tolist() == [[5.0, 3.0, 5.0], [5.0, 3.0, 5.0]]
+        assert sub.labels == ("c", "a", "c") and sub.feature_names == ("f1", "f1")
+
+    @pytest.mark.parametrize("labels", [None, tuple("abcabc")], ids=["unlabeled", "labeled"])
+    @pytest.mark.parametrize("index, message", [
+        ([True, False, True, False, True, False], "must be an integer, got True"),
+        (np.array([True, False, True, False, True, False]), "must be an integer, got np.True_"),
+        ([-1], re.escape("out of range 0..5: [-1]")),
+        ([1.5], "must be an integer, got 1.5"),
+        ([0, 6, 7], re.escape("out of range 0..5: [6, 7]")),
+    ], ids=["mask", "numpy-mask", "negative", "float", "past-the-end"])
+    def test_restrict_rejects_what_is_no_sample_index(self, labels, index, message):
+        # a mask used to pick columns 0 and 1 (or fail on the labels'
+        # length), -1 the last column; 1.5 raised an IndexError
+        ds = Dataset(np.arange(12.0).reshape(2, 6), labels=labels)
+        with pytest.raises(ValueError, match=f"^sample index {message}$"):
+            ds.restrict(samples=index)
+
+    def test_restrict_rejects_what_is_no_feature_index(self):
+        ds = Dataset(np.arange(12.0).reshape(2, 6))
+        with pytest.raises(ValueError, match=r"^feature index out of range 0\.\.1: \[-1\]$"):
+            ds.restrict(features=[0, -1])
+        with pytest.raises(ValueError, match="^feature index must be an integer, got True$"):
+            ds.restrict(features=[True, False])
+
 
 class TestLoadCsv:
     def test_rows_are_samples_orientation(self, tmp_path):
