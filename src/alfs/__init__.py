@@ -31,11 +31,9 @@ from .data import (
     Dataset,
     SelectionRequest,
     SplitSpec,
-    ValidationReport,
     load_csv,
     split,
     standardize_features,
-    validate,
     write_csv,
 )
 from .kernels import (
@@ -68,11 +66,9 @@ __all__ = [
     "Dataset",
     "SelectionRequest",
     "SplitSpec",
-    "ValidationReport",
     "load_csv",
     "split",
     "standardize_features",
-    "validate",
     "write_csv",
     # kernels
     "AngularWeights",

@@ -74,13 +74,20 @@ def random_sampling(n: int, m: int, seed: int) -> tuple[int, ...]:
 
 
 def variance_feature_select(ds: Dataset, r: int) -> tuple[int, ...]:
-    """Indices of the r features with largest variance (ties by index), sorted;
-    variances that overflow are ranked at one power-of-two scale instead."""
+    """Indices of the r features with largest variance (ties by index), sorted.
+
+    Variances that overflow, or that fall below the normal range
+    (``np.finfo(float).tiny``) for a feature whose entries are not all
+    equal, are ranked at one power-of-two scale instead.
+    """
     r = _require_integer("feature budget r", r, 1, ds.n_features)
+    m = ds.matrix
     with np.errstate(over="ignore", invalid="ignore"):
-        variances = ds.matrix.var(axis=1)
-    if not np.isfinite(variances).all():  # overflowed to inf, or to inf - inf
-        variances = _at_one_scale(ds.matrix)[0].var(axis=1)
+        variances = m.var(axis=1)
+    low = variances < np.finfo(float).tiny
+    # overflowed to inf or to inf - inf, or the squares of a varying row underflowed
+    if not np.isfinite(variances).all() or not (m[low] == m[low, :1]).all():
+        variances = _at_one_scale(m)[0].var(axis=1)
     order = np.argsort(-variances, kind="stable")
     return tuple(sorted(int(i) for i in order[:r]))
 

@@ -36,10 +36,11 @@ from .data import (
     ROWS_ARE_SAMPLES,
     SelectionRequest,
     SplitSpec,
+    _ORIENTATIONS,
+    _zero_columns,
     load_csv,
     split,
     standardize_features,
-    validate,
 )
 from .selection import _low_scores_selected, oracle_best_subsets, rank_and_select
 from .solver import (
@@ -137,13 +138,12 @@ def _settings(args: argparse.Namespace) -> dict:
     empty list (its type returns None), leaves the file's value."""
     cfg = _load_config(args.config)
     data, methods = cfg["data"], cfg["bench"]["methods"]
-    orientations = (ROWS_ARE_SAMPLES, ROWS_ARE_FEATURES)
     # a string such as "false" is truthy, and a string of methods iterates
     # by character
     for section, key, ok, wanted in (
         ("data", "has_header", isinstance(data["has_header"], bool), "true or false"),
         ("data", "standardize", isinstance(data["standardize"], bool), "true or false"),
-        ("data", "orientation", data["orientation"] in orientations, f"one of {orientations}"),
+        ("data", "orientation", data["orientation"] in _ORIENTATIONS, f"one of {_ORIENTATIONS}"),
         ("data", "label_column", isinstance(data["label_column"], (str, type(None))),
          "a string or null"),
         ("bench", "methods", args.command != "bench" or (isinstance(methods, list) and methods
@@ -174,10 +174,10 @@ def _load_dataset(path: str, data_cfg: dict, for_solver: bool = False) -> Datase
     if data_cfg["standardize"]:
         ds = standardize_features(ds)
     if for_solver:
-        zero = validate(ds).zero_columns
+        zero = _zero_columns(ds.matrix)
         if zero:
             raise CliError(
-                f"all-zero sample(s) at 0-based index {list(zero)}: the solver's "
+                f"all-zero sample(s) at 0-based index {zero}: the solver's "
                 "angular weights need a nonzero direction for every sample"
             )
     return ds

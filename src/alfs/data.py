@@ -289,21 +289,6 @@ class SplitSpec:
         _require_integer("seed", self.seed, 0)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Diagnostics from :func:`validate`; empty lists mean a clean dataset."""
-
-    zero_columns: tuple[int, ...]
-    zero_variance_features: tuple[int, ...]
-    duplicate_columns: tuple[tuple[int, int], ...]
-
-    @property
-    def is_clean(self) -> bool:
-        return not (
-            self.zero_columns or self.zero_variance_features or self.duplicate_columns
-        )
-
-
 def _parse_cell(text: str, line_no: int, col_no: int) -> float:
     try:
         value = float(text)
@@ -544,25 +529,10 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def validate(ds: Dataset) -> ValidationReport:
-    """Report zero columns, zero-variance features, and duplicate columns.
-
-    Purely diagnostic; never mutates and never raises on dirty data.
-    """
-    m = ds.matrix
-    zero_cols = tuple(int(j) for j in np.where(~m.any(axis=0))[0])
-    # exact equality: a variance of equal entries may round above zero
-    # (0.1, 0.1, 0.1), and on huge data it overflows
-    zero_var = tuple(int(i) for i in np.where((m == m[:, :1]).all(axis=1))[0])
-    seen: dict[bytes, int] = {}
-    dups: list[tuple[int, int]] = []
-    for j in range(ds.n_samples):
-        key = m[:, j].tobytes()
-        if key in seen:
-            dups.append((seen[key], j))
-        else:
-            seen[key] = j
-    return ValidationReport(zero_cols, zero_var, tuple(dups))
+def _zero_columns(m: np.ndarray) -> list[int]:
+    """Ascending indices of the all-zero columns of ``m`` (-0.0 is zero):
+    the samples that have no direction."""
+    return np.flatnonzero(~m.any(axis=0)).tolist()
 
 
 def standardize_features(ds: Dataset) -> Dataset:

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, _require_real
+from .data import Dataset, _require_real, _zero_columns
 
 DEFAULT_VARSIGMA = 1e-8
 # Finite group norms at or above this are exact to rounding when computed
@@ -215,16 +215,14 @@ def angular_weights(ds: Dataset, varsigma: float = DEFAULT_VARSIGMA) -> AngularW
     ``1/varsigma``. Zero columns have no direction and are rejected.
     """
     _require_real("varsigma", varsigma, 0, strict=True)
+    zero = _zero_columns(ds.matrix)
+    if zero:
+        raise ValueError(f"angular weights undefined: zero column(s) at {zero}")
     # each column scaled by an exact power of two near its largest entry, so
     # the squares neither underflow nor overflow; cosines are scale-free
     _, exp = np.frexp(np.abs(ds.matrix).max(axis=0))
     x = np.ldexp(ds.matrix, -exp)
     norms = np.linalg.norm(x, axis=0)
-    zero = np.where(norms == 0.0)[0]
-    if zero.size:
-        raise ValueError(
-            f"angular weights undefined: zero column(s) at {zero.tolist()}"
-        )
     cos = (x.T @ x) / np.outer(norms, norms)
     np.clip(cos, -1.0, 1.0, out=cos)
     t = 1.0 / (np.abs(cos) + varsigma)

@@ -71,11 +71,13 @@ def _low_scores_selected(
 def rank_and_select(w: np.ndarray, req: SelectionRequest) -> SelectionResult:
     """Rank samples by row norms and features by column norms of W.
 
-    A W whose squares overflow (entries above about 1e154) is scored at one
+    A W whose squares overflow (entries above about 1e154), or whose
+    squares underflow so that a row or column that is not all zero scores
+    below the normal range (``np.finfo(float).tiny``), is scored at one
     power-of-two scale, where an entry 2**1074 times below its largest is 0,
-    and ranked at that scale: scores that overflow once scaled back are
-    still told apart. Raises ValueError for a W that is not a matrix, has a
-    non-finite entry, or is too small for the budgets.
+    and ranked at that scale: scores that overflow or underflow once scaled
+    back are still told apart. Raises ValueError for a W that is not a
+    matrix, has a non-finite entry, or is too small for the budgets.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
@@ -83,10 +85,15 @@ def rank_and_select(w: np.ndarray, req: SelectionRequest) -> SelectionResult:
     _require_finite(w, "w")
     n, d = w.shape
     req.check_against(n, d)
+    tiny = np.finfo(float).tiny
     with np.errstate(over="ignore"):
         row_keys = row_scores = np.linalg.norm(w, axis=1)
         col_keys = col_scores = np.linalg.norm(w, axis=0)
-        if not (np.isfinite(row_scores).all() and np.isfinite(col_scores).all()):
+        # a norm overflowed, or the squares of a row or column that is not
+        # all zero underflowed below the normal range
+        if not (np.isfinite(row_scores).all() and np.isfinite(col_scores).all()) or (
+            w[row_scores < tiny].any() or w[:, col_scores < tiny].any()
+        ):
             scaled, exp = _at_one_scale(w)
             row_keys, col_keys = np.linalg.norm(scaled, axis=1), np.linalg.norm(scaled, axis=0)
             row_scores, col_scores = np.ldexp(row_keys, exp), np.ldexp(col_keys, exp)

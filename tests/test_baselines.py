@@ -73,11 +73,22 @@ class TestVarianceFeatureSelect:
         assert variance_feature_select(ds, 1) == (1,)
         assert variance_feature_select(ds, 2) == (0, 1)
 
-    def test_finite_variances_rank_as_the_plain_variances(self):
-        ds = random_dataset(5, d=12, n=9)
-        order = np.argsort(-ds.matrix.var(axis=1), kind="stable")
-        for r in range(1, 13):
-            assert variance_feature_select(ds, r) == tuple(sorted(order[:r].tolist()))
+    def test_variances_that_underflow_are_still_told_apart(self):
+        # the squares of 1e-170 underflow: every plain variance read 0.0,
+        # and the tie went to feature 0
+        p = np.array([1.0, -1.0, 1.0, -1.0])
+        ds = Dataset(np.vstack([1e-170 * p, 3e-170 * p, 1e-300 * np.arange(4.0)]))
+        assert variance_feature_select(ds, 1) == (1,)
+        assert variance_feature_select(ds, 2) == (0, 1)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100], ids=str)
+    def test_finite_variances_rank_as_the_plain_variances(self, scale):
+        m = np.random.default_rng(12).normal(size=(10, 9)) * scale
+        m[3] = 0.0
+        m[7] = 2.5 * scale  # equal entries: a variance of exactly 0 or near it
+        order = np.argsort(-m.var(axis=1), kind="stable")
+        for r in range(1, 11):
+            assert variance_feature_select(Dataset(m), r) == tuple(sorted(order[:r].tolist()))
 
 
 class TestLeverageScores:

@@ -14,6 +14,7 @@ from alfs import (
     RegularizationParams,
     SelectionRequest,
     SolverConfig,
+    angular_weights,
     load_csv,
     oracle_best_subsets,
     rank_and_select,
@@ -389,6 +390,20 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "all-zero sample(s) at 0-based index [0]" in err
         assert "Traceback" not in err
+
+    def test_the_guard_names_the_samples_angular_weights_rejects(self, tmp_path, capsys):
+        x = random_dataset(9, d=3, n=7).matrix.copy()
+        x[:, [1, 5]] = 0.0
+        x[0, 5] = -0.0
+        with pytest.raises(ValueError) as info:
+            angular_weights(Dataset(x))
+        data = tmp_path / "zero.csv"
+        write_csv(Dataset(x), data)
+        assert run_cli("solve", "--data", str(data), "--out", str(tmp_path / "never.json")) == 2
+        named = re.search(r"all-zero sample\(s\) at 0-based index (\[.*?\])",
+                          capsys.readouterr().err).group(1)
+        assert named == "[1, 5]"
+        assert str(info.value) == f"angular weights undefined: zero column(s) at {named}"
 
     def test_unwritable_out_exits_2(self, tiny_csv, tmp_path):
         code = run_cli(

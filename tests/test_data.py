@@ -14,10 +14,9 @@ from alfs import (
     load_csv,
     split,
     standardize_features,
-    validate,
     write_csv,
 )
-from alfs.data import ROWS_ARE_FEATURES
+from alfs.data import ROWS_ARE_FEATURES, _zero_columns
 
 from conftest import random_dataset
 
@@ -365,39 +364,19 @@ class TestSplit:
         assert split(ds, SplitSpec(n_train=np.int64(2)))[0].n_samples == 2
 
 
-class TestValidate:
-    def test_all_zero_matrix_flags_every_column(self):
-        ds = Dataset(np.zeros((3, 4)))
-        report = validate(ds)
-        assert report.zero_columns == (0, 1, 2, 3)
-        assert not report.is_clean
+class TestZeroColumns:
+    @pytest.mark.parametrize("zero", [[], [0], [4], [1, 3], [0, 1, 2, 3, 4]],
+                             ids=["none", "first", "last", "several", "all"])
+    def test_the_all_zero_columns_in_ascending_order(self, zero):
+        m = np.random.default_rng(6).normal(size=(3, 5))
+        m[:, zero] = 0.0
+        found = _zero_columns(m)
+        assert found == zero
+        assert all(type(j) is int for j in found)
 
-    def test_duplicate_column_pair(self):
-        m = np.array([[1.0, 2.0, 1.0], [3.0, 4.0, 3.0]])
-        report = validate(Dataset(m))
-        assert report.duplicate_columns == ((0, 2),)
-
-    def test_zero_variance_feature(self):
-        m = np.array([[5.0, 5.0, 5.0], [1.0, 2.0, 3.0]])
-        report = validate(Dataset(m))
-        assert report.zero_variance_features == (0,)
-
-    def test_equal_entries_are_zero_variance_exactly(self):
-        # the variance of (0.1, 0.1, 0.1) rounds to 1.9e-34, not zero
-        m = np.array([[0.1, 0.1, 0.1], [1.0, 2.0, 3.0], [0.1, 0.1, 0.1 + 2**-56]])
-        assert validate(Dataset(m)).zero_variance_features == (0,)
-
-    def test_huge_entries_do_not_overflow(self):
-        m = np.array([[1e300, 1e300, 1e300], [1e300, -1e300, 1e300]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            report = validate(Dataset(m))
-        assert report.zero_variance_features == (0,)
-
-    def test_clean_random_matrix(self):
-        # distinct random entries: no flags of any kind
-        report = validate(random_dataset(8, d=6, n=9))
-        assert report.is_clean
+    def test_negative_zeros_are_zero_and_a_subnormal_is_not(self):
+        m = np.array([[1.0, -0.0, 0.0, -0.0], [2.0, -0.0, 5e-324, 0.0]])
+        assert _zero_columns(m) == [1, 3]
 
 
 def test_standardize_features():

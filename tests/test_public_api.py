@@ -4,6 +4,7 @@ import dataclasses
 
 import alfs
 import alfs.bench
+import alfs.data
 import alfs.solver
 
 
@@ -60,3 +61,10 @@ def test_options_that_changed_nothing_are_gone():
 def test_bench_thread_knob_is_gone():
     for name in ("THREADS_ENV_VAR", "_thread_count"):
         assert not hasattr(alfs.bench, name), name
+
+
+def test_the_dataset_report_is_gone():
+    # the CLI guard and angular_weights read data._zero_columns
+    for name in ("validate", "ValidationReport"):
+        assert not hasattr(alfs, name)
+        assert not hasattr(alfs.data, name)

@@ -88,11 +88,36 @@ class TestRankAndSelect:
         # the reported scores are the scaled-back norms, which overflow
         assert rows.sample_scores == cols.feature_scores == (np.inf, np.inf)
 
-    def test_a_w_that_scores_finitely_keeps_the_bits_of_its_norms(self):
-        w = np.random.default_rng(3).normal(size=(5, 4)) * 1e150
+    @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100, 1e150], ids=str)
+    def test_a_w_that_scores_finitely_keeps_the_bits_of_its_norms(self, scale):
+        # normal norms, and the exact zeros of a zero row and column
+        w = np.random.default_rng(8).normal(size=(7, 5)) * scale
+        w[2, :] = 0.0
+        w[:, 3] = 0.0
         sel = rank_and_select(w, SelectionRequest(2, 2))
-        assert sorted(sel.sample_scores) == sorted(np.linalg.norm(w, axis=1).tolist())
-        assert sorted(sel.feature_scores) == sorted(np.linalg.norm(w, axis=0).tolist())
+        for axis, ranking, scores in ((1, sel.sample_ranking, sel.sample_scores),
+                                      (0, sel.feature_ranking, sel.feature_scores)):
+            norms = np.linalg.norm(w, axis=axis)
+            order = np.argsort(-norms, kind="stable")
+            assert ranking == tuple(order.tolist())
+            assert scores == tuple(norms[order].tolist())
+
+    def test_norms_that_underflow_still_rank_by_size(self):
+        # the squares of 1e-170 underflow: every plain norm read 0.0, and
+        # the ties went to ascending index
+        w = np.random.default_rng(0).normal(size=(6, 4))
+        plain = rank_and_select(w, SelectionRequest(2, 2))
+        tiny = rank_and_select(w * 1e-170, SelectionRequest(2, 2))
+        assert plain.sample_ranking == tiny.sample_ranking == (3, 1, 2, 5, 4, 0)
+        assert plain.feature_ranking == tiny.feature_ranking
+        np.testing.assert_allclose(tiny.sample_scores, np.array(plain.sample_scores) * 1e-170,
+                                   rtol=1e-14, atol=0)
+        np.testing.assert_allclose(tiny.feature_scores,
+                                   np.array(plain.feature_scores) * 1e-170, rtol=1e-14, atol=0)
+        # rows whose entries are equal, and not zero, are told apart too
+        rows = rank_and_select(np.array([[1e-170, 1e-170], [2e-170, 2e-170]]),
+                               SelectionRequest(1, 1))
+        assert rows.sample_ranking == (1, 0)
 
     @pytest.mark.parametrize("m, r, name", [
         (2.5, 1, "m"), (2.0, 1, "m"), (2, True, "r"), (0, 1, "m"), (1, -1, "r"),
